@@ -4,12 +4,15 @@ A table maps an n-pixel input patch to m output values.  Inputs are
 quantized on a lattice with cell width ``2**q``: each axis has
 ``2**(8-q) + 1`` lattice points so that the cell containing 255 can be
 interpolated against a top lattice point nominally at 256.  Queries
-blend the ``2**n`` surrounding corner entries multilinearly.
+blend the ``2**n`` surrounding corner entries multilinearly, reading the
+entries in their stored dtype (see :func:`interpolate`).
 
 Two in-memory forms exist:
 
 * :class:`QuantizedLut` -- integer storage (unsigned, optionally biased
-  for signed residual values), the deployable artifact.
+  for signed residual values), the deployable artifact.  Queries gather
+  the stored integers and remove the bias after the gather, so inference
+  never materializes a float copy of the table.
 * :class:`RealLut` -- float64 storage used while training or baking,
   and for coefficient tables that still hold raw logits.
 
@@ -37,6 +40,13 @@ _HEADER_FMT = "<4sHHBBBBIIQI"
 
 _UINT_DTYPES = {8: np.dtype("<u1"), 16: np.dtype("<u2"), 32: np.dtype("<u4")}
 _REAL_DTYPES = {32: np.dtype("<f4"), 64: np.dtype("<f8")}
+
+# Query rows per interpolate() pass: bounds its working set to
+# 2**n * m float64 values per row whatever the batch size.
+_CHUNK_ROWS = 1 << 14
+# Unsigned word that holds one whole table row of the given byte size.
+_ROW_WORDS = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"),
+              8: np.dtype("<u8")}
 
 
 class LutFileError(Exception):
@@ -123,7 +133,8 @@ def decompose(values, q: int) -> LatticeQuery:
 def _decompose_arrays(values, q: int):
     _check_q(q)
     v = np.asarray(values, dtype=np.float64)
-    if v.size and (v.min() < 0.0 or v.max() > 255.0):
+    # written so that NaN (for which every comparison is false) fails too
+    if v.size and not (v.min() >= 0.0 and v.max() <= 255.0):
         raise ValueError("patch values must lie in [0, 255]")
     # 2**q is a power of two, so the scaling below is exact in float64
     # and the fractions stay exact dyadic rationals.
@@ -214,6 +225,11 @@ class RealLut:
     def lattice_points(self) -> int:
         return lattice_size(self.q)
 
+    @property
+    def bias(self) -> float:
+        """Float entries are stored unbiased."""
+        return 0.0
+
     def copy(self) -> "RealLut":
         return RealLut(self.q, self.n, self.m, self.entries.copy())
 
@@ -234,7 +250,11 @@ def corner_weights(base: np.ndarray, frac: np.ndarray, lattice: int):
     """Flat corner indices and multilinear weights for a batch of queries.
 
     base/frac: (N, n).  Returns (idx, w) of shape (N, 2**n); idx indexes
-    the table flattened to (lattice**n, m) rows.
+    the table flattened to (lattice**n, m) rows.  Corner c takes the
+    upper neighbour along axis d when bit ``n-1-d`` of c is set.
+    Inference does not need the weights (:func:`interpolate` folds the
+    corners directly); training does, to scatter output gradients back
+    onto the corner entries.
     """
     npts, n = base.shape
     strides = np.array([lattice ** (n - 1 - d) for d in range(n)], dtype=np.int64)
@@ -256,16 +276,55 @@ def corner_weights(base: np.ndarray, frac: np.ndarray, lattice: int):
     return idx, w
 
 
-def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Multilinear blend of the 2**n corner entries for each query row."""
-    n = base.shape[1]
-    lattice = table.shape[0]
+def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray,
+                bias: float = 0.0) -> np.ndarray:
+    """Multilinear blend of the 2**n corner entries for each query row.
+
+    ``table`` is a table's entry array, shape ``(L,) * n + (m,)``, read
+    in its stored dtype (the uint8/uint16 entries of a quantized table,
+    float64 for a real one) and never modified; ``bias`` is subtracted
+    from every gathered entry.  base/frac: (N, n) from the lattice
+    decomposition.  Returns (N, m) float64.
+
+    Rows are processed in chunks of ``_CHUNK_ROWS``, so the working set
+    is ``2**n * m`` float64 values per chunk row whatever N is.  Per
+    chunk, the corner entries are gathered corner-major, shape
+    (2**n, rows, m), in :func:`corner_weights`' corner order, then axis
+    0..n-1 is folded in place by one lerp per axis over the two
+    contiguous halves.  With integer entries and 8-bit inputs every
+    fraction is a multiple of 2**-q and every intermediate is exact in
+    float64, so the result equals the weight-product sum bit for bit.
+    """
+    rows, n = base.shape
     m = table.shape[-1]
-    flat = table.reshape(-1, m)
-    idx, w = corner_weights(base, frac, lattice)
-    out = np.zeros((base.shape[0], m), dtype=np.float64)
-    for corner in range(1 << n):
-        out += w[:, corner, None] * flat[idx[:, corner]]
+    strides = table.shape[0] ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    offsets = (bits @ strides)[:, None]
+    flat = np.ascontiguousarray(table).reshape(-1, m)
+    word = _ROW_WORDS.get(m * flat.itemsize)
+    if word is not None:
+        # one table row per machine word: a 1-D gather instead of a row gather
+        flat = flat.view(word).reshape(-1)
+    out = np.empty((rows, m), dtype=np.float64)
+    for start in range(0, rows, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, rows)
+        idx = offsets + base[start:stop] @ strides
+        if word is None:
+            gathered = flat[idx]
+        else:
+            gathered = np.take(flat, idx).view(table.dtype)
+        acc = gathered.reshape(1 << n, stop - start, m).astype(np.float64)
+        if bias:
+            acc -= bias
+        f = frac[start:stop, :, None]
+        for d in range(n):
+            half = acc.shape[0] // 2
+            lo, hi = acc[:half], acc[half:]
+            hi -= lo
+            hi *= f[:, d]
+            lo += hi
+            acc = lo
+        out[start:stop] = acc[0]
     return out
 
 
@@ -283,7 +342,7 @@ def query_batch(lut, patches) -> np.ndarray:
     if patches.ndim != 2 or patches.shape[1] != lut.n:
         raise ValueError(f"patch batch must have shape (N, {lut.n})")
     base, frac = _decompose_arrays(patches, lut.q)
-    return interpolate(real_table(lut), base, frac)
+    return interpolate(lut.entries, base, frac, lut.bias)
 
 
 def lattice_values(q: int) -> np.ndarray:
@@ -424,6 +483,10 @@ def parse_header(data: bytes) -> LutHeader:
 
 def _unpack_container(data: bytes):
     header = parse_header(data)
+    try:
+        _check_geometry(header.q, header.n, header.m, header.bit_depth)
+    except ValueError as exc:
+        raise LutFileError(f"bad header geometry: {exc}") from exc
     if header.real_valued:
         dtypes = _REAL_DTYPES
     else:

@@ -20,8 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lut import (QuantizedLut, RealLut, interpolate, real_table, round_half_away,
+from .lut import (QuantizedLut, RealLut, interpolate, round_half_away,
                   _decompose_arrays)
+# Kept as a module attribute although queries no longer dequantize:
+# perfbench/tracing.py wraps ``pipeline.real_table`` by name.
+from .lut import real_table  # noqa: F401
 from .orientation import (KernelPattern, OrientationSet, SQUARE_PATTERN,
                           block_permutation)
 from .pooling import (PoolingSpec, average_weights, combine, gmp_weights,
@@ -226,20 +229,19 @@ def _stage_pass(image: np.ndarray, stage_luts, config: PipelineConfig,
     m = rs * rs
     pad = max(p.reach for p in config.patterns) + config.padding
     rotations = config.orientations.rotations
-    tables = [real_table(lut) for lut in stage_luts]
     xs = np.empty((len(rotations), count, m), dtype=np.float64)
     for i, r in enumerate(rotations):
         acc = np.zeros((count, m), dtype=np.float64)
-        for pattern, lut, table in zip(config.patterns, stage_luts, tables):
+        for pattern, lut in zip(config.patterns, stage_luts):
             patches = _gather(image, pattern.rotated(r), pad).reshape(count, pattern.n)
             base, frac = _decompose_arrays(patches, lut.q)
-            out = interpolate(table, base, frac)
+            out = interpolate(lut.entries, base, frac, lut.bias)
             if counters is not None:
                 counters.lut_queries += count
             if m > 1:
                 out = out[:, block_permutation(m, r)]
             acc += out
-        xs[i] = acc / len(tables)
+        xs[i] = acc / len(stage_luts)
 
     pool = config.pooling
     if pool.kind == "average":
@@ -270,7 +272,7 @@ def _run_real(image: np.ndarray, config: PipelineConfig,
         raise ValueError("expected a 2-D grayscale image")
     if x.size == 0:
         raise ValueError("empty image")
-    if x.min() < 0.0 or x.max() > 255.0:
+    if not (x.min() >= 0.0 and x.max() <= 255.0):   # NaN fails this too
         raise ValueError("pixel values must lie in [0, 255]")
 
     alpha = None

@@ -9,6 +9,7 @@ import pytest
 
 from lutpool import read_pnm, write_pnm
 from lutpool.cli import main
+from lutpool.lut import _pack_container
 
 
 def run(*argv):
@@ -104,6 +105,18 @@ class TestRestore:
     def test_corrupt_table(self, tmp_path):
         bad = tmp_path / "bad.lut"
         bad.write_bytes(bytes(64))
+        src = tmp_path / "in.pgm"
+        write_test_image(src, size=8)
+        assert run("restore", "--input", str(src),
+                   "--out", str(tmp_path / "o.pgm"), "--lut", str(bad)) == 2
+
+    @pytest.mark.parametrize("q, n, m, count", [
+        (0, 1, 1, 17), (8, 1, 1, 17), (4, 0, 1, 1), (4, 1, 0, 0)])
+    def test_bad_header_geometry(self, tmp_path, q, n, m, count):
+        # CRC intact and entry count consistent with the header: only the
+        # geometry itself is impossible
+        bad = tmp_path / "bad.lut"
+        bad.write_bytes(_pack_container(np.zeros(count, dtype=np.uint8), q, n, m, 0, 0, 8))
         src = tmp_path / "in.pgm"
         write_test_image(src, size=8)
         assert run("restore", "--input", str(src),

@@ -11,6 +11,8 @@ from lutpool import (
     CoeffLut,
     LatticeQuery,
     LutFileError,
+    PipelineConfig,
+    PoolingSpec,
     QuantizedLut,
     RealLut,
     TruncatedFileError,
@@ -28,12 +30,16 @@ from lutpool import (
     quantize,
     query,
     query_batch,
+    restore_image,
     round_half_away,
     save_lut,
     serialize,
     storage_bytes,
 )
-from lutpool.lut import FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MAGIC
+from lutpool.lut import (FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MAGIC,
+                         _CHUNK_ROWS, _decompose_arrays, _pack_container,
+                         real_table)
+from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN
 
 
 def naive_query(table, patch, q):
@@ -51,6 +57,39 @@ def naive_query(table, patch, q):
         idx = tuple(b + c for b, c in zip(base, corner))
         out += weight * table[idx]
     return out
+
+
+def weight_product_interpolate(table, base, frac):
+    """Reference kernel: the weight-product sum the query kernel replaced.
+
+    For each corner, the product of per-axis weights (1 - f or f) times
+    the corner row, accumulated corner by corner.  ``table`` is a float64
+    entry array with any bias already removed.
+    """
+    npts, n = base.shape
+    lattice = table.shape[0]
+    m = table.shape[-1]
+    flat = table.reshape(-1, m)
+    strides = [lattice ** (n - 1 - d) for d in range(n)]
+    idx0 = base @ np.array(strides, dtype=np.int64)
+    out = np.zeros((npts, m), dtype=np.float64)
+    for corner in range(1 << n):
+        off = 0
+        cw = np.ones(npts, dtype=np.float64)
+        for d in range(n):
+            if (corner >> (n - 1 - d)) & 1:
+                cw = cw * frac[:, d]
+                off += strides[d]
+            else:
+                cw = cw * (1.0 - frac[:, d])
+        out += cw[:, None] * flat[idx0 + off]
+    return out
+
+
+def random_int_lut(rng, q, n, m, bit_depth=8, signed=False):
+    shape = (lattice_size(q),) * n + (m,)
+    entries = rng.integers(0, 2 ** bit_depth, shape)
+    return QuantizedLut(q, n, m, entries, bit_depth=bit_depth, signed=signed)
 
 
 def random_real_lut(rng, q, n, m, scale=255.0):
@@ -179,6 +218,94 @@ class TestInterpolation:
             query(lut, np.zeros(3))
         with pytest.raises(ValueError):
             query_batch(lut, np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_patch_rejected(self, bad):
+        lut = bake(lambda p: p[:, :1].copy(), q=4, n=4, m=1)
+        patches = np.full((3, 4), 100.0)
+        patches[1, 2] = bad
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            query_batch(lut, patches)
+
+
+def integer_patches(rng, count, n):
+    """8-bit patches, with the all-0 and all-255 corners of the range included."""
+    edges = np.array([[0.0] * n, [255.0] * n])
+    return np.concatenate([edges, rng.integers(0, 256, (count, n))])[:count]
+
+
+class TestQueryKernel:
+    """The chunked stored-dtype kernel against the weight-product oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_integer_tables_bitwise(self, n, bit_depth):
+        # m * itemsize in {1, 2, 4, 8} gathers whole rows as one word;
+        # m = 3 and m = 16 take the plain row gather
+        rng = np.random.default_rng(100 + 10 * n + bit_depth)
+        for q, m, signed in itertools.product((1, 4, 7), (1, 2, 3, 4, 16),
+                                              (False, True)):
+            if lattice_size(q) ** n * m > 2_000_000:
+                continue                  # n = 4 at q = 1: 129**4 lattice points
+            lut = random_int_lut(rng, q, n, m, bit_depth, signed)
+            patches = integer_patches(rng, 300, n)
+            got = query_batch(lut, patches)
+            base, frac = _decompose_arrays(patches, q)
+            want = weight_product_interpolate(real_table(lut), base, frac)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want, err_msg=f"q={q} m={m} signed={signed}")
+
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    def test_chunk_boundaries(self, m):
+        rng = np.random.default_rng(130 + m)
+        lut = random_int_lut(rng, 4, 4, m, signed=True)
+        for rows in (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1):
+            patches = integer_patches(rng, rows, 4)
+            got = query_batch(lut, patches)
+            assert got.shape == (rows, m)
+            base, frac = _decompose_arrays(patches, 4)
+            want = weight_product_interpolate(real_table(lut), base, frac)
+            np.testing.assert_array_equal(got, want, err_msg=f"rows={rows}")
+
+    def test_table_never_written(self):
+        rng = np.random.default_rng(120)
+        for lut in (random_int_lut(rng, 4, 4, 4, signed=True),
+                    random_int_lut(rng, 5, 4, 3, bit_depth=16),
+                    random_real_lut(rng, 5, 4, 1)):
+            before = lut.entries.copy()
+            lut.entries.setflags(write=False)  # an in-place write would raise
+            query_batch(lut, integer_patches(rng, 500, 4))
+            assert lut.entries.dtype == before.dtype
+            np.testing.assert_array_equal(lut.entries, before)
+
+    def test_real_tables_match_oracle(self):
+        rng = np.random.default_rng(121)
+        for q, n, m in ((4, 4, 1), (4, 4, 4), (5, 4, 3), (6, 2, 16)):
+            lut = random_real_lut(rng, q, n, m)
+            lut.entries -= 127.5                   # signed values
+            patches = np.concatenate([rng.uniform(0.0, 255.0, (400, n)),
+                                      integer_patches(rng, 100, n)])
+            base, frac = _decompose_arrays(patches, q)
+            want = weight_product_interpolate(lut.entries, base, frac)
+            np.testing.assert_allclose(query_batch(lut, patches), want,
+                                       rtol=1e-12, atol=1e-12 * 255.0)
+
+    def test_restore_quantized_equals_dequantized(self):
+        # the stored-dtype read and the float copy must agree bit for bit,
+        # also in a second stage whose inputs are no longer integers
+        rng = np.random.default_rng(122)
+        patterns = [SQUARE_PATTERN, DIAGONAL_PATTERN]
+        stages = [[random_int_lut(rng, 4, p.n, 1) for p in patterns],
+                  [random_int_lut(rng, 4, p.n, 4, signed=True) for p in patterns]]
+        image = rng.integers(0, 256, (19, 23)).astype(np.uint8)
+        outs = []
+        for convert in (lambda lut: lut, dequantize):
+            cfg = PipelineConfig(task="sr", scale=2, patterns=patterns, residual=True,
+                                 pooling=PoolingSpec(kind="gmp", tau=8.0),
+                                 stages=[[convert(lut) for lut in s] for s in stages])
+            outs.append(restore_image(image, cfg))
+        assert outs[0].shape == (38, 46)
+        np.testing.assert_array_equal(outs[0], outs[1])
 
 
 class TestBake:
@@ -314,6 +441,16 @@ class TestContainer:
         assert header.entry_count == 9 ** 4 * 4
         back = load_lut(path)
         np.testing.assert_array_equal(back.entries, lut.entries)
+
+    @pytest.mark.parametrize("q, n, m, bit_depth, count", [
+        (0, 1, 1, 8, 17), (8, 1, 1, 8, 17), (4, 0, 1, 8, 1), (4, 1, 0, 8, 0),
+        (4, 1, 1, 12, 17)])
+    def test_bad_geometry_is_file_error(self, q, n, m, bit_depth, count):
+        # valid magic, version and CRC, and an entry count that agrees with
+        # the header; only the geometry itself is impossible
+        blob = _pack_container(np.zeros(count, dtype=np.uint8), q, n, m, 0, 0, bit_depth)
+        with pytest.raises(LutFileError, match="geometry|bit depth"):
+            deserialize(blob)
 
     def test_flags_layout(self):
         assert FLAG_SIGNED == 0x0001

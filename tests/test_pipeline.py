@@ -1,6 +1,7 @@
 """Resampling, stage execution, rotation symmetry, and the cost model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,16 @@ class TestRestore:
             restore_image(np.zeros(5), cfg)
         with pytest.raises(ValueError):
             restore_image(np.zeros((0, 3)), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        cfg = identity_restore_config()
+        img = np.full((8, 8), 100.0)
+        img[3, 5] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # no cast warning on the way
+            with pytest.raises(ValueError, match=r"\[0, 255\]"):
+                restore_image(img, cfg)
 
     def test_residual_identity_is_zero_table(self):
         # a signed all-zero residual stage leaves the frame untouched
