@@ -246,33 +246,50 @@ def real_table(lut) -> np.ndarray:
     raise TypeError(f"not a lookup table: {type(lut).__name__}")
 
 
-def corner_weights(base: np.ndarray, frac: np.ndarray, lattice: int):
+def _corner_offsets(n: int, lattice: int) -> np.ndarray:
+    """Flat-row offset of each of the 2**n corners from the base corner.
+
+    Corner c takes the upper neighbour along axis d when bit ``n-1-d``
+    of c is set, so axis 0 is the most significant bit.
+    """
+    strides = lattice ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return bits @ strides
+
+
+def corner_weights(base: np.ndarray, frac: np.ndarray, lattice: int, out=None):
     """Flat corner indices and multilinear weights for a batch of queries.
 
-    base/frac: (N, n).  Returns (idx, w) of shape (N, 2**n); idx indexes
-    the table flattened to (lattice**n, m) rows.  Corner c takes the
-    upper neighbour along axis d when bit ``n-1-d`` of c is set.
-    Inference does not need the weights (:func:`interpolate` folds the
-    corners directly); training does, to scatter output gradients back
-    onto the corner entries.
+    base/frac: (N, n).  Returns (idx, w), both corner-major of shape
+    (2**n, N); idx indexes the table flattened to (lattice**n, m) rows.
+    Corner c takes the upper neighbour along axis d when bit ``n-1-d``
+    of c is set.  Each weight is the product ``1.0 * f_0 * ... * f_{n-1}``
+    taken in axis order, with f_d the fraction or its complement.
+    ``out`` may pass a preallocated C-contiguous (idx, w) pair of that
+    shape to fill.  Inference does not need the weights
+    (:func:`interpolate` folds the corners directly); training does, to
+    scatter output gradients back onto the corner entries.
     """
     npts, n = base.shape
-    strides = np.array([lattice ** (n - 1 - d) for d in range(n)], dtype=np.int64)
-    idx0 = base @ strides
-    ncorner = 1 << n
-    idx = np.empty((npts, ncorner), dtype=np.int64)
-    w = np.empty((npts, ncorner), dtype=np.float64)
-    for corner in range(ncorner):
-        off = 0
-        cw = np.ones(npts, dtype=np.float64)
-        for d in range(n):
-            if (corner >> (n - 1 - d)) & 1:
-                cw = cw * frac[:, d]
-                off += strides[d]
-            else:
-                cw = cw * (1.0 - frac[:, d])
-        idx[:, corner] = idx0 + off
-        w[:, corner] = cw
+    if out is None:
+        out = (np.empty((1 << n, npts), dtype=np.int64),
+               np.empty((1 << n, npts), dtype=np.float64))
+    idx, w = out
+    if not w.flags.c_contiguous:
+        raise ValueError("corner weights must be written to a C-contiguous array")
+    strides = lattice ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    np.add(_corner_offsets(n, lattice)[:, None], base @ strides, out=idx)
+    # View the corners as an n-dimensional bit grid.  Before axis d the
+    # corners whose bits d..n-1 are all zero hold the partial product of
+    # axes 0..d-1; axis d splits each of them into its lo and hi corner.
+    grid = w.reshape((2,) * n + (npts,))
+    grid[(0,) * n] = 1.0
+    for d in range(n):
+        rest = (0,) * (n - 1 - d)
+        lo = grid[(slice(None),) * d + (0,) + rest]
+        hi = grid[(slice(None),) * d + (1,) + rest]
+        np.multiply(lo, frac[:, d], out=hi)
+        lo *= 1.0 - frac[:, d]
     return idx, w
 
 
@@ -298,8 +315,7 @@ def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray,
     rows, n = base.shape
     m = table.shape[-1]
     strides = table.shape[0] ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    offsets = (bits @ strides)[:, None]
+    offsets = _corner_offsets(n, table.shape[0])[:, None]
     flat = np.ascontiguousarray(table).reshape(-1, m)
     word = _ROW_WORDS.get(m * flat.itemsize)
     if word is not None:
@@ -481,19 +497,21 @@ def parse_header(data: bytes) -> LutHeader:
     return LutHeader(flags, q, n, bit_depth, m, k, count, crc)
 
 
-def _unpack_container(data: bytes):
-    header = parse_header(data)
+def _entry_dtype(header: LutHeader) -> np.dtype:
+    """Payload dtype of a header whose geometry and bit depth are possible."""
     try:
         _check_geometry(header.q, header.n, header.m, header.bit_depth)
     except ValueError as exc:
         raise LutFileError(f"bad header geometry: {exc}") from exc
-    if header.real_valued:
-        dtypes = _REAL_DTYPES
-    else:
-        dtypes = _UINT_DTYPES
+    dtypes = _REAL_DTYPES if header.real_valued else _UINT_DTYPES
     if header.bit_depth not in dtypes:
         raise LutFileError(f"unsupported bit depth {header.bit_depth} in header")
-    dt = dtypes[header.bit_depth]
+    return dtypes[header.bit_depth]
+
+
+def _unpack_container(data: bytes):
+    header = parse_header(data)
+    dt = _entry_dtype(header)
     need = header.entry_count * dt.itemsize
     payload = data[HEADER_SIZE:]
     if len(payload) < need:
@@ -561,6 +579,12 @@ def load_lut(path):
 
 
 def inspect_file(path) -> LutHeader:
-    """Parse just the header; payload is not validated."""
+    """Parse and check just the header; the payload is not read.
+
+    Raises :class:`LutFileError` for a header whose geometry or bit
+    depth no table can have, as loading the file would.
+    """
     with open(path, "rb") as fh:
-        return parse_header(fh.read(HEADER_SIZE))
+        header = parse_header(fh.read(HEADER_SIZE))
+    _entry_dtype(header)
+    return header

@@ -9,6 +9,14 @@ chain rule runs through the cached corner weights; fusion weights are
 differentiated through the softmax (and, for the soft-median, through
 the distance terms and the log-temperature).
 
+Per (pattern, rotation) the forward pass writes the corner indices and
+weights into (rotations, 2**n, N) arrays, gathers all corner rows in one
+``np.take`` and adds the weighted rows corner by corner.  The backward
+pass scatters each output column onto the table with one
+``np.bincount`` over the whole (rotation, corner, row) sequence;
+bincount adds in input order from zero, so every gradient entry is the
+same sum, in the same order, as a per-corner ``np.add.at`` would form.
+
 Everything is float64 numpy with a seeded generator and fixed reduction
 order, so a (seed, config) pair reproduces training bit for bit.
 """
@@ -96,6 +104,11 @@ class AdamState:
         return cls(np.zeros_like(values), np.zeros_like(values))
 
 
+# Elements per adam_step slice: four operand slices and two scratch
+# buffers of this size stay in a core's L2 cache across the update.
+_ADAM_CHUNK = 1 << 15
+
+
 def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
               step_index: int, lr: float, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> None:
@@ -105,13 +118,34 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
     if step_index < 0:
         raise ValueError("step_index must be nonnegative")
     t = step_index + 1
-    state.exp_avg *= beta1
-    state.exp_avg += (1.0 - beta1) * grad
-    state.exp_avg_sq *= beta2
-    state.exp_avg_sq += (1.0 - beta2) * grad * grad
-    m_hat = state.exp_avg / (1.0 - beta1 ** t)
-    v_hat = state.exp_avg_sq / (1.0 - beta2 ** t)
-    values -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    arrays = [np.atleast_1d(x) for x in
+              (values, grad, state.exp_avg, state.exp_avg_sq)]
+    # The textbook out-of-place update, operation for operation, run
+    # through two scratch buffers over slices of the leading axis, so a
+    # step allocates no parameter-size temporaries and each slice stays
+    # in cache for the whole update.
+    rows = max(1, _ADAM_CHUNK * len(arrays[0]) // max(arrays[0].size, 1))
+    scratch_a = np.empty(arrays[0][:rows].shape)
+    scratch_b = np.empty_like(scratch_a)
+    for start in range(0, len(arrays[0]), rows):
+        v, g, m1, m2 = (x[start:start + rows] for x in arrays)
+        a, b = scratch_a[:len(v)], scratch_b[:len(v)]
+        np.multiply(g, 1.0 - beta1, out=a)
+        m1 *= beta1
+        m1 += a
+        np.multiply(g, 1.0 - beta2, out=a)
+        a *= g
+        m2 *= beta2
+        m2 += a
+        np.divide(m2, c2, out=a)           # v_hat
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m1, c1, out=b)           # m_hat
+        b *= lr
+        b /= a
+        v -= b
 
 
 @dataclass
@@ -287,6 +321,40 @@ def _loss_and_grad(diff: np.ndarray, kind: str, epsilon: float):
     return float(np.mean(root)), 2.0 * diff / count
 
 
+def _blend(flat: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Corner-weighted sum of table rows: sum_c wts[c] * flat[idx[c]].
+
+    idx/wts are corner-major (2**n, N).  One gather brings in every
+    corner; the products are then added corner by corner onto zeros.
+    ``g.sum(axis=0)`` would add in the same order except when N * m is
+    1, where numpy sums the lone column pairwise.
+    """
+    g = np.take(flat, idx, axis=0)
+    g *= wts[:, :, None]
+    out = np.zeros(g.shape[1:])
+    for gc in g:
+        out += gc
+    return out
+
+
+def _scatter(flat_grad: np.ndarray, idx: np.ndarray, wts: np.ndarray,
+             gout: np.ndarray) -> None:
+    """Add wts * gout onto the rows idx of flat_grad, in idx order.
+
+    idx/wts have shape (..., N) and gout (..., N, m) broadcasts against
+    them over the leading axes (rotation and/or corner).  ``np.bincount``
+    adds its weights in input order starting from 0.0, which is the
+    order in which per-corner ``np.add.at`` calls add them, so the sums
+    round identically.
+    """
+    rows = flat_grad.shape[0]
+    flat_idx = idx.ravel()
+    vals = np.empty(wts.shape)
+    for j in range(flat_grad.shape[1]):
+        np.multiply(wts, np.ascontiguousarray(gout[..., j]), out=vals)
+        flat_grad[:, j] += np.bincount(flat_idx, vals.ravel(), minlength=rows)
+
+
 def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig,
              need_grad: bool):
     b, h, w = batch.inputs.shape
@@ -297,27 +365,28 @@ def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig,
     npat = len(tp.patterns)
     pad = max(p.reach for p in tp.patterns)
     padded = np.pad(batch.inputs, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+    perms = [block_permutation(m, r) if m > 1 else None
+             for r in tp.orientations.rotations]
 
     xs = np.zeros((k, count, m))
-    raws = {}       # (pattern, rotation) -> (idx, weights, perm)
-    for pi, (pattern, tl) in enumerate(zip(tp.patterns, tp.luts)):
+    corners = []    # per pattern: idx and weights, (k, 2**n, N) each
+    for pattern, tl in zip(tp.patterns, tp.luts):
         flat = tl.lut.entries.reshape(-1, m)
         lattice = tl.lut.lattice_points
+        idx = np.empty((k, 1 << pattern.n, count), dtype=np.int64)
+        wts = np.empty((k, 1 << pattern.n, count))
         for ri, r in enumerate(tp.orientations.rotations):
             patches = _gather_batch(padded, pattern.rotated(r), pad, h, w)
             base, frac = _decompose_clamped(patches.reshape(count, pattern.n), tl.lut.q)
-            idx, wts = corner_weights(base, frac, lattice)
-            out = np.zeros((count, m))
-            for c in range(idx.shape[1]):
-                out += wts[:, c, None] * flat[idx[:, c]]
-            perm = block_permutation(m, r) if m > 1 else None
-            if perm is not None:
-                out = out[:, perm]
+            corner_weights(base, frac, lattice, out=(idx[ri], wts[ri]))
+            out = _blend(flat, idx[ri], wts[ri])
+            if perms[ri] is not None:
+                out = out[:, perms[ri]]
             xs[ri] += out / npat
-            if need_grad:
-                raws[(pi, ri)] = (idx, wts, perm)
+        if need_grad:
+            corners.append((idx, wts))
 
-    cache = {"xs": xs, "count": count, "m": m, "k": k}
+    cache = {"xs": xs, "perms": perms}
 
     if tp.pooling == "average":
         alpha = np.full((k, count), 1.0 / k)
@@ -340,10 +409,7 @@ def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig,
         cbase, cfrac = _decompose_clamped(cpatches.reshape(count, cp.n),
                                           tp.coeff.lut.q)
         cidx, cwts = corner_weights(cbase, cfrac, tp.coeff.lut.lattice_points)
-        cflat = tp.coeff.lut.entries.reshape(-1, k)
-        logits = np.zeros((count, k))
-        for c in range(cidx.shape[1]):
-            logits += cwts[:, c, None] * cflat[cidx[:, c]]
+        logits = _blend(tp.coeff.lut.entries.reshape(-1, k), cidx, cwts)
         alpha = softmax(logits, axis=1).T
         cache.update(cidx=cidx, cwts=cwts)
 
@@ -369,7 +435,7 @@ def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig,
         reg = entropy_regularizer(alpha.T)
     total = fid + cfg.reg_weight * reg
 
-    cache.update(alpha=alpha, raws=raws, dfid=dfid if need_grad else None)
+    cache.update(alpha=alpha, corners=corners, dfid=dfid if need_grad else None)
     losses = {"total": total, "fidelity": fid, "regularizer": reg}
     return losses, cache
 
@@ -385,7 +451,7 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
     tp.zero_grad()
     losses, cache = _forward(tp, batch, cfg, need_grad=True)
 
-    xs = cache["xs"]
+    xs = cache.pop("xs")
     alpha = cache["alpha"]
     g = cache["dfid"]                           # dL/dpred, (N, m)
     k, count, m = xs.shape
@@ -399,10 +465,11 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
         if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
             c = c + cfg.reg_weight * (
                 np.log(np.maximum(alpha, 1e-300)) + 1.0) / count
+    del xs
 
     if tp.pooling == "gmp":
         tau = cache["tau"]
-        dev = cache["dev"]
+        dev = cache.pop("dev")
         dist = cache["dist"]
         # softmax over orientations: u_i = -dist_i / tau
         s = alpha * (c - np.sum(alpha * c, axis=0, keepdims=True))
@@ -413,29 +480,23 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
             unit = dev / np.maximum(dist, 1e-300)[:, :, None]
         else:
             unit = np.sign(dev)
+        del dev
         t = ddist[:, :, None] * unit
         grad_xs += t - t.sum(axis=0, keepdims=True) / k
     elif tp.pooling == "oap":
         arow = alpha.T                           # (N, k)
         crow = c.T
         srow = arow * (crow - np.sum(arow * crow, axis=1, keepdims=True))
-        cflat_grad = tp.coeff.grad.reshape(-1, k)
-        cidx, cwts = cache["cidx"], cache["cwts"]
-        for corner in range(cidx.shape[1]):
-            np.add.at(cflat_grad, cidx[:, corner], cwts[:, corner, None] * srow)
+        _scatter(tp.coeff.grad.reshape(-1, k), cache.pop("cidx"),
+                 cache.pop("cwts"), srow[None])
 
-    for pi, tl in enumerate(tp.luts):
-        flat_grad = tl.grad.reshape(-1, m)
-        for ri in range(k):
-            idx, wts, perm = cache["raws"][(pi, ri)]
-            gout = grad_xs[ri] / npat
-            if perm is not None:
-                graw = np.empty_like(gout)
-                graw[:, perm] = gout
-            else:
-                graw = gout
-            for corner in range(idx.shape[1]):
-                np.add.at(flat_grad, idx[:, corner], wts[:, corner, None] * graw)
+    # per-rotation output gradient, block permutation undone
+    graw = grad_xs / npat
+    for ri, perm in enumerate(cache["perms"]):
+        if perm is not None:
+            graw[ri][:, perm] = graw[ri].copy()
+    for tl, (idx, wts) in zip(tp.luts, cache.pop("corners")):
+        _scatter(tl.grad.reshape(-1, m), idx, wts, graw[:, None])
 
     return losses
 
@@ -462,6 +523,17 @@ def evaluate_pairs(config: PipelineConfig, pairs, border: int = 0) -> float:
     return float(np.mean(scores))
 
 
+def _check_pairs(pairs, split: str) -> None:
+    """Reject pairs holding NaN, infinite or out-of-range pixels."""
+    for i, pair in enumerate(pairs):
+        for name, image in zip(("input", "target"), pair):
+            a = np.asarray(image)
+            # written so that NaN (for which every comparison is false) fails too
+            if a.size and not (a.min() >= 0 and a.max() <= 255):
+                raise ValueError(f"{split} pair {i}: {name} pixels must be "
+                                 f"finite and lie in [0, 255]")
+
+
 def train(tp: TrainablePipeline, train_pairs, val_pairs,
           cfg: TrainConfig) -> TrainReport:
     """Cosine-scheduled Adam loop with best-checkpoint selection.
@@ -469,8 +541,12 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
     The validation PSNR is measured through the full (quantizing)
     inference path; the parameters giving the best score -- including
     the untouched initialization -- are restored before returning, so a
-    fine-tune can never end worse than it started.
+    fine-tune can never end worse than it started.  Every pair is checked
+    once up front: a NaN, infinite or out-of-range pixel raises
+    ``ValueError`` naming the split and the pair index.
     """
+    _check_pairs(train_pairs, "training")
+    _check_pairs(val_pairs, "validation")
     rng = np.random.default_rng(cfg.seed)
     border = tp.scale if tp.task == "sr" else 0
     history, val_history = [], []

@@ -121,6 +121,7 @@ class TestRestore:
         write_test_image(src, size=8)
         assert run("restore", "--input", str(src),
                    "--out", str(tmp_path / "o.pgm"), "--lut", str(bad)) == 2
+        assert run("inspect", str(bad)) == 2
 
     def test_geometry_mismatch(self, tmp_path):
         # an upscale block table cannot serve a same-size restore task

@@ -445,12 +445,16 @@ class TestContainer:
     @pytest.mark.parametrize("q, n, m, bit_depth, count", [
         (0, 1, 1, 8, 17), (8, 1, 1, 8, 17), (4, 0, 1, 8, 1), (4, 1, 0, 8, 0),
         (4, 1, 1, 12, 17)])
-    def test_bad_geometry_is_file_error(self, q, n, m, bit_depth, count):
+    def test_bad_geometry_is_file_error(self, q, n, m, bit_depth, count, tmp_path):
         # valid magic, version and CRC, and an entry count that agrees with
         # the header; only the geometry itself is impossible
         blob = _pack_container(np.zeros(count, dtype=np.uint8), q, n, m, 0, 0, bit_depth)
         with pytest.raises(LutFileError, match="geometry|bit depth"):
             deserialize(blob)
+        path = tmp_path / "bad.lut"
+        path.write_bytes(blob)
+        with pytest.raises(LutFileError, match="geometry|bit depth"):
+            inspect_file(path)
 
     def test_flags_layout(self):
         assert FLAG_SIGNED == 0x0001

@@ -1,6 +1,7 @@
 """Losses, optimizer, gradients, and the training/fine-tuning loops."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,13 @@ from lutpool import (
     sample_batch,
     train,
 )
+from lutpool.lut import corner_weights
+from lutpool.orientation import (DIAGONAL_PATTERN, SQUARE_PATTERN, WYE_PATTERN,
+                                 block_permutation)
+from lutpool.pipeline import _resize_axis
+from lutpool.pooling import softmax
+from lutpool.train import (_decompose_clamped, _gather_batch, _loss_and_grad,
+                           _to_blocks)
 
 PAIR = KernelPattern("S2", ((0, 0), (0, 1)))
 SINGLE = KernelPattern("P1", ((0, 0),))
@@ -122,6 +130,45 @@ class TestAdam:
             adam_step(values, np.zeros(2), state, 0, 0.1)
         with pytest.raises(ValueError):
             adam_step(values, np.zeros(3), state, -1, 0.1)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(), (1,), (7, 5), (100_003,),
+                                       (3, 50_000), (17,) * 4 + (4,)])
+    def test_bitwise_equal_to_out_of_place_formula(self, shape, order):
+        rng = np.random.default_rng(3)
+        values = np.asarray(rng.normal(0, 3, shape), order=order)
+        ref = values.copy()
+        state = AdamState.like(values)
+        m = np.zeros(shape)
+        v = np.zeros(shape)
+        for t in range(5):
+            grad = np.asarray(rng.normal(0, 10.0 ** (t - 2), shape), order=order)
+            lr = 0.05 / (t + 1)
+            adam_step(values, grad, state, t, lr)
+            # the textbook out-of-place update, one temporary per operation
+            m *= 0.9
+            m += (1.0 - 0.9) * grad
+            v *= 0.999
+            v += (1.0 - 0.999) * grad * grad
+            m_hat = m / (1.0 - 0.9 ** (t + 1))
+            v_hat = v / (1.0 - 0.999 ** (t + 1))
+            ref -= lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert values.tobytes() == ref.tobytes()
+        assert state.exp_avg.tobytes() == m.tobytes()
+        assert state.exp_avg_sq.tobytes() == v.tobytes()
+
+    def test_peak_memory_of_a_table_step(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(0, 1, (17,) * 4 + (4,))
+        grad = rng.normal(0, 1, values.shape)
+        state = AdamState.like(values)
+        tracemalloc.start()
+        try:
+            adam_step(values, grad, state, 0, 0.01)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * values.nbytes
 
 
 class TestTrainConfig:
@@ -229,6 +276,244 @@ class TestExactGradient:
         assert grad[2] == pytest.approx(-20.0, rel=1e-12)  # 32 = 2 * 2**4
         others = np.delete(grad, 2)
         np.testing.assert_array_equal(others, 0.0)
+
+
+def loop_corner_weights(base, frac, lattice):
+    """Per-corner product loop, row-major (N, 2**n): the reference layout."""
+    npts, n = base.shape
+    strides = np.array([lattice ** (n - 1 - d) for d in range(n)], dtype=np.int64)
+    idx0 = base @ strides
+    idx = np.empty((npts, 1 << n), dtype=np.int64)
+    w = np.empty((npts, 1 << n))
+    for corner in range(1 << n):
+        off = 0
+        cw = np.ones(npts)
+        for d in range(n):
+            if (corner >> (n - 1 - d)) & 1:
+                cw = cw * frac[:, d]
+                off += strides[d]
+            else:
+                cw = cw * (1.0 - frac[:, d])
+        idx[:, corner] = idx0 + off
+        w[:, corner] = cw
+    return idx, w
+
+
+def add_at_forward_backward(tp, batch, cfg):
+    """Reference step: per-corner gathers and np.add.at gradient scatters.
+
+    The forward blends corner by corner and the backward scatters each
+    corner with its own ``np.add.at`` call, rotation by rotation.
+    ``forward_backward`` must reproduce every bit of its losses and
+    gradients.
+    """
+    tp.zero_grad()
+    b, h, w = batch.inputs.shape
+    rs = tp.rs
+    m = rs * rs
+    count = b * h * w
+    k = tp.orientations.k
+    npat = len(tp.patterns)
+    pad = max(p.reach for p in tp.patterns)
+    padded = np.pad(batch.inputs, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+
+    xs = np.zeros((k, count, m))
+    raws = {}
+    for pi, (pattern, tl) in enumerate(zip(tp.patterns, tp.luts)):
+        flat = tl.lut.entries.reshape(-1, m)
+        for ri, r in enumerate(tp.orientations.rotations):
+            patches = _gather_batch(padded, pattern.rotated(r), pad, h, w)
+            base, frac = _decompose_clamped(patches.reshape(count, pattern.n), tl.lut.q)
+            idx, wts = loop_corner_weights(base, frac, tl.lut.lattice_points)
+            out = np.zeros((count, m))
+            for c in range(idx.shape[1]):
+                out += wts[:, c, None] * flat[idx[:, c]]
+            perm = block_permutation(m, r) if m > 1 else None
+            if perm is not None:
+                out = out[:, perm]
+            xs[ri] += out / npat
+            raws[(pi, ri)] = (idx, wts, perm)
+
+    if tp.pooling == "average":
+        alpha = np.full((k, count), 1.0 / k)
+    elif tp.pooling == "gmp":
+        tau = tp.tau
+        dev = xs - np.mean(xs, axis=0)[None]
+        if tp.norm == "l2":
+            dist = np.sqrt(np.sum(dev * dev, axis=-1))
+        else:
+            dist = np.sum(np.abs(dev), axis=-1)
+        alpha = softmax(-dist / tau, axis=0)
+    else:
+        cp = tp.coeff_pattern
+        cpadded = np.pad(batch.inputs, ((0, 0), (cp.reach,) * 2, (cp.reach,) * 2),
+                         mode="edge")
+        cpatches = _gather_batch(cpadded, cp.offsets, cp.reach, h, w)
+        cbase, cfrac = _decompose_clamped(cpatches.reshape(count, cp.n),
+                                          tp.coeff.lut.q)
+        cidx, cwts = loop_corner_weights(cbase, cfrac, tp.coeff.lut.lattice_points)
+        cflat = tp.coeff.lut.entries.reshape(-1, k)
+        logits = np.zeros((count, k))
+        for c in range(cidx.shape[1]):
+            logits += cwts[:, c, None] * cflat[cidx[:, c]]
+        alpha = softmax(logits, axis=1).T
+
+    pred = np.sum(alpha[:, :, None] * xs, axis=0)
+    if tp.residual:
+        if rs > 1:
+            up = _resize_axis(batch.inputs, h * rs, float(rs), 1)
+            up = _resize_axis(up, w * rs, float(rs), 2)
+            pred = pred + _to_blocks(up, rs)
+        else:
+            pred = pred + batch.inputs.reshape(count, 1)
+    fid, g = _loss_and_grad(pred - _to_blocks(batch.targets, rs),
+                            cfg.loss, cfg.epsilon)
+    reg = 0.0
+    if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
+        reg = entropy_regularizer(alpha.T)
+    losses = {"total": fid + cfg.reg_weight * reg, "fidelity": fid,
+              "regularizer": reg}
+
+    grad_xs = alpha[:, :, None] * g[None]
+    if tp.pooling in ("gmp", "oap"):
+        c = np.einsum("nm,knm->kn", g, xs)
+        if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
+            c = c + cfg.reg_weight * (
+                np.log(np.maximum(alpha, 1e-300)) + 1.0) / count
+    if tp.pooling == "gmp":
+        s = alpha * (c - np.sum(alpha * c, axis=0, keepdims=True))
+        if tp.tau_trainable:
+            tp.tau_grad[0] = float(np.sum(s * dist) / tau)
+        if tp.norm == "l2":
+            unit = dev / np.maximum(dist, 1e-300)[:, :, None]
+        else:
+            unit = np.sign(dev)
+        t = (-s / tau)[:, :, None] * unit
+        grad_xs += t - t.sum(axis=0, keepdims=True) / k
+    elif tp.pooling == "oap":
+        arow, crow = alpha.T, c.T
+        srow = arow * (crow - np.sum(arow * crow, axis=1, keepdims=True))
+        cflat_grad = tp.coeff.grad.reshape(-1, k)
+        for corner in range(cidx.shape[1]):
+            np.add.at(cflat_grad, cidx[:, corner], cwts[:, corner, None] * srow)
+
+    for pi, tl in enumerate(tp.luts):
+        flat_grad = tl.grad.reshape(-1, m)
+        for ri in range(k):
+            idx, wts, perm = raws[(pi, ri)]
+            gout = grad_xs[ri] / npat
+            graw = gout
+            if perm is not None:
+                graw = np.empty_like(gout)
+                graw[:, perm] = gout
+            for corner in range(idx.shape[1]):
+                np.add.at(flat_grad, idx[:, corner], wts[:, corner, None] * graw)
+    return losses
+
+
+def step_gradients(tp):
+    grads = [tl.grad.copy() for tl in tp.parameters()]
+    return grads + [tp.tau_grad.copy()]
+
+
+FUSIONS = {
+    "average": dict(pooling="average", loss="charbonnier"),
+    "gmp-l1": dict(pooling="gmp", norm="l1", loss="l1"),
+    "gmp-l2": dict(pooling="gmp", norm="l2", loss="l2"),
+    "oap": dict(pooling="oap", loss="charbonnier"),
+}
+
+
+def oracle_pipeline(rng, task, fusion, patterns):
+    spec = FUSIONS[fusion]
+    q = 5
+    scale = 2 if task == "sr" else 1
+    kw = {}
+    if spec["pooling"] == "oap":
+        shape = (lattice_size(q),) * 4 + (4,)
+        kw["coeff"] = TrainableLut(RealLut(q, 4, 4, rng.normal(0, 1, shape)))
+    if spec["pooling"] == "gmp":
+        kw["norm"] = spec["norm"]
+    tp = TrainablePipeline.zero_init(task, scale, q=q, patterns=patterns,
+                                     pooling=spec["pooling"], **kw)
+    for tl in tp.luts:
+        tl.lut.entries[...] = rng.normal(0, 4, tl.lut.entries.shape)
+    if spec["pooling"] == "gmp":
+        tp.tau_trainable = True
+        tp.log_tau[...] = math.log(30.0)
+    cfg = TrainConfig(iterations=1, loss=spec["loss"], regularizer="entropy",
+                      reg_weight=1e-3, augment=False)
+    return tp, cfg
+
+
+def assert_step_matches_reference(tp, batch, cfg):
+    losses = forward_backward(tp, batch, cfg)
+    got = step_gradients(tp)
+    want_losses = add_at_forward_backward(tp, batch, cfg)
+    want = step_gradients(tp)
+    assert losses == want_losses
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert any(np.any(a != 0.0) for a in got)
+
+
+class TestVectorizedStep:
+    """forward_backward against the per-corner np.add.at reference."""
+
+    @pytest.mark.parametrize("patterns", ["S", "SDY"])
+    @pytest.mark.parametrize("fusion", sorted(FUSIONS))
+    @pytest.mark.parametrize("task", ["restore", "sr"])
+    def test_bitwise_equal_to_add_at_reference(self, task, fusion, patterns):
+        rng = np.random.default_rng(20)
+        pats = ([SQUARE_PATTERN] if patterns == "S"
+                else [SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN])
+        tp, cfg = oracle_pipeline(rng, task, fusion, pats)
+        rs = tp.rs
+        inputs = rng.uniform(0, 255, (3, 6, 6))
+        inputs[0] = np.round(inputs[0])         # lattice-aligned and exact values
+        batch = Batch(inputs, rng.uniform(0, 255, (3, 6 * rs, 6 * rs)))
+        assert_step_matches_reference(tp, batch, cfg)
+
+    @pytest.mark.parametrize("fusion", sorted(FUSIONS))
+    def test_constant_crops_share_one_cell(self, fusion):
+        # every query of every rotation reads the same 16 entries, so
+        # each entry's gradient is a long sum whose order is visible
+        rng = np.random.default_rng(21)
+        tp, cfg = oracle_pipeline(rng, "sr", fusion, [SQUARE_PATTERN])
+        batch = Batch(np.full((4, 8, 8), 77.5), rng.uniform(0, 255, (4, 16, 16)))
+        assert_step_matches_reference(tp, batch, cfg)
+        touched = np.count_nonzero(tp.luts[0].grad.reshape(-1, 4).any(axis=1))
+        assert touched == 16
+
+    def test_single_query_restore(self):
+        # N * m == 1: the case where a plain g.sum(axis=0) would round
+        # differently (numpy sums a lone column pairwise)
+        rng = np.random.default_rng(22)
+        tp, cfg = oracle_pipeline(rng, "restore", "oap", [SQUARE_PATTERN])
+        for _ in range(20):
+            batch = Batch(rng.uniform(0, 255, (1, 1, 1)),
+                          rng.uniform(0, 255, (1, 1, 1)))
+            assert_step_matches_reference(tp, batch, cfg)
+
+    @pytest.mark.parametrize("n, lattice", [(1, 257), (2, 17), (3, 9), (4, 17)])
+    def test_corner_weights_are_the_loop_transposed(self, n, lattice):
+        rng = np.random.default_rng(n)
+        base = rng.integers(0, lattice - 1, (500, n))
+        frac = rng.uniform(0, 1, (500, n))
+        frac[::7] = 0.0
+        frac[1::11] = np.nextafter(1.0, 0.0)
+        idx, w = corner_weights(base, frac, lattice)
+        want_idx, want_w = loop_corner_weights(base, frac, lattice)
+        assert idx.shape == w.shape == (1 << n, 500)
+        assert idx.tobytes() == np.ascontiguousarray(want_idx.T).tobytes()
+        assert w.tobytes() == np.ascontiguousarray(want_w.T).tobytes()
+        out = (np.empty_like(idx), np.empty_like(w))
+        got = corner_weights(base, frac, lattice, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert w.tobytes() == out[1].tobytes()
+        with pytest.raises(ValueError):
+            corner_weights(base, frac, lattice,
+                           out=(idx, np.empty((500, 1 << n)).T))
 
 
 def fd_relative_errors(tp, batch, cfg, rng, n_coords=30, h=1e-4):
@@ -351,6 +636,22 @@ class TestTrainingLoop:
         assert results[0][1].val_history == results[1][1].val_history
         assert [h["total"] for h in results[0][1].history] \
             == [h["total"] for h in results[1][1].history]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 256.0, -1.0])
+    @pytest.mark.parametrize("split, index, member", [
+        ("training", 2, "input"), ("training", 0, "target"),
+        ("validation", 1, "input"), ("validation", 0, "target")])
+    def test_bad_pixels_rejected_by_pair(self, split, index, member, bad):
+        pairs = [tuple(np.asarray(a, dtype=np.float64) for a in pair)
+                 for pair in sr_pairs(6)]
+        train_pairs, val_pairs = pairs[:4], pairs[4:]
+        target = train_pairs if split == "training" else val_pairs
+        target[index][0 if member == "input" else 1][3, 5] = bad
+        tp = TrainablePipeline.zero_init("sr", 2, q=4)
+        before = tp.luts[0].lut.entries.copy()
+        with pytest.raises(ValueError, match=f"{split} pair {index}: {member}"):
+            train(tp, train_pairs, val_pairs, self.run_config())
+        np.testing.assert_array_equal(tp.luts[0].lut.entries, before)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
