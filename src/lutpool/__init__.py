@@ -8,7 +8,6 @@ and small-factor super-resolution on commodity CPUs.
 
 from .lut import (
     CoeffLut,
-    LatticeQuery,
     LutFileError,
     BadMagicError,
     ChecksumError,
@@ -20,7 +19,6 @@ from .lut import (
     RealLut,
     bake,
     bake_real,
-    decompose,
     dequantize,
     deserialize,
     inspect_file,
@@ -68,7 +66,6 @@ from .pipeline import (
     QueryCounter,
     apply_residual,
     bicubic_resize,
-    cascade,
     pixel_shuffle,
     query_cost_model,
     restore_image,

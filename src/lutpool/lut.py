@@ -102,43 +102,18 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
 
 
-@dataclass
-class LatticeQuery:
-    """Decomposed patch: per-axis cell index plus fractional position."""
+def _decompose_arrays(values, q: int):
+    """Split pixel values in [0, 255] into lattice cell indices and in-cell fractions.
 
-    base_index: np.ndarray
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        self.base_index = np.asarray(self.base_index, dtype=np.int64)
-        self.fractions = np.asarray(self.fractions, dtype=np.float64)
-        if self.base_index.shape != self.fractions.shape:
-            raise ValueError("base_index and fractions must have matching shapes")
-        if np.any(self.fractions < 0.0) or np.any(self.fractions >= 1.0):
-            raise ValueError("fractions must lie in [0, 1)")
-
-
-def decompose(values, q: int) -> LatticeQuery:
-    """Split pixel values into lattice cell indices and in-cell fractions.
-
-    ``values`` may be any array shape; entries must lie in [0, 255].
     The cell width is ``2**q``; a value v maps to base floor(v / 2**q)
     and fraction (v mod 2**q) / 2**q.  255 therefore falls in the top
     cell with base ``2**(8-q) - 1`` and fraction ``(2**q - 1) / 2**q``.
+    Callers check the range: :func:`query_batch` here, and the pipeline
+    and the training step once per image or batch.
     """
-    base, frac = _decompose_arrays(values, q)
-    return LatticeQuery(base, frac)
-
-
-def _decompose_arrays(values, q: int):
-    _check_q(q)
-    v = np.asarray(values, dtype=np.float64)
-    # written so that NaN (for which every comparison is false) fails too
-    if v.size and not (v.min() >= 0.0 and v.max() <= 255.0):
-        raise ValueError("patch values must lie in [0, 255]")
     # 2**q is a power of two, so the scaling below is exact in float64
     # and the fractions stay exact dyadic rationals.
-    scaled = v / float(2 ** q)
+    scaled = np.asarray(values, dtype=np.float64) / float(2 ** q)
     base = np.floor(scaled)
     frac = scaled - base
     return base.astype(np.int64), frac
@@ -357,6 +332,9 @@ def query_batch(lut, patches) -> np.ndarray:
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 2 or patches.shape[1] != lut.n:
         raise ValueError(f"patch batch must have shape (N, {lut.n})")
+    # written so that NaN (for which every comparison is false) fails too
+    if patches.size and not (patches.min() >= 0.0 and patches.max() <= 255.0):
+        raise ValueError("patch values must lie in [0, 255]")
     base, frac = _decompose_arrays(patches, lut.q)
     return interpolate(lut.entries, base, frac, lut.bias)
 

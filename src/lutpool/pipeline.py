@@ -6,6 +6,10 @@ back to the common frame and fused by the configured pooling.  A final
 super-resolution stage emits an r_s x r_s block per anchor, placed by
 pixel shuffle; earlier cascade stages refine at unit scale (m == 1).
 
+One kernel, :func:`stage_pass`, runs a stage on a (B, h, w) stack: a
+restored image is a stack of one, and training passes a batch of crops
+with a tape that records the corner weights its gradient needs.
+
 Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
 at the very end, with round-half-away-from-zero.  With residual mode on,
@@ -17,9 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import lut as _lut
 from .lut import (QuantizedLut, RealLut, interpolate, round_half_away,
                   _decompose_arrays)
 # Kept as a module attribute although queries no longer dequantize:
@@ -202,65 +208,129 @@ def pixel_shuffle(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(h * rs, w * rs)
 
 
-def _gather(image: np.ndarray, offsets, pad: int) -> np.ndarray:
-    """Stack the pixel at each offset for every anchor, (H, W, n)."""
-    h, w = image.shape
-    padded = np.pad(image, pad, mode="edge")
-    planes = [padded[pad + dr: pad + dr + h, pad + dc: pad + dc + w]
+def _to_blocks(raster: np.ndarray, rs: int) -> np.ndarray:
+    """(B, h*rs, w*rs) rasters -> (B*h*w, rs*rs) per-anchor blocks."""
+    b, hh, ww = raster.shape
+    h, w = hh // rs, ww // rs
+    return (raster.reshape(b, h, rs, w, rs)
+            .transpose(0, 1, 3, 2, 4)
+            .reshape(b * h * w, rs * rs))
+
+
+def _gather(padded: np.ndarray, offsets, pad: int, h: int, w: int) -> np.ndarray:
+    """The pixel at each offset of every anchor of a padded stack, (B*h*w, n)."""
+    planes = [padded[:, pad + dr: pad + dr + h, pad + dc: pad + dc + w]
               for dr, dc in offsets]
-    return np.stack(planes, axis=-1)
+    return np.stack(planes, axis=-1).reshape(-1, len(offsets))
 
 
-def _oap_alpha(image: np.ndarray, config: PipelineConfig,
-               counters: QueryCounter | None) -> np.ndarray:
-    """Per-anchor fusion weights (k, H*W) from the unrotated coeff patch."""
-    pattern = config.coeff_pattern
-    pad = pattern.reach + config.padding
-    patches = _gather(image, pattern.offsets, pad).reshape(-1, pattern.n)
-    if counters is not None:
-        counters.coeff_queries += patches.shape[0]
-    return oap_weights(patches, config.pooling.coeff_lut)
+def _blend(flat: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Corner-weighted sum of table rows: sum_c wts[c] * flat[idx[c]].
+
+    idx/wts are corner-major (2**n, N).  One gather brings in every
+    corner; the products are then added corner by corner onto zeros.
+    ``g.sum(axis=0)`` would add in the same order except when N * m is
+    1, where numpy sums the lone column pairwise.
+    """
+    g = np.take(flat, idx, axis=0)
+    g *= wts[:, :, None]
+    out = np.zeros(g.shape[1:])
+    for gc in g:
+        out += gc
+    return out
 
 
-def _stage_pass(image: np.ndarray, stage_luts, config: PipelineConfig,
-                rs: int, alpha, counters: QueryCounter | None) -> np.ndarray:
-    h, w = image.shape
-    count = h * w
+def _lookup(table, patches: np.ndarray, corners=None) -> np.ndarray:
+    """Outputs (N, m) of ``table`` at (N, n) patches already known to lie in [0, 255].
+
+    Without ``corners`` :func:`interpolate` reads the table in its stored
+    dtype.  With a preallocated (2**n, N) pair of index and weight arrays
+    (a real-valued table only), the corner weights are written there for
+    the gradient scatter and the rows are blended with them.
+    """
+    base, frac = _decompose_arrays(patches, table.q)
+    if corners is None:
+        return interpolate(table.entries, base, frac, table.bias)
+    # through the module, so that perfbench's wrap of lut.corner_weights sees the call
+    _lut.corner_weights(base, frac, table.lattice_points, out=corners)
+    return _blend(table.entries.reshape(-1, table.m), *corners)
+
+
+def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
+               alpha=None, counters: QueryCounter | None = None, tape=None):
+    """One stage on a (B, h, w) stack of in-range images.
+
+    Every (rotation, pattern) query is gathered from one edge-padded copy
+    of the stack, decomposed, read from its table and unrotated; the
+    (k, B*h*w, rs*rs) ensemble is fused by the configured pooling
+    (``alpha`` passes precomputed oap weights) and the residual baseline
+    is added.  Returns the unclamped per-anchor blocks (B*h*w, rs*rs)
+    and the fusion weights (k, B*h*w).
+
+    Training passes a dict as ``tape``: every table, the oap coefficient
+    table included, is then queried through :func:`~lutpool.lut.corner_weights`,
+    and the tape receives what the backward pass needs -- ``"xs"`` (the
+    ensemble), ``"corners"`` (per pattern, (k, 2**n, B*h*w) indices and
+    weights) and, when the stage computed oap weights, ``"coeff"``.
+    """
+    b, h, w = stack.shape
+    count = b * h * w
     m = rs * rs
-    pad = max(p.reach for p in config.patterns) + config.padding
+    pool = config.pooling
     rotations = config.orientations.rotations
-    xs = np.empty((len(rotations), count, m), dtype=np.float64)
-    for i, r in enumerate(rotations):
-        acc = np.zeros((count, m), dtype=np.float64)
-        for pattern, lut in zip(config.patterns, stage_luts):
-            patches = _gather(image, pattern.rotated(r), pad).reshape(count, pattern.n)
-            base, frac = _decompose_arrays(patches, lut.q)
-            out = interpolate(lut.entries, base, frac, lut.bias)
+    k = len(rotations)
+    npat = len(stage_luts)
+    # one padding serves the stage patterns and the coefficient pattern
+    pad = max(p.reach for p in (*config.patterns, config.coeff_pattern)) + config.padding
+    padded = np.pad(stack, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+
+    if pool.kind == "oap" and alpha is None:
+        cp = config.coeff_pattern
+        corners = None
+        if tape is not None:
+            corners = tape["coeff"] = (np.empty((1 << cp.n, count), dtype=np.int64),
+                                       np.empty((1 << cp.n, count)))
+        if counters is not None:
+            counters.coeff_queries += count
+        alpha = oap_weights(_gather(padded, cp.offsets, pad, h, w), pool.coeff_lut,
+                            query=partial(_lookup, corners=corners))
+
+    xs = np.zeros((k, count, m))
+    if tape is not None:
+        tape["corners"] = [(np.empty((k, 1 << p.n, count), dtype=np.int64),
+                            np.empty((k, 1 << p.n, count)))
+                           for p in config.patterns]
+    for ri, r in enumerate(rotations):
+        for pi, (pattern, table) in enumerate(zip(config.patterns, stage_luts)):
+            corners = None
+            if tape is not None:
+                idx, wts = tape["corners"][pi]
+                corners = (idx[ri], wts[ri])
+            out = _lookup(table, _gather(padded, pattern.rotated(r), pad, h, w), corners)
             if counters is not None:
                 counters.lut_queries += count
             if m > 1:
                 out = out[:, block_permutation(m, r)]
-            acc += out
-        xs[i] = acc / len(stage_luts)
+            xs[ri] += out / npat
 
-    pool = config.pooling
     if pool.kind == "average":
-        weights = average_weights(len(rotations), count)
+        weights = average_weights(k, count)
     elif pool.kind == "gmp":
         weights = gmp_weights(xs, pool.tau, pool.norm)
     else:
-        weights = alpha if alpha is not None else _oap_alpha(image, config, counters)
-    fused = combine(xs, weights)
+        weights = alpha
+    pred = combine(xs, weights)
+    if tape is not None:
+        tape["xs"] = xs
 
-    if rs == 1:
-        out = fused.reshape(h, w)
-        baseline = image
-    else:
-        out = pixel_shuffle(fused.reshape(h, w, rs, rs))
-        baseline = bicubic_resize(image, rs) if config.residual else None
     if config.residual:
-        out = apply_residual(baseline, out)
-    return out
+        if rs == 1:
+            pred += stack.reshape(count, 1)
+        else:
+            # the stack's images ride on the channel axis of bicubic_resize
+            up = bicubic_resize(stack.transpose(1, 2, 0), rs).transpose(2, 0, 1)
+            pred += _to_blocks(up, rs)
+    return pred, weights
 
 
 def _run_real(image: np.ndarray, config: PipelineConfig,
@@ -276,15 +346,13 @@ def _run_real(image: np.ndarray, config: PipelineConfig,
         raise ValueError("pixel values must lie in [0, 255]")
 
     alpha = None
-    if config.pooling.kind == "oap" and config.share_oap_across_stages:
-        alpha = _oap_alpha(x, config, counters)
     for t, stage_luts in enumerate(config.stages):
         rs = config.scale if (config.task == "sr" and t == config.num_stages - 1) else 1
-        stage_alpha = alpha
-        if config.pooling.kind == "oap" and not config.share_oap_across_stages:
-            stage_alpha = _oap_alpha(x, config, counters)
-        x = _stage_pass(x, stage_luts, config, rs, stage_alpha, counters)
-        x = np.clip(x, 0.0, 255.0)
+        h, w = x.shape
+        blocks, weights = stage_pass(x[None], stage_luts, config, rs, alpha, counters)
+        if config.pooling.kind == "oap" and config.share_oap_across_stages:
+            alpha = weights      # the first stage's weights serve every stage
+        x = np.clip(pixel_shuffle(blocks.reshape(h, w, rs, rs)), 0.0, 255.0)
     return x
 
 
@@ -293,11 +361,3 @@ def restore_image(image, config: PipelineConfig,
     """Run the configured pipeline and quantize once at the end (uint8)."""
     out = _run_real(image, config, counters)
     return round_half_away(out).astype(np.uint8)
-
-
-def cascade(image, config: PipelineConfig,
-            counters: QueryCounter | None = None) -> np.ndarray:
-    """Multi-stage entry point; a single stage matches restore_image."""
-    if config.num_stages < 1:
-        raise ValueError("cascade needs at least one stage")
-    return restore_image(image, config, counters)

@@ -37,7 +37,6 @@ class PoolingSpec:
     tau: float = 1.0
     norm: str = "l2"
     coeff_lut: object = None
-    tau_trainable: bool = False
 
     def __post_init__(self):
         if self.kind not in ("average", "gmp", "oap"):
@@ -97,9 +96,13 @@ def gmp_weights(xs: np.ndarray, tau: float, norm: str = "l2") -> np.ndarray:
     return softmax(-d / tau, axis=0)
 
 
-def oap_weights(patches: np.ndarray, coeff) -> np.ndarray:
-    """Adaptive weights (k, N) for a batch of unrotated anchor patches."""
-    raw = query_batch(coeff, patches)
+def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
+    """Adaptive weights (k, N) for a batch of unrotated anchor patches.
+
+    ``query(coeff, patches)`` reads the coefficient table; it defaults to
+    :func:`query_batch`, which also range-checks the patches.
+    """
+    raw = (query or query_batch)(coeff, patches)
     if isinstance(coeff, RealLut):
         return softmax(raw, axis=1).T
     if isinstance(coeff, CoeffLut) or (

@@ -1,18 +1,22 @@
 """Gradient-based optimization of lattice tables.
 
-The forward pass is the inference pipeline on real-valued tables, run
-on mini-batches of crops without the final clamp/quantization: oriented
-patch gathers, multilinear queries, block unrotation, fusion, optional
-residual baseline.  Because a query is a fixed convex blend of corner
-entries, the map from entries to output is piecewise linear and the
-chain rule runs through the cached corner weights; fusion weights are
+The forward pass is the inference pipeline's own stage kernel,
+:func:`lutpool.pipeline.stage_pass`, run on a mini-batch of crops with a
+tape and without the final clamp/quantization: oriented patch gathers,
+multilinear queries, block unrotation, fusion, optional residual
+baseline.  Because a query is a fixed convex blend of corner entries,
+the map from entries to output is piecewise linear and the chain rule
+runs through the corner weights on the tape; fusion weights are
 differentiated through the softmax (and, for the soft-median, through
-the distance terms and the log-temperature).
+the distance terms, recomputed by :func:`lutpool.pooling.gmp_distances`,
+and the log-temperature).  A batch holding NaN, infinite or
+out-of-range pixels is rejected with ``ValueError`` before the kernel
+runs.
 
-Per (pattern, rotation) the forward pass writes the corner indices and
-weights into (rotations, 2**n, N) arrays, gathers all corner rows in one
-``np.take`` and adds the weighted rows corner by corner.  The backward
-pass scatters each output column onto the table with one
+With a tape the kernel writes each (pattern, rotation)'s corner indices
+and weights into (rotations, 2**n, N) arrays, gathers all corner rows in
+one ``np.take`` and adds the weighted rows corner by corner.  The
+backward pass scatters each output column onto the table with one
 ``np.bincount`` over the whole (rotation, corner, row) sequence;
 bincount adds in input order from zero, so every gradient entry is the
 same sum, in the same order, as a per-corner ``np.add.at`` would form.
@@ -28,13 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lut import (CoeffLut, RealLut, corner_weights, lattice_size, quantize,
-                  round_half_away)
+from .lut import CoeffLut, RealLut, lattice_size, quantize, round_half_away
+# Kept as a module attribute although the stage kernel calls it through
+# lutpool.lut: perfbench/tracing.py wraps ``train.corner_weights`` by name.
+from .lut import corner_weights  # noqa: F401
 from .metrics import psnr
 from .orientation import (KernelPattern, OrientationSet, SQUARE_PATTERN,
                           block_permutation)
-from .pipeline import PipelineConfig, bicubic_resize, restore_image, _resize_axis
-from .pooling import PoolingSpec, softmax
+from .pipeline import PipelineConfig, restore_image, stage_pass, _to_blocks
+from .pooling import PoolingSpec, gmp_distances, softmax
 
 
 class TrainingDivergedError(Exception):
@@ -247,8 +253,7 @@ class TrainablePipeline:
     def to_config(self) -> PipelineConfig:
         pool = PoolingSpec(
             kind=self.pooling, tau=self.tau, norm=self.norm,
-            coeff_lut=self.coeff.lut if (self.pooling == "oap" and self.coeff) else None,
-            tau_trainable=self.tau_trainable)
+            coeff_lut=self.coeff.lut if (self.pooling == "oap" and self.coeff) else None)
         return PipelineConfig(
             task=self.task, scale=self.scale, patterns=list(self.patterns),
             orientations=self.orientations, pooling=pool, residual=self.residual,
@@ -289,27 +294,6 @@ def sample_batch(rng: np.random.Generator, pairs, crop: int, rs: int,
     return Batch(np.stack(ins), np.stack(tgts))
 
 
-def _gather_batch(padded, offsets, pad, h, w):
-    planes = [padded[:, pad + dr: pad + dr + h, pad + dc: pad + dc + w]
-              for dr, dc in offsets]
-    return np.stack(planes, axis=-1)
-
-
-def _to_blocks(raster: np.ndarray, rs: int) -> np.ndarray:
-    b, hh, ww = raster.shape
-    h, w = hh // rs, ww // rs
-    return (raster.reshape(b, h, rs, w, rs)
-            .transpose(0, 1, 3, 2, 4)
-            .reshape(b * h * w, rs * rs))
-
-
-def _decompose_clamped(patches: np.ndarray, q: int):
-    # training crops are already in range; clip guards augmentation noise
-    v = np.clip(patches, 0.0, 255.0) / float(2 ** q)
-    base = np.floor(v)
-    return base.astype(np.int64), v - base
-
-
 def _loss_and_grad(diff: np.ndarray, kind: str, epsilon: float):
     count = diff.size
     if kind == "charbonnier":
@@ -319,22 +303,6 @@ def _loss_and_grad(diff: np.ndarray, kind: str, epsilon: float):
         return float(np.mean(np.abs(diff))), np.sign(diff) / count
     root = diff * diff
     return float(np.mean(root)), 2.0 * diff / count
-
-
-def _blend(flat: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Corner-weighted sum of table rows: sum_c wts[c] * flat[idx[c]].
-
-    idx/wts are corner-major (2**n, N).  One gather brings in every
-    corner; the products are then added corner by corner onto zeros.
-    ``g.sum(axis=0)`` would add in the same order except when N * m is
-    1, where numpy sums the lone column pairwise.
-    """
-    g = np.take(flat, idx, axis=0)
-    g *= wts[:, :, None]
-    out = np.zeros(g.shape[1:])
-    for gc in g:
-        out += gc
-    return out
 
 
 def _scatter(flat_grad: np.ndarray, idx: np.ndarray, wts: np.ndarray,
@@ -355,105 +323,51 @@ def _scatter(flat_grad: np.ndarray, idx: np.ndarray, wts: np.ndarray,
         flat_grad[:, j] += np.bincount(flat_idx, vals.ravel(), minlength=rows)
 
 
-def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig,
-             need_grad: bool):
-    b, h, w = batch.inputs.shape
-    rs = tp.rs
-    m = rs * rs
-    count = b * h * w
-    k = tp.orientations.k
-    npat = len(tp.patterns)
-    pad = max(p.reach for p in tp.patterns)
-    padded = np.pad(batch.inputs, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
-    perms = [block_permutation(m, r) if m > 1 else None
-             for r in tp.orientations.rotations]
+def _check_pixels(image, what: str) -> None:
+    a = np.asarray(image)
+    # written so that NaN (for which every comparison is false) fails too
+    if a.size and not (a.min() >= 0 and a.max() <= 255):
+        raise ValueError(f"{what} pixels must be finite and lie in [0, 255]")
 
-    xs = np.zeros((k, count, m))
-    corners = []    # per pattern: idx and weights, (k, 2**n, N) each
-    for pattern, tl in zip(tp.patterns, tp.luts):
-        flat = tl.lut.entries.reshape(-1, m)
-        lattice = tl.lut.lattice_points
-        idx = np.empty((k, 1 << pattern.n, count), dtype=np.int64)
-        wts = np.empty((k, 1 << pattern.n, count))
-        for ri, r in enumerate(tp.orientations.rotations):
-            patches = _gather_batch(padded, pattern.rotated(r), pad, h, w)
-            base, frac = _decompose_clamped(patches.reshape(count, pattern.n), tl.lut.q)
-            corner_weights(base, frac, lattice, out=(idx[ri], wts[ri]))
-            out = _blend(flat, idx[ri], wts[ri])
-            if perms[ri] is not None:
-                out = out[:, perms[ri]]
-            xs[ri] += out / npat
-        if need_grad:
-            corners.append((idx, wts))
 
-    cache = {"xs": xs, "perms": perms}
+def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):
+    """Losses of one batch through the pipeline's stage kernel.
 
-    if tp.pooling == "average":
-        alpha = np.full((k, count), 1.0 / k)
-    elif tp.pooling == "gmp":
-        tau = tp.tau
-        mean = np.mean(xs, axis=0)
-        dev = xs - mean[None]
-        if tp.norm == "l2":
-            dist = np.sqrt(np.sum(dev * dev, axis=-1))
-        else:
-            dist = np.sum(np.abs(dev), axis=-1)
-        alpha = softmax(-dist / tau, axis=0)
-        cache.update(dev=dev, dist=dist, tau=tau)
-    else:  # oap
-        cp = tp.coeff_pattern
-        cpad = cp.reach
-        cpadded = np.pad(batch.inputs, ((0, 0), (cpad, cpad), (cpad, cpad)),
-                         mode="edge")
-        cpatches = _gather_batch(cpadded, cp.offsets, cpad, h, w)
-        cbase, cfrac = _decompose_clamped(cpatches.reshape(count, cp.n),
-                                          tp.coeff.lut.q)
-        cidx, cwts = corner_weights(cbase, cfrac, tp.coeff.lut.lattice_points)
-        logits = _blend(tp.coeff.lut.entries.reshape(-1, k), cidx, cwts)
-        alpha = softmax(logits, axis=1).T
-        cache.update(cidx=cidx, cwts=cwts)
-
-    fused = np.sum(alpha[:, :, None] * xs, axis=0)
-
-    if tp.residual:
-        if rs > 1:
-            up = _resize_axis(batch.inputs, h * rs, float(rs), 1)
-            up = _resize_axis(up, w * rs, float(rs), 2)
-            baseline = _to_blocks(up, rs)
-        else:
-            baseline = batch.inputs.reshape(count, 1)
-        pred = fused + baseline
-    else:
-        pred = fused
-
-    target = _to_blocks(batch.targets, rs)
-    diff = pred - target
+    Returns the losses, the fusion weights (k, N), dL/dpred (N, m) and
+    the kernel's tape of corner indices and weights.
+    """
+    _check_pixels(batch.inputs, "batch input")
+    _check_pixels(batch.targets, "batch target")
+    config = tp.to_config()
+    tape = {}
+    pred, alpha = stage_pass(batch.inputs, config.stages[0], config, tp.rs, tape=tape)
+    diff = pred - _to_blocks(batch.targets, tp.rs)
     fid, dfid = _loss_and_grad(diff, cfg.loss, cfg.epsilon)
 
     reg = 0.0
     if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
         reg = entropy_regularizer(alpha.T)
     total = fid + cfg.reg_weight * reg
-
-    cache.update(alpha=alpha, corners=corners, dfid=dfid if need_grad else None)
     losses = {"total": total, "fidelity": fid, "regularizer": reg}
-    return losses, cache
+    return losses, alpha, dfid, tape
 
 
 def loss_only(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig) -> float:
-    losses, _ = _forward(tp, batch, cfg, need_grad=False)
+    losses, _, _, _ = _forward(tp, batch, cfg)
     return losses["total"]
 
 
 def forward_backward(tp: TrainablePipeline, batch: Batch,
                      cfg: TrainConfig) -> dict:
-    """One training step's loss plus gradients (accumulated on tp)."""
-    tp.zero_grad()
-    losses, cache = _forward(tp, batch, cfg, need_grad=True)
+    """One training step's loss plus gradients (accumulated on tp).
 
-    xs = cache.pop("xs")
-    alpha = cache["alpha"]
-    g = cache["dfid"]                           # dL/dpred, (N, m)
+    Raises ``ValueError`` when the batch holds NaN, infinite or
+    out-of-range pixels.
+    """
+    tp.zero_grad()
+    losses, alpha, g, tape = _forward(tp, batch, cfg)   # g: dL/dpred, (N, m)
+
+    xs = tape.pop("xs")
     k, count, m = xs.shape
     npat = len(tp.patterns)
 
@@ -465,12 +379,12 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
         if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
             c = c + cfg.reg_weight * (
                 np.log(np.maximum(alpha, 1e-300)) + 1.0) / count
+    if tp.pooling == "gmp":
+        dist, dev, _ = gmp_distances(xs, tp.norm)
     del xs
 
     if tp.pooling == "gmp":
-        tau = cache["tau"]
-        dev = cache.pop("dev")
-        dist = cache["dist"]
+        tau = tp.tau
         # softmax over orientations: u_i = -dist_i / tau
         s = alpha * (c - np.sum(alpha * c, axis=0, keepdims=True))
         ddist = -s / tau
@@ -487,15 +401,14 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
         arow = alpha.T                           # (N, k)
         crow = c.T
         srow = arow * (crow - np.sum(arow * crow, axis=1, keepdims=True))
-        _scatter(tp.coeff.grad.reshape(-1, k), cache.pop("cidx"),
-                 cache.pop("cwts"), srow[None])
+        _scatter(tp.coeff.grad.reshape(-1, k), *tape.pop("coeff"), srow[None])
 
     # per-rotation output gradient, block permutation undone
     graw = grad_xs / npat
-    for ri, perm in enumerate(cache["perms"]):
-        if perm is not None:
-            graw[ri][:, perm] = graw[ri].copy()
-    for tl, (idx, wts) in zip(tp.luts, cache.pop("corners")):
+    if m > 1:
+        for ri, r in enumerate(tp.orientations.rotations):
+            graw[ri][:, block_permutation(m, r)] = graw[ri].copy()
+    for tl, (idx, wts) in zip(tp.luts, tape.pop("corners")):
         _scatter(tl.grad.reshape(-1, m), idx, wts, graw[:, None])
 
     return losses
@@ -527,11 +440,7 @@ def _check_pairs(pairs, split: str) -> None:
     """Reject pairs holding NaN, infinite or out-of-range pixels."""
     for i, pair in enumerate(pairs):
         for name, image in zip(("input", "target"), pair):
-            a = np.asarray(image)
-            # written so that NaN (for which every comparison is false) fails too
-            if a.size and not (a.min() >= 0 and a.max() <= 255):
-                raise ValueError(f"{split} pair {i}: {name} pixels must be "
-                                 f"finite and lie in [0, 255]")
+            _check_pixels(image, f"{split} pair {i}: {name}")
 
 
 def train(tp: TrainablePipeline, train_pairs, val_pairs,

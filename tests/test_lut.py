@@ -9,7 +9,6 @@ from lutpool import (
     BadMagicError,
     ChecksumError,
     CoeffLut,
-    LatticeQuery,
     LutFileError,
     PipelineConfig,
     PoolingSpec,
@@ -19,7 +18,6 @@ from lutpool import (
     VersionMismatchError,
     bake,
     bake_real,
-    decompose,
     dequantize,
     deserialize,
     inspect_file,
@@ -136,40 +134,35 @@ class TestRounding:
 
 class TestDecompose:
     def test_adjacent_cells_q5(self):
-        lq = decompose(np.array([31.0, 32.0]), 5)
-        np.testing.assert_array_equal(lq.base_index, [0, 1])
-        np.testing.assert_allclose(lq.fractions, [31.0 / 32.0, 0.0], rtol=0, atol=0)
+        base, frac = _decompose_arrays(np.array([31.0, 32.0]), 5)
+        np.testing.assert_array_equal(base, [0, 1])
+        np.testing.assert_allclose(frac, [31.0 / 32.0, 0.0], rtol=0, atol=0)
 
     def test_mid_cell_q4(self):
-        lq = decompose(np.array([8.0]), 4)
-        assert lq.base_index[0] == 0
-        assert lq.fractions[0] == 0.5
+        base, frac = _decompose_arrays(np.array([8.0]), 4)
+        assert base[0] == 0
+        assert frac[0] == 0.5
 
     def test_top_of_range(self):
         # 255 falls inside the top cell, blending toward the 256 point
-        lq = decompose(np.array([255.0]), 4)
-        assert lq.base_index[0] == 15
-        assert lq.fractions[0] == 15.0 / 16.0
+        base, frac = _decompose_arrays(np.array([255.0]), 4)
+        assert base[0] == 15
+        assert frac[0] == 15.0 / 16.0
 
     def test_fraction_exactness(self):
         rng = np.random.default_rng(11)
         for q in (2, 4, 5, 6):
             vals = rng.integers(0, 256, size=200).astype(np.float64)
-            lq = decompose(vals, q)
-            recon = (lq.base_index + lq.fractions) * (2 ** q)
+            base, frac = _decompose_arrays(vals, q)
+            recon = (base + frac) * (2 ** q)
             np.testing.assert_array_equal(recon, vals)
 
     def test_out_of_range_rejected(self):
+        lut = bake(lambda p: p[:, :1].copy(), q=4, n=1, m=1)
         with pytest.raises(ValueError):
-            decompose(np.array([-1.0]), 4)
+            query_batch(lut, np.array([[-1.0]]))
         with pytest.raises(ValueError):
-            decompose(np.array([256.0]), 4)
-
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            LatticeQuery(np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            LatticeQuery(np.array([0]), np.array([-0.1]))
+            query_batch(lut, np.array([[256.0]]))
 
 
 class TestInterpolation:

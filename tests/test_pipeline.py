@@ -18,7 +18,6 @@ from lutpool import (
     bake,
     bake_real,
     bicubic_resize,
-    cascade,
     lattice_size,
     pixel_shuffle,
     quantize,
@@ -278,7 +277,7 @@ class TestCascade:
         cfg = PipelineConfig(task="restore", stages=[lut, lut])
         rng = np.random.default_rng(10)
         img = rng.integers(0, 256, (10, 10)).astype(np.uint8)
-        np.testing.assert_array_equal(cascade(img, cfg), img)
+        np.testing.assert_array_equal(restore_image(img, cfg), img)
 
     def test_second_stage_sees_first_output(self):
         shift = bake_real(lambda p: p[:, :1] / 2.0, q=4, n=4, m=1)
@@ -286,22 +285,22 @@ class TestCascade:
         one = PipelineConfig(task="restore", stages=[shift])
         two = PipelineConfig(task="restore", stages=[shift, ident])
         img = np.full((6, 6), 200, dtype=np.uint8)
-        np.testing.assert_array_equal(cascade(img, one), 100)
-        np.testing.assert_array_equal(cascade(img, two), 100)
+        np.testing.assert_array_equal(restore_image(img, one), 100)
+        np.testing.assert_array_equal(restore_image(img, two), 100)
 
     def test_sr_last_stage_upscales(self):
         ident = bake_real(lambda p: p[:, :1].copy(), q=4, n=4, m=1)
         up = bake_real(lambda p: np.tile(p[:, :1], (1, 4)), q=4, n=4, m=4)
         cfg = PipelineConfig(task="sr", scale=2, stages=[ident, up])
         img = np.full((5, 5), 80, dtype=np.uint8)
-        out = cascade(img, cfg)
+        out = restore_image(img, cfg)
         assert out.shape == (10, 10)
         np.testing.assert_array_equal(out, 80)
 
     def test_empty_cascade_rejected(self):
         cfg = PipelineConfig(task="restore", stages=[])
         with pytest.raises(ValueError):
-            cascade(np.zeros((4, 4), dtype=np.uint8), cfg)
+            restore_image(np.zeros((4, 4), dtype=np.uint8), cfg)
 
 
 class TestValidation:

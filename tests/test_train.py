@@ -40,10 +40,9 @@ from lutpool import (
 from lutpool.lut import corner_weights
 from lutpool.orientation import (DIAGONAL_PATTERN, SQUARE_PATTERN, WYE_PATTERN,
                                  block_permutation)
-from lutpool.pipeline import _resize_axis
+from lutpool.pipeline import _resize_axis, _run_real, pixel_shuffle, stage_pass
 from lutpool.pooling import softmax
-from lutpool.train import (_decompose_clamped, _gather_batch, _loss_and_grad,
-                           _to_blocks)
+from lutpool.train import _loss_and_grad, _to_blocks
 
 PAIR = KernelPattern("S2", ((0, 0), (0, 1)))
 SINGLE = KernelPattern("P1", ((0, 0),))
@@ -299,6 +298,19 @@ def loop_corner_weights(base, frac, lattice):
     return idx, w
 
 
+def _gather_batch(padded, offsets, pad, h, w):
+    planes = [padded[:, pad + dr: pad + dr + h, pad + dc: pad + dc + w]
+              for dr, dc in offsets]
+    return np.stack(planes, axis=-1)
+
+
+def _decompose_clamped(patches: np.ndarray, q: int):
+    # training crops are already in range; clip guards augmentation noise
+    v = np.clip(patches, 0.0, 255.0) / float(2 ** q)
+    base = np.floor(v)
+    return base.astype(np.int64), v - base
+
+
 def add_at_forward_backward(tp, batch, cfg):
     """Reference step: per-corner gathers and np.add.at gradient scatters.
 
@@ -516,6 +528,29 @@ class TestVectorizedStep:
                            out=(idx, np.empty((500, 1 << n)).T))
 
 
+class TestTrainInferParity:
+    """The training forward (corner-weight products) against inference (lerps)."""
+
+    @pytest.mark.parametrize("patterns", ["S", "SDY"])
+    @pytest.mark.parametrize("fusion", sorted(FUSIONS))
+    @pytest.mark.parametrize("task", ["restore", "sr"])
+    def test_training_forward_matches_run_real(self, task, fusion, patterns):
+        rng = np.random.default_rng(23)
+        pats = ([SQUARE_PATTERN] if patterns == "S"
+                else [SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN])
+        tp, _ = oracle_pipeline(rng, task, fusion, pats)
+        image = rng.uniform(0, 255, (9, 11))
+        image[0] = np.round(image[0])
+        config = tp.to_config()
+        rs = tp.rs
+        tape = {}
+        blocks, _ = stage_pass(image[None], config.stages[0], config, rs, tape=tape)
+        assert set(tape) == {"xs", "corners"} | ({"coeff"} if fusion == "oap" else set())
+        got = np.clip(pixel_shuffle(blocks.reshape(9, 11, rs, rs)), 0.0, 255.0)
+        np.testing.assert_allclose(got, _run_real(image, config, None),
+                                   rtol=0, atol=1e-9)
+
+
 def fd_relative_errors(tp, batch, cfg, rng, n_coords=30, h=1e-4):
     """Central-difference check of every parameter group; returns rels."""
     forward_backward(tp, batch, cfg)
@@ -652,6 +687,17 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match=f"{split} pair {index}: {member}"):
             train(tp, train_pairs, val_pairs, self.run_config())
         np.testing.assert_array_equal(tp.luts[0].lut.entries, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 256.0])
+    @pytest.mark.parametrize("member", ["input", "target"])
+    @pytest.mark.parametrize("step", [forward_backward, loss_only])
+    def test_bad_batch_rejected(self, step, member, bad):
+        rng = np.random.default_rng(24)
+        batch = Batch(rng.uniform(0, 255, (2, 8, 8)), rng.uniform(0, 255, (2, 16, 16)))
+        (batch.inputs if member == "input" else batch.targets)[1, 3, 5] = bad
+        tp = TrainablePipeline.zero_init("sr", 2, q=4)
+        with pytest.raises(ValueError, match=f"batch {member} pixels must be finite"):
+            step(tp, batch, self.run_config())
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
