@@ -405,6 +405,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    for flag, value in (("--runs", args.runs), ("--size", args.size)):
+        if value < 1:
+            raise UsageError(f"{flag} must be at least 1, got {value}")
     config = _config_from_args(args)
     config.validate()
     rng = np.random.default_rng(args.seed)

@@ -5,7 +5,15 @@ quantized on a lattice with cell width ``2**q``: each axis has
 ``2**(8-q) + 1`` lattice points so that the cell containing 255 can be
 interpolated against a top lattice point nominally at 256.  Queries
 blend the ``2**n`` surrounding corner entries multilinearly, reading the
-entries in their stored dtype (see :func:`interpolate`).
+entries in their stored dtype.
+
+A query is a flat base row (the lattice cell of its lower corner,
+flattened) and its in-cell fractions, laid out axis-major, (n, N).  The
+corner fold gathers the ``2**n`` corner rows of a chunk of queries into
+a (2**n, rows * m) accumulator and folds axis 0..n-1 with one lerp per
+axis, each over contiguous memory.  It accumulates in the dtype of the
+fractions: float32 only where :func:`_fold_dtype` proves every
+intermediate exact, float64 otherwise, so both give the same bits.
 
 Two in-memory forms exist:
 
@@ -22,6 +30,7 @@ by the raw entry payload; see :func:`serialize`.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -41,8 +50,8 @@ _HEADER_FMT = "<4sHHBBBBIIQI"
 _UINT_DTYPES = {8: np.dtype("<u1"), 16: np.dtype("<u2"), 32: np.dtype("<u4")}
 _REAL_DTYPES = {32: np.dtype("<f4"), 64: np.dtype("<f8")}
 
-# Query rows per interpolate() pass: bounds its working set to
-# 2**n * m float64 values per row whatever the batch size.
+# Query rows per corner-fold pass: bounds its working set to 2**n * m
+# accumulator values per row whatever the batch size.
 _CHUNK_ROWS = 1 << 14
 # Unsigned word that holds one whole table row of the given byte size.
 _ROW_WORDS = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"),
@@ -102,21 +111,55 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
 
 
-def _decompose_arrays(values, q: int):
+def _decompose_arrays(values, q: int, frac_dtype=np.float64):
     """Split pixel values in [0, 255] into lattice cell indices and in-cell fractions.
 
-    The cell width is ``2**q``; a value v maps to base floor(v / 2**q)
+    The cell width is ``2**q``; a value v maps to cell floor(v / 2**q)
     and fraction (v mod 2**q) / 2**q.  255 therefore falls in the top
-    cell with base ``2**(8-q) - 1`` and fraction ``(2**q - 1) / 2**q``.
-    Callers check the range: :func:`query_batch` here, and the pipeline
-    and the training step once per image or batch.
+    cell ``2**(8-q) - 1`` with fraction ``(2**q - 1) / 2**q``.  Cells
+    come back as uint8 (at most 127), fractions as ``frac_dtype``;
+    float32 holds the fraction of an integer value exactly.  Callers
+    check the range: :func:`query_batch` here, the pipeline once per
+    image and the training step once per batch.  Works on any shape:
+    the pipeline decomposes a whole padded stack into two planes.
     """
     # 2**q is a power of two, so the scaling below is exact in float64
     # and the fractions stay exact dyadic rationals.
     scaled = np.asarray(values, dtype=np.float64) / float(2 ** q)
-    base = np.floor(scaled)
-    frac = scaled - base
-    return base.astype(np.int64), frac
+    cells = np.floor(scaled)
+    scaled -= cells
+    return cells.astype(np.uint8), scaled.astype(frac_dtype, copy=False)
+
+
+def _flat_rows(cells, lattice: int) -> np.ndarray:
+    """Flat base row sum_d lattice**(n-1-d) * cells[d] of each query, int64.
+
+    ``cells`` is a sequence of n equally shaped cell arrays (axis 0
+    first); the sum is formed by Horner's rule, in place.
+    """
+    rows = np.array(cells[0], dtype=np.int64)
+    for c in cells[1:]:
+        rows *= lattice
+        rows += c
+    return rows
+
+
+def _fold_dtype(lut, integral: bool) -> np.dtype:
+    """Accumulator dtype of the corner fold for queries of ``lut``.
+
+    float32 when it is provably exact: the entries are unsigned
+    integers of b bits, ``b + q*n <= 24`` and every fraction is a
+    multiple of ``2**-q`` (``integral``: the queried values are
+    integers).  Each lerp then yields a multiple of ``2**-(q*n)`` of
+    magnitude below ``2**b``, bias removed or not, which float32's
+    24-bit significand holds, so float32 and float64 agree bit for bit.
+    Real tables, wide or fine tables and non-integer inputs stay float64.
+    """
+    entries = lut.entries
+    if (integral and entries.dtype.kind == "u"
+            and 8 * entries.itemsize + lut.q * lut.n <= 24):
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
 
 
 @dataclass
@@ -221,39 +264,43 @@ def real_table(lut) -> np.ndarray:
     raise TypeError(f"not a lookup table: {type(lut).__name__}")
 
 
+@functools.lru_cache(maxsize=None)
 def _corner_offsets(n: int, lattice: int) -> np.ndarray:
     """Flat-row offset of each of the 2**n corners from the base corner.
 
     Corner c takes the upper neighbour along axis d when bit ``n-1-d``
-    of c is set, so axis 0 is the most significant bit.
+    of c is set, so axis 0 is the most significant bit.  Cached per
+    geometry, and read-only for that reason.
     """
     strides = lattice ** np.arange(n - 1, -1, -1, dtype=np.int64)
     bits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-    return bits @ strides
+    offsets = bits @ strides
+    offsets.setflags(write=False)
+    return offsets
 
 
-def corner_weights(base: np.ndarray, frac: np.ndarray, lattice: int, out=None):
+def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out=None):
     """Flat corner indices and multilinear weights for a batch of queries.
 
-    base/frac: (N, n).  Returns (idx, w), both corner-major of shape
-    (2**n, N); idx indexes the table flattened to (lattice**n, m) rows.
-    Corner c takes the upper neighbour along axis d when bit ``n-1-d``
-    of c is set.  Each weight is the product ``1.0 * f_0 * ... * f_{n-1}``
-    taken in axis order, with f_d the fraction or its complement.
-    ``out`` may pass a preallocated C-contiguous (idx, w) pair of that
-    shape to fill.  Inference does not need the weights
-    (:func:`interpolate` folds the corners directly); training does, to
-    scatter output gradients back onto the corner entries.
+    rows: (N,) flat base rows; frac: (n, N) axis-major fractions.
+    Returns (idx, w), both corner-major of shape (2**n, N); idx indexes
+    the table flattened to (lattice**n, m) rows.  Corner c takes the
+    upper neighbour along axis d when bit ``n-1-d`` of c is set.  Each
+    weight is the product ``1.0 * f_0 * ... * f_{n-1}`` taken in axis
+    order, with f_d the fraction or its complement.  ``out`` may pass a
+    preallocated C-contiguous (idx, w) pair of that shape to fill.
+    Inference does not need the weights (the corner fold lerps the
+    corners directly); training does, to scatter output gradients back
+    onto the corner entries.
     """
-    npts, n = base.shape
+    n, npts = frac.shape
     if out is None:
         out = (np.empty((1 << n, npts), dtype=np.int64),
                np.empty((1 << n, npts), dtype=np.float64))
     idx, w = out
     if not w.flags.c_contiguous:
         raise ValueError("corner weights must be written to a C-contiguous array")
-    strides = lattice ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    np.add(_corner_offsets(n, lattice)[:, None], base @ strides, out=idx)
+    np.add(_corner_offsets(n, lattice)[:, None], rows, out=idx)
     # View the corners as an n-dimensional bit grid.  Before axis d the
     # corners whose bits d..n-1 are all zero hold the partial product of
     # axes 0..d-1; axis d splits each of them into its lo and hi corner.
@@ -263,9 +310,65 @@ def corner_weights(base: np.ndarray, frac: np.ndarray, lattice: int, out=None):
         rest = (0,) * (n - 1 - d)
         lo = grid[(slice(None),) * d + (0,) + rest]
         hi = grid[(slice(None),) * d + (1,) + rest]
-        np.multiply(lo, frac[:, d], out=hi)
-        lo *= 1.0 - frac[:, d]
+        np.multiply(lo, frac[d], out=hi)
+        lo *= 1.0 - frac[d]
     return idx, w
+
+
+def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
+                  bias: float = 0.0) -> np.ndarray:
+    """Multilinear blend of the 2**n corner entries of each query, (N, m) float64.
+
+    ``table`` is an entry array, shape ``(L,) * n + (m,)``, read in its
+    stored dtype and never modified; ``bias`` is subtracted from every
+    gathered entry.  rows: (N,) flat base rows; frac: (n, N) axis-major
+    fractions, whose dtype is the accumulator's (see :func:`_fold_dtype`).
+
+    Rows are processed in chunks of ``_CHUNK_ROWS``.  Per chunk the
+    corner rows are gathered corner-major in :func:`corner_weights`'
+    corner order -- one machine word per table row when a row fits one
+    -- and widened to a (2**n, rows * m) accumulator, in the layout the
+    gather produced; axis 0..n-1 is then folded in place by one lerp per
+    axis over the two contiguous halves, each scaling contiguous memory
+    by a contiguous fraction vector (the axis' fractions, each repeated
+    for the m entries of its row).
+    """
+    n, count = frac.shape
+    m = table.shape[-1]
+    offsets = _corner_offsets(n, table.shape[0])[:, None]
+    flat = np.ascontiguousarray(table).reshape(-1, m)
+    word = _ROW_WORDS.get(m * flat.itemsize)
+    if word is not None:
+        # one table row per machine word: a 1-D gather instead of a row gather
+        flat = flat.view(word).reshape(-1)
+    out = np.empty((count, m), dtype=np.float64)
+    for start in range(0, count, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, count)
+        idx = offsets + rows[start:stop]
+        if word is None:
+            gathered = flat[idx]
+        else:
+            gathered = np.take(flat, idx).view(table.dtype)
+        acc = gathered.reshape(1 << n, -1).astype(frac.dtype)
+        if bias:
+            acc -= bias
+        f = frac[:, start:stop]
+        if m > 1:
+            # each fraction repeated for the m entries of its row; m
+            # strided column writes beat np.repeat here
+            fm = np.empty(f.shape + (m,), dtype=f.dtype)
+            for j in range(m):
+                fm[:, :, j] = f
+            f = fm.reshape(n, -1)
+        for d in range(n):
+            half = acc.shape[0] // 2
+            lo, hi = acc[:half], acc[half:]
+            hi -= lo
+            hi *= f[d]
+            lo += hi
+            acc = lo
+        out[start:stop] = acc[0].reshape(stop - start, m)
+    return out
 
 
 def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray,
@@ -275,48 +378,19 @@ def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray,
     ``table`` is a table's entry array, shape ``(L,) * n + (m,)``, read
     in its stored dtype (the uint8/uint16 entries of a quantized table,
     float64 for a real one) and never modified; ``bias`` is subtracted
-    from every gathered entry.  base/frac: (N, n) from the lattice
-    decomposition.  Returns (N, m) float64.
+    from every gathered entry.  base/frac: (N, n) lattice cells and
+    fractions from :func:`_decompose_arrays`; callers check that the
+    decomposed values lay in [0, 255].  Returns (N, m) float64.
 
-    Rows are processed in chunks of ``_CHUNK_ROWS``, so the working set
-    is ``2**n * m`` float64 values per chunk row whatever N is.  Per
-    chunk, the corner entries are gathered corner-major, shape
-    (2**n, rows, m), in :func:`corner_weights`' corner order, then axis
-    0..n-1 is folded in place by one lerp per axis over the two
-    contiguous halves.  With integer entries and 8-bit inputs every
-    fraction is a multiple of 2**-q and every intermediate is exact in
-    float64, so the result equals the weight-product sum bit for bit.
+    The query is handed to the corner fold as flat base rows and
+    axis-major fractions, accumulated in float64 throughout.  With
+    integer entries and 8-bit inputs every fraction is a multiple of
+    2**-q and every intermediate is exact in float64, so the result
+    equals the weight-product sum bit for bit.
     """
-    rows, n = base.shape
-    m = table.shape[-1]
-    strides = table.shape[0] ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    offsets = _corner_offsets(n, table.shape[0])[:, None]
-    flat = np.ascontiguousarray(table).reshape(-1, m)
-    word = _ROW_WORDS.get(m * flat.itemsize)
-    if word is not None:
-        # one table row per machine word: a 1-D gather instead of a row gather
-        flat = flat.view(word).reshape(-1)
-    out = np.empty((rows, m), dtype=np.float64)
-    for start in range(0, rows, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, rows)
-        idx = offsets + base[start:stop] @ strides
-        if word is None:
-            gathered = flat[idx]
-        else:
-            gathered = np.take(flat, idx).view(table.dtype)
-        acc = gathered.reshape(1 << n, stop - start, m).astype(np.float64)
-        if bias:
-            acc -= bias
-        f = frac[start:stop, :, None]
-        for d in range(n):
-            half = acc.shape[0] // 2
-            lo, hi = acc[:half], acc[half:]
-            hi -= lo
-            hi *= f[:, d]
-            lo += hi
-            acc = lo
-        out[start:stop] = acc[0]
-    return out
+    frac = np.asarray(frac, dtype=np.float64)
+    return _fold_corners(table, _flat_rows(np.asarray(base).T, table.shape[0]),
+                         np.ascontiguousarray(frac.T), bias)
 
 
 def query(lut, patch) -> np.ndarray:
@@ -328,15 +402,23 @@ def query(lut, patch) -> np.ndarray:
 
 
 def query_batch(lut, patches) -> np.ndarray:
-    """Interpolated outputs for a (N, n) batch of patches."""
+    """Interpolated outputs (N, m) for a (N, n) batch of patches.
+
+    Patches are range-checked here.  The corner fold accumulates in
+    float32 when :func:`_fold_dtype` allows it for this table and the
+    patches are integer-valued, in float64 otherwise.
+    """
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 2 or patches.shape[1] != lut.n:
         raise ValueError(f"patch batch must have shape (N, {lut.n})")
     # written so that NaN (for which every comparison is false) fails too
     if patches.size and not (patches.min() >= 0.0 and patches.max() <= 255.0):
         raise ValueError("patch values must lie in [0, 255]")
-    base, frac = _decompose_arrays(patches, lut.q)
-    return interpolate(lut.entries, base, frac, lut.bias)
+    integral = bool(np.all(patches == np.floor(patches)))
+    cells, frac = _decompose_arrays(np.ascontiguousarray(patches.T), lut.q,
+                                    _fold_dtype(lut, integral))
+    return _fold_corners(lut.entries, _flat_rows(cells, lut.lattice_points), frac,
+                         lut.bias)
 
 
 def lattice_values(q: int) -> np.ndarray:

@@ -8,7 +8,13 @@ pixel shuffle; earlier cascade stages refine at unit scale (m == 1).
 
 One kernel, :func:`stage_pass`, runs a stage on a (B, h, w) stack: a
 restored image is a stack of one, and training passes a batch of crops
-with a tape that records the corner weights its gradient needs.
+with a tape that records the corner weights its gradient needs.  The
+kernel decomposes each pixel once per stage and table spacing q, into a
+lattice-cell plane and a fraction plane; every oriented query reads
+shifted views of those planes rather than gathering and decomposing its
+own patches.  Queries of integer-valued stacks fold table corners in
+float32 where that is exact (see :func:`lutpool.lut._fold_dtype`), so
+the result is the same in every bit.
 
 Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
@@ -26,11 +32,12 @@ from functools import partial
 import numpy as np
 
 from . import lut as _lut
-from .lut import (QuantizedLut, RealLut, interpolate, round_half_away,
-                  _decompose_arrays)
-# Kept as a module attribute although queries no longer dequantize:
-# perfbench/tracing.py wraps ``pipeline.real_table`` by name.
-from .lut import real_table  # noqa: F401
+from .lut import (QuantizedLut, RealLut, round_half_away, _decompose_arrays,
+                  _flat_rows, _fold_dtype)
+# Kept as module attributes although the stage kernel calls neither:
+# perfbench/tracing.py wraps ``pipeline.real_table`` and
+# ``pipeline.interpolate`` by name.
+from .lut import interpolate, real_table  # noqa: F401
 from .orientation import (KernelPattern, OrientationSet, SQUARE_PATTERN,
                           block_permutation)
 from .pooling import (PoolingSpec, average_weights, combine, gmp_weights,
@@ -217,11 +224,22 @@ def _to_blocks(raster: np.ndarray, rs: int) -> np.ndarray:
             .reshape(b * h * w, rs * rs))
 
 
-def _gather(padded: np.ndarray, offsets, pad: int, h: int, w: int) -> np.ndarray:
-    """The pixel at each offset of every anchor of a padded stack, (B*h*w, n)."""
-    planes = [padded[:, pad + dr: pad + dr + h, pad + dc: pad + dc + w]
-              for dr, dc in offsets]
-    return np.stack(planes, axis=-1).reshape(-1, len(offsets))
+def _query(planes, offsets, pad: int, shape, lattice: int, dtype):
+    """Flat base rows (N,) and axis-major fractions (n, N) of one query.
+
+    ``planes`` is the (cells, fractions) decomposition of the padded
+    stack; each of the n pattern offsets selects one shifted (B, h, w)
+    view of both planes.
+    """
+    cells, fracs = planes
+    b, h, w = shape
+    views = [(slice(None), slice(pad + dr, pad + dr + h), slice(pad + dc, pad + dc + w))
+             for dr, dc in offsets]
+    rows = _flat_rows([cells[v] for v in views], lattice)
+    frac = np.empty((len(views), b, h, w), dtype=dtype)
+    for d, v in enumerate(views):
+        frac[d] = fracs[v]
+    return rows.reshape(-1), frac.reshape(len(views), -1)
 
 
 def _blend(flat: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
@@ -240,19 +258,21 @@ def _blend(flat: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lookup(table, patches: np.ndarray, corners=None) -> np.ndarray:
-    """Outputs (N, m) of ``table`` at (N, n) patches already known to lie in [0, 255].
+def _lookup(table, query, corners=None) -> np.ndarray:
+    """Outputs (N, m) of ``table`` at a query (flat base rows, fractions).
 
-    Without ``corners`` :func:`interpolate` reads the table in its stored
-    dtype.  With a preallocated (2**n, N) pair of index and weight arrays
-    (a real-valued table only), the corner weights are written there for
-    the gradient scatter and the rows are blended with them.
+    Without ``corners`` the corner fold reads the table in its stored
+    dtype, accumulating in the fractions' dtype.  With a preallocated
+    (2**n, N) pair of index and weight arrays (a real-valued table
+    only), the corner weights are written there for the gradient
+    scatter and the rows are blended with them.
     """
-    base, frac = _decompose_arrays(patches, table.q)
+    rows, frac = query
+    # both kernels are called through the module, so that a wrap of the
+    # lutpool.lut attribute (perfbench's tracer) sees every call
     if corners is None:
-        return interpolate(table.entries, base, frac, table.bias)
-    # through the module, so that perfbench's wrap of lut.corner_weights sees the call
-    _lut.corner_weights(base, frac, table.lattice_points, out=corners)
+        return _lut._fold_corners(table.entries, rows, frac, table.bias)
+    _lut.corner_weights(rows, frac, table.lattice_points, out=corners)
     return _blend(table.entries.reshape(-1, table.m), *corners)
 
 
@@ -260,18 +280,30 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
                alpha=None, counters: QueryCounter | None = None, tape=None):
     """One stage on a (B, h, w) stack of in-range images.
 
-    Every (rotation, pattern) query is gathered from one edge-padded copy
-    of the stack, decomposed, read from its table and unrotated; the
+    The stack is edge-padded once and decomposed once per distinct
+    sampling exponent q among the stage tables (and the oap coefficient
+    table) into two planes: uint8 lattice cells and in-cell fractions.
+    The padded copy is dropped once the planes are built.  Every
+    (rotation, pattern) query then takes its flat base rows and
+    axis-major fractions from shifted views of the planes, is read from
+    its table and unrotated; the planes are dropped before the
     (k, B*h*w, rs*rs) ensemble is fused by the configured pooling
     (``alpha`` passes precomputed oap weights) and the residual baseline
     is added.  Returns the unclamped per-anchor blocks (B*h*w, rs*rs)
     and the fusion weights (k, B*h*w).
 
-    Training passes a dict as ``tape``: every table, the oap coefficient
-    table included, is then queried through :func:`~lutpool.lut.corner_weights`,
-    and the tape receives what the backward pass needs -- ``"xs"`` (the
-    ensemble), ``"corners"`` (per pattern, (k, 2**n, B*h*w) indices and
-    weights) and, when the stage computed oap weights, ``"coeff"``.
+    Fractions are float32 when the stack is integer-valued (they are
+    then exact multiples of 2**-q), and a table whose corner fold is
+    provably exact in float32 (:func:`~lutpool.lut._fold_dtype`) is
+    folded in float32; every other query is widened to float64.  Both
+    give the same bits.
+
+    Training passes a dict as ``tape``: queries then stay float64, every
+    table, the oap coefficient table included, is queried through
+    :func:`~lutpool.lut.corner_weights`, and the tape receives what the
+    backward pass needs -- ``"xs"`` (the ensemble), ``"corners"`` (per
+    pattern, (k, 2**n, B*h*w) indices and weights) and, when the stage
+    computed oap weights, ``"coeff"``.
     """
     b, h, w = stack.shape
     count = b * h * w
@@ -280,19 +312,29 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     rotations = config.orientations.rotations
     k = len(rotations)
     npat = len(stage_luts)
+    need_alpha = pool.kind == "oap" and alpha is None
     # one padding serves the stage patterns and the coefficient pattern
     pad = max(p.reach for p in (*config.patterns, config.coeff_pattern)) + config.padding
     padded = np.pad(stack, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+    integral = tape is None and bool(np.all(stack == np.floor(stack)))
+    qs = {table.q for table in stage_luts} | ({pool.coeff_lut.q} if need_alpha else set())
+    planes = {q: _decompose_arrays(padded, q, np.float32 if integral else np.float64)
+              for q in qs}
+    del padded
 
-    if pool.kind == "oap" and alpha is None:
-        cp = config.coeff_pattern
+    def query(table, offsets):
+        return _query(planes[table.q], offsets, pad, stack.shape, table.lattice_points,
+                      _fold_dtype(table, integral))
+
+    if need_alpha:
+        cp, coeff = config.coeff_pattern, pool.coeff_lut
         corners = None
         if tape is not None:
             corners = tape["coeff"] = (np.empty((1 << cp.n, count), dtype=np.int64),
                                        np.empty((1 << cp.n, count)))
         if counters is not None:
             counters.coeff_queries += count
-        alpha = oap_weights(_gather(padded, cp.offsets, pad, h, w), pool.coeff_lut,
+        alpha = oap_weights(query(coeff, cp.offsets), coeff,
                             query=partial(_lookup, corners=corners))
 
     xs = np.zeros((k, count, m))
@@ -306,12 +348,13 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
             if tape is not None:
                 idx, wts = tape["corners"][pi]
                 corners = (idx[ri], wts[ri])
-            out = _lookup(table, _gather(padded, pattern.rotated(r), pad, h, w), corners)
+            out = _lookup(table, query(table, pattern.rotated(r)), corners)
             if counters is not None:
                 counters.lut_queries += count
             if m > 1:
                 out = out[:, block_permutation(m, r)]
             xs[ri] += out / npat
+    del planes
 
     if pool.kind == "average":
         weights = average_weights(k, count)

@@ -100,7 +100,9 @@ def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
     """Adaptive weights (k, N) for a batch of unrotated anchor patches.
 
     ``query(coeff, patches)`` reads the coefficient table; it defaults to
-    :func:`query_batch`, which also range-checks the patches.
+    :func:`query_batch`, which also range-checks the patches.  The
+    pipeline passes its own query, and as ``patches`` the flat base rows
+    and fractions it has already taken from its decomposed planes.
     """
     raw = (query or query_batch)(coeff, patches)
     if isinstance(coeff, RealLut):

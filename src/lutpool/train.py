@@ -2,11 +2,12 @@
 
 The forward pass is the inference pipeline's own stage kernel,
 :func:`lutpool.pipeline.stage_pass`, run on a mini-batch of crops with a
-tape and without the final clamp/quantization: oriented patch gathers,
-multilinear queries, block unrotation, fusion, optional residual
-baseline.  Because a query is a fixed convex blend of corner entries,
-the map from entries to output is piecewise linear and the chain rule
-runs through the corner weights on the tape; fusion weights are
+tape and without the final clamp/quantization: oriented queries read
+from the stage's cell and fraction planes, multilinear corner blends,
+block unrotation, fusion, optional residual baseline.  Because a query
+is a fixed convex blend of corner entries, the map from entries to
+output is piecewise linear and the chain rule runs through the corner
+weights on the tape; fusion weights are
 differentiated through the softmax (and, for the soft-median, through
 the distance terms, recomputed by :func:`lutpool.pooling.gmp_distances`,
 and the log-temperature).  A batch holding NaN, infinite or

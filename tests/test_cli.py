@@ -232,6 +232,22 @@ class TestBench:
         assert len(rows) == 2
         assert all(int(r["lut_queries"]) == 32 * 32 * 4 for r in rows)
 
+    @pytest.mark.parametrize("flag, value", [("--runs", "0"), ("--runs", "-1"),
+                                             ("--size", "0"), ("--size", "-3")])
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_nonpositive_runs_or_size_is_usage_error(self, tmp_path, capsys, flag,
+                                                     value, with_out):
+        # rejected before the table is even read: the path does not exist
+        argv = ["bench", flag, value, "--lut", str(tmp_path / "missing.lut")]
+        out_csv = tmp_path / "bench.csv"
+        if with_out:
+            argv += ["--out", str(out_csv)]
+        assert run(*argv) == 1
+        captured = capsys.readouterr()
+        assert f"{flag} must be at least 1" in captured.err
+        assert "counts match" not in captured.out
+        assert not out_csv.exists()
+
 
 class TestTrainCommand:
     def test_run_directory_contents(self, train_run_dir):

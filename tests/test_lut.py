@@ -34,9 +34,10 @@ from lutpool import (
     serialize,
     storage_bytes,
 )
+import lutpool.lut as lut_module
 from lutpool.lut import (FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MAGIC,
-                         _CHUNK_ROWS, _decompose_arrays, _pack_container,
-                         real_table)
+                         _CHUNK_ROWS, _decompose_arrays, _flat_rows, _fold_corners,
+                         _fold_dtype, _pack_container, real_table)
 from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN
 
 
@@ -260,6 +261,18 @@ class TestQueryKernel:
             want = weight_product_interpolate(real_table(lut), base, frac)
             np.testing.assert_array_equal(got, want, err_msg=f"rows={rows}")
 
+    def test_interpolate_takes_patch_major_queries(self):
+        # the public kernel keeps its (N, n) convention for base and frac
+        rng = np.random.default_rng(123)
+        lut = random_int_lut(rng, 4, 4, 3, signed=True)
+        patches = integer_patches(rng, 300, 4)
+        base, frac = _decompose_arrays(patches, 4)
+        got = interpolate(lut.entries, base, frac, lut.bias)
+        assert got.shape == (300, 3)
+        np.testing.assert_array_equal(
+            got, weight_product_interpolate(real_table(lut), base, frac))
+        np.testing.assert_array_equal(got, query_batch(lut, patches))
+
     def test_table_never_written(self):
         rng = np.random.default_rng(120)
         for lut in (random_int_lut(rng, 4, 4, 4, signed=True),
@@ -299,6 +312,111 @@ class TestQueryKernel:
             outs.append(restore_image(image, cfg))
         assert outs[0].shape == (38, 46)
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+def checkerboard_lut(q, n, bit_depth, signed):
+    """Adjacent lattice points hold 0 and 2**b - 1: the largest lerp steps."""
+    parity = np.arange(lattice_size(q), dtype=np.uint8) & 1
+    grid = parity
+    for _ in range(n - 1):
+        grid = np.bitwise_xor.outer(grid, parity)
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    entries = grid.astype(dtype) * dtype(2 ** bit_depth - 1)
+    return QuantizedLut(q, n, 1, entries[..., None], bit_depth=bit_depth, signed=signed)
+
+
+def top_fraction_patches(rng, q, n, count):
+    """Integer patches at fraction (2**q - 1) / 2**q on every axis.
+
+    Cells are drawn from the three lowest and the three highest of the
+    lattice, so both ends of the range (255 included) are read.
+    """
+    top = 2 ** (8 - q) - 1
+    cells = rng.choice([0, 1, 2, top - 2, top - 1, top], (count, n))
+    return (cells * 2 ** q + 2 ** q - 1).astype(np.float64)
+
+
+def window_oracle(lut, patches):
+    """``weight_product_interpolate`` over the sub-lattice the queries read.
+
+    The oracle sees a hypercube of the table just large enough for every
+    queried cell, so a 65**4-point table is never widened to float64.
+    """
+    base, frac = _decompose_arrays(patches, lut.q)
+    base = base.astype(np.int64)
+    side = int(np.ptp(base, axis=0).max()) + 2
+    start = np.minimum(base.min(axis=0), lut.lattice_points - side)
+    window = lut.entries[tuple(slice(a, a + side) for a in start)]
+    return weight_product_interpolate(window.astype(np.float64) - lut.bias,
+                                      base - start, frac)
+
+
+def fold_dtypes(monkeypatch):
+    """Accumulator dtypes of every corner fold run while the spy is set."""
+    seen = []
+
+    def spy(table, rows, frac, bias=0.0):
+        seen.append(frac.dtype)
+        return _fold_corners(table, rows, frac, bias)
+
+    monkeypatch.setattr(lut_module, "_fold_corners", spy)
+    return seen
+
+
+class TestFloat32Bound:
+    """The float32 fold is taken exactly where it is exact (b + q*n <= 24)."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("q, n, bit_depth", [(4, 4, 8), (2, 4, 16), (4, 2, 16),
+                                                 (6, 2, 8)])
+    def test_at_the_bound_float32_bitwise(self, monkeypatch, q, n, bit_depth, signed):
+        assert bit_depth + q * n <= 24
+        lut = checkerboard_lut(q, n, bit_depth, signed)
+        patches = top_fraction_patches(np.random.default_rng(q * n + bit_depth), q, n, 400)
+        seen = fold_dtypes(monkeypatch)
+        got = query_batch(lut, patches)
+        assert seen == [np.float32]
+        np.testing.assert_array_equal(got, window_oracle(lut, patches))
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("q, n, bit_depth", [(5, 4, 8), (3, 4, 16)])
+    def test_above_the_bound_float64_bitwise(self, monkeypatch, q, n, bit_depth, signed):
+        assert bit_depth + q * n > 24
+        lut = checkerboard_lut(q, n, bit_depth, signed)
+        patches = top_fraction_patches(np.random.default_rng(q * n + bit_depth), q, n, 400)
+        seen = fold_dtypes(monkeypatch)
+        got = query_batch(lut, patches)
+        assert seen == [np.float64]
+        want = window_oracle(lut, patches)
+        np.testing.assert_array_equal(got, want)
+        if not signed:
+            # the bound is not slack: a float32 fold of these queries loses bits
+            cells, frac = _decompose_arrays(patches.T.copy(), q, np.float32)
+            narrow = _fold_corners(lut.entries, _flat_rows(cells, lut.lattice_points),
+                                   frac, lut.bias)
+            assert not np.array_equal(narrow, want)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_non_integer_inputs_take_float64(self, monkeypatch, signed):
+        # quarter-step inputs: fractions are multiples of 2**-(q+2), exact
+        # in float64 but past float32's 24 bits on an 8-bit q4 n4 table
+        q, n = 4, 4
+        lut = checkerboard_lut(q, n, 8, signed)
+        assert _fold_dtype(lut, integral=True) == np.float32
+        patches = top_fraction_patches(np.random.default_rng(7), q, n, 400) - 0.25
+        seen = fold_dtypes(monkeypatch)
+        got = query_batch(lut, patches)
+        assert seen == [np.float64]
+        np.testing.assert_array_equal(got, window_oracle(lut, patches))
+
+    def test_rule(self):
+        rng = np.random.default_rng(8)
+        assert _fold_dtype(random_int_lut(rng, 4, 4, 1), True) == np.float32
+        assert _fold_dtype(random_int_lut(rng, 4, 4, 1), False) == np.float64
+        assert _fold_dtype(random_int_lut(rng, 5, 4, 4), True) == np.float64
+        assert _fold_dtype(random_int_lut(rng, 4, 2, 4, bit_depth=16), True) == np.float32
+        assert _fold_dtype(random_int_lut(rng, 4, 4, 1, bit_depth=16), True) == np.float64
+        assert _fold_dtype(random_real_lut(rng, 6, 2, 1), True) == np.float64
 
 
 class TestBake:

@@ -7,24 +7,33 @@ import numpy as np
 import pytest
 
 from lutpool import (
+    CoeffLut,
     DIAGONAL_PATTERN,
     OrientationSet,
     PipelineConfig,
     PoolingSpec,
     QueryCounter,
     RealLut,
+    QuantizedLut,
     SQUARE_PATTERN,
+    WYE_PATTERN,
     apply_residual,
     bake,
     bake_real,
     bicubic_resize,
+    fuse_average,
+    fuse_gmp,
+    fuse_oap,
     lattice_size,
+    oriented_predictions,
     pixel_shuffle,
     quantize,
     query_cost_model,
     restore_image,
+    rotate_patch,
     round_half_away,
 )
+from lutpool.pipeline import _run_real
 from tests.test_pooling import constant_entry_coeff
 
 
@@ -393,3 +402,78 @@ class TestQueryCostModel:
             model = query_cost_model(cfg)
             assert counters.lut_queries == anchors * model["lut_queries_per_pixel"]
             assert counters.coeff_queries == anchors * model["coeff_queries_per_pixel"]
+
+
+def anchor_oracle(image, config):
+    """Single-stage pipeline output, one anchor at a time on the edge-padded frame."""
+    x = np.asarray(image, dtype=np.float64)
+    h, w = x.shape
+    rs = config.scale if config.task == "sr" else 1
+    pad = max(p.reach for p in (*config.patterns, config.coeff_pattern))
+    padded = np.pad(x, pad, mode="edge")
+    baseline = None
+    if config.residual:
+        baseline = bicubic_resize(x, rs) if rs > 1 else x
+    pool = config.pooling
+    out = np.empty((h * rs, w * rs))
+    for r in range(h):
+        for c in range(w):
+            at = (r + pad, c + pad)
+            xs = sum(oriented_predictions(padded, at, pattern, table, config.orientations)
+                     for pattern, table in zip(config.patterns, config.stages[0]))
+            xs = xs / len(config.patterns)
+            if pool.kind == "average":
+                fused = fuse_average(xs)
+            elif pool.kind == "gmp":
+                fused = fuse_gmp(xs, pool.tau, pool.norm)
+            else:
+                fused = fuse_oap(xs, rotate_patch(padded, at, config.coeff_pattern, 0),
+                                 pool.coeff_lut)
+            block = fused.output.reshape(rs, rs)
+            if baseline is not None:
+                block = block + baseline[r * rs:(r + 1) * rs, c * rs:(c + 1) * rs]
+            out[r * rs:(r + 1) * rs, c * rs:(c + 1) * rs] = np.clip(block, 0.0, 255.0)
+    return out
+
+
+class TestSmallFrames:
+    """Frames smaller than the S+D+Y reach, through the decomposed planes."""
+
+    @staticmethod
+    def config(kind):
+        rng = np.random.default_rng(31)
+        patterns = [SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN]
+        shape = (lattice_size(4),) * 4
+        if kind == "sr":
+            tables = [QuantizedLut(4, 4, 4, rng.integers(96, 161, shape + (4,)),
+                                   signed=True) for _ in patterns]
+            return PipelineConfig(task="sr", scale=2, patterns=patterns, stages=[tables],
+                                  pooling=PoolingSpec(kind="gmp", tau=8.0), residual=True)
+        tables = [QuantizedLut(4, 4, 1, rng.integers(0, 256, shape + (1,)))
+                  for _ in patterns]
+        pool = PoolingSpec()
+        if kind == "oap":
+            coeff = CoeffLut(5, 4, 4, rng.integers(0, 256, (lattice_size(5),) * 4 + (4,)))
+            pool = PoolingSpec(kind="oap", coeff_lut=coeff)
+        return PipelineConfig(task="restore", patterns=patterns, stages=[tables],
+                              pooling=pool)
+
+    @pytest.mark.parametrize("integral", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2)])
+    @pytest.mark.parametrize("kind", ["restore", "sr", "oap"])
+    def test_matches_anchor_oracle_and_cost_model(self, kind, shape, integral):
+        config = self.config(kind)
+        assert max(p.reach for p in config.patterns) > min(shape)
+        rng = np.random.default_rng(sum(shape))
+        image = rng.integers(0, 256, shape).astype(np.float64)
+        if not integral:
+            image = np.clip(image + rng.uniform(-0.5, 0.5, shape), 0.0, 255.0)
+        counters = QueryCounter()
+        got = _run_real(image, config, counters)
+        rs = config.scale
+        assert got.shape == (shape[0] * rs, shape[1] * rs)
+        np.testing.assert_allclose(got, anchor_oracle(image, config),
+                                   rtol=1e-12, atol=1e-12)
+        model = query_cost_model(config)
+        assert counters.lut_queries == image.size * model["lut_queries_per_pixel"]
+        assert counters.coeff_queries == image.size * model["coeff_queries_per_pixel"]

@@ -514,17 +514,18 @@ class TestVectorizedStep:
         frac = rng.uniform(0, 1, (500, n))
         frac[::7] = 0.0
         frac[1::11] = np.nextafter(1.0, 0.0)
-        idx, w = corner_weights(base, frac, lattice)
+        rows = base @ lattice ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        idx, w = corner_weights(rows, frac.T, lattice)
         want_idx, want_w = loop_corner_weights(base, frac, lattice)
         assert idx.shape == w.shape == (1 << n, 500)
         assert idx.tobytes() == np.ascontiguousarray(want_idx.T).tobytes()
         assert w.tobytes() == np.ascontiguousarray(want_w.T).tobytes()
         out = (np.empty_like(idx), np.empty_like(w))
-        got = corner_weights(base, frac, lattice, out=out)
+        got = corner_weights(rows, frac.T, lattice, out=out)
         assert got[0] is out[0] and got[1] is out[1]
         assert w.tobytes() == out[1].tobytes()
         with pytest.raises(ValueError):
-            corner_weights(base, frac, lattice,
+            corner_weights(rows, frac.T, lattice,
                            out=(idx, np.empty((500, 1 << n)).T))
 
 
