@@ -11,15 +11,18 @@ A query is a flat base row (the lattice cell of its lower corner,
 flattened) and its in-cell fractions, laid out axis-major, (n, N).  The
 corner fold gathers the ``2**n`` corner rows of a chunk of queries into
 a (2**n, rows * m) accumulator and folds axis 0..n-1 with one lerp per
-axis, each over contiguous memory.  It accumulates in the dtype of the
-fractions: float32 only where :func:`_fold_dtype` proves every
-intermediate exact, float64 otherwise, so both give the same bits.
+axis, each over contiguous memory.  Float32 fractions (integral
+queries, see :func:`_fold_dtype`) let the fold run its leading axes in
+float32 for as long as :func:`_float32_axes` proves every intermediate
+exact and widen only the half-folded rest to float64; the bias of such
+queries is removed once from the blend.  Both give the bits of an
+all-float64 fold with the bias removed from every corner.
 
 Two in-memory forms exist:
 
 * :class:`QuantizedLut` -- integer storage (unsigned, optionally biased
   for signed residual values), the deployable artifact.  Queries gather
-  the stored integers and remove the bias after the gather, so inference
+  the stored integers and remove the bias in the fold, so inference
   never materializes a float copy of the table.
 * :class:`RealLut` -- float64 storage used while training or baking,
   and for coefficient tables that still hold raw logits.
@@ -31,7 +34,9 @@ by the raw entry payload; see :func:`serialize`.
 from __future__ import annotations
 
 import functools
+import math
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 
@@ -144,22 +149,55 @@ def _flat_rows(cells, lattice: int) -> np.ndarray:
     return rows
 
 
-def _fold_dtype(lut, integral: bool) -> np.dtype:
-    """Accumulator dtype of the corner fold for queries of ``lut``.
+def _table_q(table: np.ndarray) -> int:
+    """Sampling exponent q of an entry array, from its 2**(8-q) + 1 lattice points."""
+    return 9 - (table.shape[0] - 1).bit_length()
 
-    float32 when it is provably exact: the entries are unsigned
-    integers of b bits, ``b + q*n <= 24`` and every fraction is a
-    multiple of ``2**-q`` (``integral``: the queried values are
-    integers).  Each lerp then yields a multiple of ``2**-(q*n)`` of
-    magnitude below ``2**b``, bias removed or not, which float32's
-    24-bit significand holds, so float32 and float64 agree bit for bit.
-    Real tables, wide or fine tables and non-integer inputs stay float64.
+
+def _float32_axes(table: np.ndarray, frac_dtype) -> int:
+    """Leading axes of the corner fold that float32 holds exactly.
+
+    Float32 fractions stand for integral queries, whose fractions are
+    multiples of ``2**-q``; ``q`` follows from the lattice size
+    ``table.shape[0]``.  Over unsigned entries of b bits, the lerp
+    along axis d yields a multiple of ``2**-(q*(d+1))`` between 0 and
+    ``2**b``, so axes 0..d fold exactly in float32 while
+    ``b + q*(d+1) <= 24``.  Zero for real tables and float64 fractions.
     """
-    entries = lut.entries
-    if (integral and entries.dtype.kind == "u"
-            and 8 * entries.itemsize + lut.q * lut.n <= 24):
+    if np.dtype(frac_dtype) != np.float32 or table.dtype.kind != "u":
+        return 0
+    return min(table.ndim - 1, max(0, (24 - 8 * table.itemsize) // _table_q(table)))
+
+
+def _fold_dtype(lut, integral: bool) -> np.dtype:
+    """Dtype of the fractions handed to the corner fold for queries of ``lut``.
+
+    float32 when the queried values are integers (``integral``) and at
+    least the first axis of the fold is exact in float32 (see
+    :func:`_float32_axes`): unsigned entries of b bits with
+    ``b + q <= 24``.  The fold then runs as many leading axes in
+    float32 as that bound allows and the rest in float64, so it gives
+    the bits of an all-float64 fold.  Real tables and non-integer
+    inputs take float64.
+    """
+    if integral and _float32_axes(lut.entries, np.float32):
         return np.dtype(np.float32)
     return np.dtype(np.float64)
+
+
+# Per-thread scratch arrays of the corner fold, reused across calls.
+_scratch = threading.local()
+
+
+def _scratch_array(slot: str, dtype, shape) -> np.ndarray:
+    """Scratch array of ``shape`` from this thread's reused buffer for ``slot``."""
+    buffers = _scratch.__dict__.setdefault("buffers", {})
+    size = math.prod(shape)
+    key = (slot, np.dtype(dtype))
+    buf = buffers.get(key)
+    if buf is None or buf.size < size:
+        buf = buffers[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
 
 
 @dataclass
@@ -320,9 +358,10 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
     """Multilinear blend of the 2**n corner entries of each query, (N, m) float64.
 
     ``table`` is an entry array, shape ``(L,) * n + (m,)``, read in its
-    stored dtype and never modified; ``bias`` is subtracted from every
-    gathered entry.  rows: (N,) flat base rows; frac: (n, N) axis-major
-    fractions, whose dtype is the accumulator's (see :func:`_fold_dtype`).
+    stored dtype and never modified; ``bias`` is subtracted from the
+    blend.  rows: (N,) flat base rows; frac: (n, N) axis-major
+    fractions.  Float32 fractions mark integral queries (see
+    :func:`_fold_dtype`).
 
     Rows are processed in chunks of ``_CHUNK_ROWS``.  Per chunk the
     corner rows are gathered corner-major in :func:`corner_weights`'
@@ -331,7 +370,13 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
     gather produced; axis 0..n-1 is then folded in place by one lerp per
     axis over the two contiguous halves, each scaling contiguous memory
     by a contiguous fraction vector (the axis' fractions, each repeated
-    for the m entries of its row).
+    for the m entries of its row).  The leading axes that
+    :func:`_float32_axes` proves exact fold in float32 and the
+    half-folded rest in float64.  Integral queries on unsigned entries
+    with ``b + q*n <= 53`` are exact throughout, so their bias is
+    subtracted once from the blend; otherwise it is subtracted from
+    every gathered corner.  The repeated fractions and the float64 rest
+    live in per-thread scratch reused across calls.
     """
     n, count = frac.shape
     m = table.shape[-1]
@@ -341,6 +386,12 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
     if word is not None:
         # one table row per machine word: a 1-D gather instead of a row gather
         flat = flat.view(word).reshape(-1)
+    narrow = _float32_axes(table, frac.dtype)
+    corner_bias, blend_bias = bias, 0.0
+    if bias and narrow and 8 * table.itemsize + _table_q(table) * n <= 53:
+        # integral queries on b-bit unsigned entries: every lerp is exact
+        # in float64 too, so the bias may leave the blend instead of each corner
+        corner_bias, blend_bias = 0.0, bias
     out = np.empty((count, m), dtype=np.float64)
     for start in range(0, count, _CHUNK_ROWS):
         stop = min(start + _CHUNK_ROWS, count)
@@ -349,25 +400,34 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
             gathered = flat[idx]
         else:
             gathered = np.take(flat, idx).view(table.dtype)
-        acc = gathered.reshape(1 << n, -1).astype(frac.dtype)
-        if bias:
-            acc -= bias
+        acc = gathered.reshape(1 << n, -1).astype(np.float32 if narrow else np.float64)
+        if corner_bias:
+            acc -= corner_bias
         f = frac[:, start:stop]
         if m > 1:
             # each fraction repeated for the m entries of its row; m
             # strided column writes beat np.repeat here
-            fm = np.empty(f.shape + (m,), dtype=f.dtype)
+            fm = _scratch_array("frac", f.dtype, f.shape + (m,))
             for j in range(m):
                 fm[:, :, j] = f
             f = fm.reshape(n, -1)
         for d in range(n):
+            if d == narrow and narrow:
+                # the rest of the fold no longer fits float32: widen it
+                rest = _scratch_array("rest", np.float64, acc.shape)
+                rest[...] = acc
+                acc = rest
             half = acc.shape[0] // 2
             lo, hi = acc[:half], acc[half:]
             hi -= lo
             hi *= f[d]
             lo += hi
             acc = lo
-        out[start:stop] = acc[0].reshape(stop - start, m)
+        blend = acc[0].reshape(stop - start, m)
+        if blend_bias:
+            np.subtract(blend, blend_bias, out=out[start:stop])
+        else:
+            out[start:stop] = blend
     return out
 
 

@@ -12,9 +12,10 @@ with a tape that records the corner weights its gradient needs.  The
 kernel decomposes each pixel once per stage and table spacing q, into a
 lattice-cell plane and a fraction plane; every oriented query reads
 shifted views of those planes rather than gathering and decomposing its
-own patches.  Queries of integer-valued stacks fold table corners in
-float32 where that is exact (see :func:`lutpool.lut._fold_dtype`), so
-the result is the same in every bit.
+own patches.  Queries of integer-valued stacks fold the leading axes of
+their table corners in float32 for as long as that is exact and the
+rest in float64 (see :func:`lutpool.lut._float32_axes`), so the result
+is the same in every bit.
 
 Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
@@ -293,10 +294,11 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     and the fusion weights (k, B*h*w).
 
     Fractions are float32 when the stack is integer-valued (they are
-    then exact multiples of 2**-q), and a table whose corner fold is
-    provably exact in float32 (:func:`~lutpool.lut._fold_dtype`) is
-    folded in float32; every other query is widened to float64.  Both
-    give the same bits.
+    then exact multiples of 2**-q).  A table whose first fold axis is
+    provably exact in float32 (:func:`~lutpool.lut._fold_dtype`) keeps
+    them and folds in float32 up to the exactness bound, in float64
+    beyond it, with its bias removed once; every other query is widened
+    to float64.  Both give the same bits.
 
     Training passes a dict as ``tape``: queries then stay float64, every
     table, the oap coefficient table included, is queried through

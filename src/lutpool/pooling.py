@@ -109,11 +109,10 @@ def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
         return softmax(raw, axis=1).T
     if isinstance(coeff, CoeffLut) or (
             isinstance(coeff, QuantizedLut) and not coeff.signed):
+        # rows of zero total keep the uniform fill; the rest divide in place
         total = np.sum(raw, axis=1, keepdims=True)
-        k = raw.shape[1]
-        uniform = np.full_like(raw, 1.0 / k)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            w = np.where(total > 0.0, raw / np.where(total > 0.0, total, 1.0), uniform)
+        w = np.full_like(raw, 1.0 / raw.shape[1])
+        np.divide(raw, total, out=w, where=total > 0.0)
         return w.T
     raise TypeError("coefficient table must be a CoeffLut or RealLut")
 

@@ -308,20 +308,22 @@ def _loss_and_grad(diff: np.ndarray, kind: str, epsilon: float):
 
 def _scatter(flat_grad: np.ndarray, idx: np.ndarray, wts: np.ndarray,
              gout: np.ndarray) -> None:
-    """Add wts * gout onto the rows idx of flat_grad, in idx order.
+    """Write the sums of wts * gout over the rows idx into flat_grad, in idx order.
 
     idx/wts have shape (..., N) and gout (..., N, m) broadcasts against
     them over the leading axes (rotation and/or corner).  ``np.bincount``
     adds its weights in input order starting from 0.0, which is the
-    order in which per-corner ``np.add.at`` calls add them, so the sums
-    round identically.
+    order in which per-corner ``np.add.at`` calls add them onto a zeroed
+    gradient, so the sums round identically; a sum from +0.0 is never
+    -0.0, so assigning it equals adding it onto zeros.  Every entry of
+    flat_grad is overwritten, rows no query read with 0.0.
     """
     rows = flat_grad.shape[0]
     flat_idx = idx.ravel()
     vals = np.empty(wts.shape)
     for j in range(flat_grad.shape[1]):
         np.multiply(wts, np.ascontiguousarray(gout[..., j]), out=vals)
-        flat_grad[:, j] += np.bincount(flat_idx, vals.ravel(), minlength=rows)
+        flat_grad[:, j] = np.bincount(flat_idx, vals.ravel(), minlength=rows)
 
 
 def _check_pixels(image, what: str) -> None:
@@ -360,12 +362,13 @@ def loss_only(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig) -> float:
 
 def forward_backward(tp: TrainablePipeline, batch: Batch,
                      cfg: TrainConfig) -> dict:
-    """One training step's loss plus gradients (accumulated on tp).
+    """One training step's loss plus gradients (written onto tp).
 
-    Raises ``ValueError`` when the batch holds NaN, infinite or
-    out-of-range pixels.
+    Each table gradient is scattered exactly once, which overwrites it,
+    so only ``tau_grad`` is zeroed first.  Raises ``ValueError`` when the
+    batch holds NaN, infinite or out-of-range pixels.
     """
-    tp.zero_grad()
+    tp.tau_grad[...] = 0.0
     losses, alpha, g, tape = _forward(tp, batch, cfg)   # g: dL/dpred, (N, m)
 
     xs = tape.pop("xs")

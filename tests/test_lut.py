@@ -1,6 +1,8 @@
 """Lattice table storage, decomposition, interpolation, and container I/O."""
 
 import itertools
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +38,8 @@ from lutpool import (
 )
 import lutpool.lut as lut_module
 from lutpool.lut import (FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MAGIC,
-                         _CHUNK_ROWS, _decompose_arrays, _flat_rows, _fold_corners,
-                         _fold_dtype, _pack_container, real_table)
+                         _CHUNK_ROWS, _decompose_arrays, _flat_rows, _float32_axes,
+                         _fold_corners, _fold_dtype, _pack_container, real_table)
 from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN
 
 
@@ -261,6 +263,21 @@ class TestQueryKernel:
             want = weight_product_interpolate(real_table(lut), base, frac)
             np.testing.assert_array_equal(got, want, err_msg=f"rows={rows}")
 
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_quantized_equals_dequantized_bitwise(self, m):
+        # the stored-dtype fold against the same fold of the float copy,
+        # whose entries carry no bias: for non-integer queries the bias
+        # must leave every gathered corner before the lerps, as it does
+        # from the float copy
+        rng = np.random.default_rng(124 + m)
+        for q, bit_depth, signed in itertools.product((4, 5), (8, 16), (False, True)):
+            lut = random_int_lut(rng, q, 4, m, bit_depth, signed)
+            patches = np.concatenate([rng.uniform(0.0, 255.0, (2000, 4)),
+                                      integer_patches(rng, 500, 4)])
+            got = query_batch(lut, patches)
+            want = query_batch(dequantize(lut), patches)
+            assert got.tobytes() == want.tobytes(), (q, bit_depth, signed)
+
     def test_interpolate_takes_patch_major_queries(self):
         # the public kernel keeps its (N, n) convention for base and frac
         rng = np.random.default_rng(123)
@@ -363,15 +380,43 @@ def fold_dtypes(monkeypatch):
     return seen
 
 
+def fold_reference(lut, patches, narrow):
+    """The corner fold restated: axes 0..narrow-1 in float32, the rest in float64.
+
+    Gathers the 2**n unbiased corner rows of each integral query, lerps
+    axis 0 first (the upper half of the corners takes the upper
+    neighbour), widens to float64 before axis ``narrow`` and subtracts
+    the bias from the blend.
+    """
+    base, frac = _decompose_arrays(patches, lut.q)
+    corners = np.array(list(itertools.product((0, 1), repeat=lut.n)))
+    acc = lut.entries[tuple(base[None, :, d].astype(np.int64) + corners[:, None, d]
+                            for d in range(lut.n))]
+    acc = acc.astype(np.float32 if narrow else np.float64)
+    for d in range(lut.n):
+        if d == narrow:
+            acc = acc.astype(np.float64)
+        half = acc.shape[0] // 2
+        lo, hi = acc[:half], acc[half:]
+        acc = lo + (hi - lo) * frac[:, d, None].astype(acc.dtype)
+    return acc[0] - lut.bias
+
+
+# (q, bit_depth, float32 axes) of an n = 4 table: b + q*axes <= 24 < b + q*(axes+1)
+SPLITS = [(4, 8, 4), (5, 8, 3), (6, 8, 2), (4, 16, 2), (2, 16, 4)]
+
+
 class TestFloat32Bound:
-    """The float32 fold is taken exactly where it is exact (b + q*n <= 24)."""
+    """Fold axis d runs in float32 exactly while b + q*(d+1) <= 24."""
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("q, n, bit_depth", [(4, 4, 8), (2, 4, 16), (4, 2, 16),
                                                  (6, 2, 8)])
     def test_at_the_bound_float32_bitwise(self, monkeypatch, q, n, bit_depth, signed):
+        # every axis is within the bound: the whole fold runs in float32
         assert bit_depth + q * n <= 24
         lut = checkerboard_lut(q, n, bit_depth, signed)
+        assert _float32_axes(lut.entries, np.float32) == n
         patches = top_fraction_patches(np.random.default_rng(q * n + bit_depth), q, n, 400)
         seen = fold_dtypes(monkeypatch)
         got = query_batch(lut, patches)
@@ -381,20 +426,31 @@ class TestFloat32Bound:
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("q, n, bit_depth", [(5, 4, 8), (3, 4, 16)])
     def test_above_the_bound_float64_bitwise(self, monkeypatch, q, n, bit_depth, signed):
+        # the axes past the bound fold in float64, the ones before it in float32
         assert bit_depth + q * n > 24
         lut = checkerboard_lut(q, n, bit_depth, signed)
+        narrow = _float32_axes(lut.entries, np.float32)
+        assert 0 < narrow < n
         patches = top_fraction_patches(np.random.default_rng(q * n + bit_depth), q, n, 400)
         seen = fold_dtypes(monkeypatch)
         got = query_batch(lut, patches)
-        assert seen == [np.float64]
+        assert seen == [np.float32]
+        np.testing.assert_array_equal(got, window_oracle(lut, patches))
+        # the bound is not slack: on random entries and queries, one more
+        # float32 axis loses bits ...
+        rng = np.random.default_rng(q + bit_depth)
+        lut = random_int_lut(rng, q, n, 1, bit_depth, signed)
+        patches = integer_patches(rng, 3000, n)
         want = window_oracle(lut, patches)
-        np.testing.assert_array_equal(got, want)
-        if not signed:
-            # the bound is not slack: a float32 fold of these queries loses bits
-            cells, frac = _decompose_arrays(patches.T.copy(), q, np.float32)
-            narrow = _fold_corners(lut.entries, _flat_rows(cells, lut.lattice_points),
-                                   frac, lut.bias)
-            assert not np.array_equal(narrow, want)
+        np.testing.assert_array_equal(query_batch(lut, patches), want)
+        np.testing.assert_array_equal(fold_reference(lut, patches, narrow), want)
+        past = fold_reference(lut, patches, narrow + 1)
+        assert not np.array_equal(past, want)
+        # ... and the fold runs exactly as many float32 axes as the bound says
+        exact = lut_module._float32_axes
+        monkeypatch.setattr(lut_module, "_float32_axes",
+                            lambda table, dtype: min(exact(table, dtype) + 1, n))
+        np.testing.assert_array_equal(query_batch(lut, patches), past)
 
     @pytest.mark.parametrize("signed", [False, True])
     def test_non_integer_inputs_take_float64(self, monkeypatch, signed):
@@ -407,16 +463,92 @@ class TestFloat32Bound:
         seen = fold_dtypes(monkeypatch)
         got = query_batch(lut, patches)
         assert seen == [np.float64]
+        assert _float32_axes(lut.entries, np.float64) == 0
         np.testing.assert_array_equal(got, window_oracle(lut, patches))
 
     def test_rule(self):
         rng = np.random.default_rng(8)
-        assert _fold_dtype(random_int_lut(rng, 4, 4, 1), True) == np.float32
-        assert _fold_dtype(random_int_lut(rng, 4, 4, 1), False) == np.float64
-        assert _fold_dtype(random_int_lut(rng, 5, 4, 4), True) == np.float64
-        assert _fold_dtype(random_int_lut(rng, 4, 2, 4, bit_depth=16), True) == np.float32
-        assert _fold_dtype(random_int_lut(rng, 4, 4, 1, bit_depth=16), True) == np.float64
-        assert _fold_dtype(random_real_lut(rng, 6, 2, 1), True) == np.float64
+        for q, bit_depth, narrow in SPLITS:
+            lut = random_int_lut(rng, q, 4, 1, bit_depth=bit_depth)
+            assert _float32_axes(lut.entries, np.float32) == narrow, (q, bit_depth)
+            assert _fold_dtype(lut, True) == np.float32
+            assert _float32_axes(lut.entries, np.float64) == 0
+            assert _fold_dtype(lut, False) == np.float64
+        # never more axes than the table has
+        assert _float32_axes(random_int_lut(rng, 6, 1, 4).entries, np.float32) == 1
+        # 16-bit q7: only the first axis fits (16 + 7 <= 24 < 16 + 14)
+        wide = random_int_lut(rng, 7, 2, 1, bit_depth=16)
+        assert _float32_axes(wide.entries, np.float32) == 1
+        # real tables and 32-bit entries never fold in float32
+        real = random_real_lut(rng, 6, 2, 1)
+        assert _float32_axes(real.entries, np.float32) == 0
+        assert _fold_dtype(real, True) == np.float64
+        word = QuantizedLut(4, 2, 1, np.zeros((17, 17, 1), np.uint32), bit_depth=32)
+        assert _float32_axes(word.entries, np.float32) == 0
+        assert _fold_dtype(word, True) == np.float64
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("q, bit_depth, narrow", SPLITS)
+    def test_split_bitwise(self, q, bit_depth, narrow, signed):
+        lut = checkerboard_lut(q, 4, bit_depth, signed)
+        assert _float32_axes(lut.entries, np.float32) == narrow
+        patches = top_fraction_patches(np.random.default_rng(q + bit_depth), q, 4, 400)
+        want = window_oracle(lut, patches)
+        np.testing.assert_array_equal(query_batch(lut, patches), want)
+        np.testing.assert_array_equal(fold_reference(lut, patches, narrow), want)
+
+    @pytest.mark.parametrize("q, n, m, bit_depth", [(7, 7, 1, 8), (7, 6, 2, 16),
+                                                    (5, 4, 4, 8), (1, 2, 3, 16)])
+    def test_float32_fractions_fold_like_float64(self, q, n, m, bit_depth):
+        # float64 fractions take the all-float64 fold with a per-corner
+        # bias; float32 ones split the fold, and remove the bias once only
+        # while b + q*n <= 53 (not at q7 n7 8-bit or q7 n6 16-bit)
+        rng = np.random.default_rng(q * n * m)
+        for signed in (False, True):
+            lut = random_int_lut(rng, q, n, m, bit_depth, signed)
+            cells, frac = _decompose_arrays(integer_patches(rng, 3000, n).T.copy(), q)
+            rows = _flat_rows(cells, lut.lattice_points)
+            got = _fold_corners(lut.entries, rows, frac.astype(np.float32), lut.bias)
+            want = _fold_corners(lut.entries, rows, frac, lut.bias)
+            np.testing.assert_array_equal(got, want, err_msg=f"signed={signed}")
+
+
+def fold_peak(lut, count):
+    """tracemalloc peak of one corner fold of ``count`` integral queries.
+
+    The fold runs on a fresh thread, so its per-thread scratch starts
+    empty and is counted in the peak.
+    """
+    rng = np.random.default_rng(count)
+    values = rng.integers(0, 256, (lut.n, count)).astype(np.float64)
+    cells, frac = _decompose_arrays(values, lut.q, _fold_dtype(lut, True))
+    rows = _flat_rows(cells, lut.lattice_points)
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.append(_fold_corners(lut.entries, rows, frac, lut.bias)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        worker.start()
+        worker.join(timeout=120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not worker.is_alive() and out[0].shape == (count, lut.m)
+    return peak
+
+
+class TestFoldScratch:
+    """The fold's scratch memory is bounded by its chunk, not by the query count."""
+
+    @pytest.mark.parametrize("q, m, signed", [(4, 1, False), (4, 4, True), (5, 4, False)])
+    def test_peak_grows_only_by_the_output(self, q, m, signed):
+        # S/q4 m1 main table, signed q4 m4 SR table, q5 n4 m4 coefficient table
+        lut = random_int_lut(np.random.default_rng(q * m), q, 4, m, signed=signed)
+        small, large = 1 << 15, 1 << 17
+        growth = (large - small) * m * 8            # the (N, m) float64 output
+        slack = 256 * 1024
+        assert fold_peak(lut, large) - fold_peak(lut, small) <= growth + slack
 
 
 class TestBake:

@@ -1,6 +1,8 @@
 """Resampling, stage execution, rotation symmetry, and the cost model."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -477,3 +479,44 @@ class TestSmallFrames:
         model = query_cost_model(config)
         assert counters.lut_queries == image.size * model["lut_queries_per_pixel"]
         assert counters.coeff_queries == image.size * model["coeff_queries_per_pixel"]
+
+
+class TestConcurrentRestores:
+    """The corner fold's reused scratch is per thread."""
+
+    def test_threads_match_sequential_runs(self):
+        # oap restores (their q5 m4 coefficient table folds 3 axes in
+        # float32 and 1 in float64) and gmp x2 SR restores (signed m4
+        # tables, repeated float32 fractions) use both scratch slots;
+        # every frame spans more than one fold chunk.  More threads than
+        # cores and a short switch interval interleave the folds.
+        oap = TestSmallFrames.config("oap")
+        sr = TestSmallFrames.config("sr")
+        rng = np.random.default_rng(41)
+        jobs = [(oap, rng.integers(0, 256, (150, 131)).astype(np.uint8)),
+                (sr, rng.integers(0, 256, (133, 140)).astype(np.uint8)),
+                (oap, rng.integers(0, 256, (141, 137)).astype(np.uint8)),
+                (sr, rng.integers(0, 256, (129, 145)).astype(np.uint8))]
+        want = [restore_image(image, config).tobytes() for config, image in jobs]
+        rounds = 3
+        got = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def run(i):
+            config, image = jobs[i]
+            start.wait(timeout=60)
+            for _ in range(rounds):
+                got[i].append(restore_image(image, config).tobytes())
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [[w] * rounds for w in want]

@@ -1,6 +1,7 @@
 """Fusion strategies: averaging, soft-median, and adaptive weighting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,28 @@ class TestOapWeights:
         coeff = constant_entry_coeff([0, 0, 0, 0])
         w = oap_weights(np.array([[1.0, 2.0, 3.0, 4.0]]), coeff)
         np.testing.assert_array_equal(w[:, 0], 0.25)
+
+    def test_zero_total_rows_get_uniform_weights(self):
+        # rows of a CoeffLut that are all zero: anchors on those lattice
+        # points fall back to exactly 1/k, every other anchor gets
+        # raw / total, and no division by zero is ever evaluated
+        rng = np.random.default_rng(9)
+        q, n, k = 5, 4, 4
+        entries = rng.integers(0, 256, (lattice_size(q),) * n + (k,)).astype(np.uint8)
+        zero = rng.random(entries.shape[:-1]) < 0.3
+        entries[zero] = 0
+        coeff = CoeffLut(q, n, k, entries)
+        cells = rng.integers(0, lattice_size(q) - 1, (2000, n))
+        patches = cells * float(2 ** q)            # on lattice points: one row read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = oap_weights(patches, coeff)
+        raw = entries[tuple(cells.T)].astype(np.float64)
+        total = raw.sum(axis=1, keepdims=True)
+        hit = zero[tuple(cells.T)]
+        assert hit.any() and not hit.all()
+        assert np.all(w[:, hit] == 1.0 / k)
+        assert w[:, ~hit].tobytes() == (raw[~hit] / total[~hit]).T.tobytes()
 
     def test_rejects_signed_table(self):
         shape = (lattice_size(6),) * 4 + (4,)

@@ -487,6 +487,22 @@ class TestVectorizedStep:
         assert_step_matches_reference(tp, batch, cfg)
 
     @pytest.mark.parametrize("fusion", sorted(FUSIONS))
+    def test_stale_gradients_are_overwritten(self, fusion):
+        # the step writes every gradient entry (untouched rows with +0.0)
+        # rather than adding onto whatever the buffers held
+        rng = np.random.default_rng(23)
+        tp, cfg = oracle_pipeline(rng, "sr", fusion, [SQUARE_PATTERN, DIAGONAL_PATTERN])
+        batch = Batch(rng.uniform(0, 255, (2, 5, 5)), rng.uniform(0, 255, (2, 10, 10)))
+        for tl in tp.parameters():
+            tl.grad[...] = np.nan
+        tp.tau_grad[...] = np.nan
+        losses = forward_backward(tp, batch, cfg)
+        got = step_gradients(tp)
+        assert losses == add_at_forward_backward(tp, batch, cfg)
+        for a, b in zip(got, step_gradients(tp)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("fusion", sorted(FUSIONS))
     def test_constant_crops_share_one_cell(self, fusion):
         # every query of every rotation reads the same 16 entries, so
         # each entry's gradient is a long sum whose order is visible
