@@ -7,10 +7,10 @@ interpolated against a top lattice point nominally at 256.  Queries
 blend the ``2**n`` surrounding corner entries multilinearly, reading the
 entries in their stored dtype.
 
-A query is a flat base row (the lattice cell of its lower corner,
-flattened) and its in-cell fractions, laid out axis-major, (n, N).  The
-corner fold gathers the ``2**n`` corner rows of a chunk of queries into
-a (2**n, rows * m) accumulator and folds axis 0..n-1 with one lerp per
+A query is a flat base row (the cell of its lower corner, flattened)
+and its in-cell fractions, laid out axis-major, (n, N).  The corner
+fold gathers the ``2**n`` corner rows of a chunk of queries into a
+(2**n, rows * m) accumulator and folds axis 0..n-1 with one lerp per
 axis, each over contiguous memory.  Float32 fractions (integral
 queries, see :func:`_fold_dtype`) let the fold run its leading axes in
 float32 for as long as :func:`_float32_axes` proves every intermediate
@@ -18,12 +18,23 @@ exact and widen only the half-folded rest to float64; the bias of such
 queries is removed once from the blend.  Both give the bits of an
 all-float64 fold with the bias removed from every corner.
 
+The gather comes in two kinds; the fold after it is shared.  A
+quantized table keeps a cell table (:func:`_pack_cells`), built on its
+first query: row r holds the ``2**n * m`` corner entries of cell r, so
+a query is one row gather, and base rows count the ``2**(8-q)`` cells
+per axis.  It costs about 12.6x the entries at q4 n4 (1 MiB for an
+8-bit m = 1 table, 4 MiB at m = 4) and is kept only up to
+``_CELL_TABLE_BYTES`` (8 MiB), which bounds that cost.  Larger
+quantized tables and real tables, which training writes in place,
+gather their ``2**n`` corners from the lattice rows, and base rows
+count the ``2**(8-q) + 1`` lattice points.
+
 Two in-memory forms exist:
 
 * :class:`QuantizedLut` -- integer storage (unsigned, optionally biased
-  for signed residual values), the deployable artifact.  Queries gather
-  the stored integers and remove the bias in the fold, so inference
-  never materializes a float copy of the table.
+  for signed residual values), the deployable artifact, read-only.
+  Queries gather the stored integers and remove the bias in the fold,
+  so inference never materializes a float copy of the table.
 * :class:`RealLut` -- float64 storage used while training or baking,
   and for coefficient tables that still hold raw logits.
 
@@ -55,9 +66,13 @@ _HEADER_FMT = "<4sHHBBBBIIQI"
 _UINT_DTYPES = {8: np.dtype("<u1"), 16: np.dtype("<u2"), 32: np.dtype("<u4")}
 _REAL_DTYPES = {32: np.dtype("<f4"), 64: np.dtype("<f8")}
 
-# Query rows per corner-fold pass: bounds its working set to 2**n * m
-# accumulator values per row whatever the batch size.
+# Values per pass of the corner fold (query rows * m) and of quantize:
+# bounds the fold's accumulator to 2**n * _CHUNK_ROWS values and the
+# temporaries of both, whatever the batch size, row width or table size.
 _CHUNK_ROWS = 1 << 14
+# Largest cell table a quantized table keeps resident (see _pack_cells);
+# a q3 or q2 table with 4 inputs would pack into tens or hundreds of MB.
+_CELL_TABLE_BYTES = 8 << 20
 # Unsigned word that holds one whole table row of the given byte size.
 _ROW_WORDS = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4"),
               8: np.dtype("<u8")}
@@ -200,14 +215,16 @@ def _scratch_array(slot: str, dtype, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuantizedLut:
     """Integer-valued dense table.
 
     ``entries`` has shape ``(L,) * n + (m,)`` with ``L = 2**(8-q) + 1``
     and an unsigned dtype matching ``bit_depth``.  When ``signed`` is
     set, stored values carry a ``2**(bit_depth-1)`` bias and dequantize
-    to ``entry - bias`` (128 for 8-bit residual tables).
+    to ``entry - bias`` (128 for 8-bit residual tables).  The table is
+    frozen and ``entries`` read-only, never the caller's writeable array
+    (that is copied), so the cell table cached from it cannot go stale.
     """
 
     q: int
@@ -222,19 +239,34 @@ class QuantizedLut:
         if self.bit_depth not in _UINT_DTYPES:
             raise ValueError(f"unsupported bit depth {self.bit_depth}")
         want = (lattice_size(self.q),) * self.n + (self.m,)
-        self.entries = np.ascontiguousarray(self.entries)
-        if self.entries.shape != want:
+        entries = np.ascontiguousarray(self.entries)
+        if entries.shape != want:
             raise ValueError(
-                f"entries shape {self.entries.shape} does not match lattice {want}"
+                f"entries shape {entries.shape} does not match lattice {want}"
             )
         dt = _UINT_DTYPES[self.bit_depth]
-        if self.entries.dtype != dt:
-            if not np.issubdtype(self.entries.dtype, np.integer):
+        if entries.dtype != dt:
+            if not np.issubdtype(entries.dtype, np.integer):
                 raise ValueError("quantized entries must be integers")
             info = np.iinfo(dt)
-            if self.entries.min() < info.min or self.entries.max() > info.max:
+            if entries.min() < info.min or entries.max() > info.max:
                 raise ValueError("entries out of range for bit depth")
-            self.entries = self.entries.astype(dt)
+            entries = entries.astype(dt)
+        if entries.flags.writeable and np.may_share_memory(entries, self.entries):
+            entries = entries.copy()
+        entries.setflags(write=False)
+        object.__setattr__(self, "entries", entries)
+
+    @functools.cached_property
+    def _cells(self) -> np.ndarray | None:
+        """Cell table of the entries (:func:`_pack_cells`), built on first use.
+
+        None when it would exceed ``_CELL_TABLE_BYTES``; queries then
+        gather corners from the lattice rows.  Threads racing on the
+        first query may each build it; the builds are equal.
+        """
+        size = 2 ** ((8 - self.q) * self.n) * self.entries.itemsize * self.m << self.n
+        return _pack_cells(self.entries) if size <= _CELL_TABLE_BYTES else None
 
     @property
     def lattice_points(self) -> int:
@@ -317,6 +349,54 @@ def _corner_offsets(n: int, lattice: int) -> np.ndarray:
     return offsets
 
 
+def _pack_cells(entries: np.ndarray) -> np.ndarray:
+    """Cell table of an entry array: row r holds the 2**n corners of cell r.
+
+    Cells are flattened like lattice points, over the ``L - 1`` cells
+    per axis; each row lists its cell's corners in
+    :func:`corner_weights`' order, m entries each, in the stored dtype:
+    shape ``((L-1)**n, 2**n * m)``, read-only.  It is built axis by
+    axis, each axis stacking the lower and the upper neighbour of every
+    cell as a new corner axis (two strided slice copies), with whole
+    m-entry rows moved as machine words where a row fits one.
+    """
+    n = entries.ndim - 1
+    cells = entries.shape[0] - 1
+    m = entries.shape[-1]
+    word = _ROW_WORDS.get(m * entries.itemsize)
+    packed = entries if word is None else entries.view(word)
+    for d in range(n):
+        # (C,)*d + (L,)*(n-d) + (2,)*d + (u,) -> axis d to cells, one more corner axis
+        lower = packed[(slice(None),) * d + (slice(0, cells),)]
+        upper = packed[(slice(None),) * d + (slice(1, cells + 1),)]
+        packed = np.stack([lower, upper], axis=-2)
+    packed = packed.view(entries.dtype).reshape(cells ** n, (1 << n) * m)
+    packed.setflags(write=False)
+    return packed
+
+
+def _cell_table(lut) -> np.ndarray | None:
+    """The cell table that queries of ``lut`` gather from, or None.
+
+    Quantized tables read one packed row per query when their cell
+    table fits ``_CELL_TABLE_BYTES``.  Real tables, which training
+    writes in place, and larger quantized tables gather their 2**n
+    corners from the lattice rows.
+    """
+    return lut._cells if isinstance(lut, QuantizedLut) else None
+
+
+def _row_radix(lut) -> int:
+    """Per-axis count of the flat base rows of ``lut``'s queries.
+
+    ``2**(8-q)`` cells for a table read through its cell table,
+    ``2**(8-q) + 1`` lattice points otherwise.
+    """
+    if _cell_table(lut) is None:
+        return lut.lattice_points
+    return lut.lattice_points - 1
+
+
 def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out=None):
     """Flat corner indices and multilinear weights for a batch of queries.
 
@@ -354,38 +434,44 @@ def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out=None):
 
 
 def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
-                  bias: float = 0.0) -> np.ndarray:
+                  bias: float = 0.0, cells: np.ndarray | None = None) -> np.ndarray:
     """Multilinear blend of the 2**n corner entries of each query, (N, m) float64.
 
     ``table`` is an entry array, shape ``(L,) * n + (m,)``, read in its
     stored dtype and never modified; ``bias`` is subtracted from the
     blend.  rows: (N,) flat base rows; frac: (n, N) axis-major
     fractions.  Float32 fractions mark integral queries (see
-    :func:`_fold_dtype`).
+    :func:`_fold_dtype`).  ``cells`` passes the table's cell table
+    (:func:`_pack_cells`); ``rows`` then count its ``L - 1`` cells per
+    axis, otherwise the ``L`` lattice points.
 
-    Rows are processed in chunks of ``_CHUNK_ROWS``.  Per chunk the
-    corner rows are gathered corner-major in :func:`corner_weights`'
-    corner order -- one machine word per table row when a row fits one
-    -- and widened to a (2**n, rows * m) accumulator, in the layout the
-    gather produced; axis 0..n-1 is then folded in place by one lerp per
-    axis over the two contiguous halves, each scaling contiguous memory
-    by a contiguous fraction vector (the axis' fractions, each repeated
-    for the m entries of its row).  The leading axes that
-    :func:`_float32_axes` proves exact fold in float32 and the
-    half-folded rest in float64.  Integral queries on unsigned entries
-    with ``b + q*n <= 53`` are exact throughout, so their bias is
-    subtracted once from the blend; otherwise it is subtracted from
-    every gathered corner.  The repeated fractions and the float64 rest
-    live in per-thread scratch reused across calls.
+    Rows are processed in chunks of ``_CHUNK_ROWS // m`` queries.  Per
+    chunk the corner rows are gathered corner-major in
+    :func:`corner_weights`' corner order: from a cell table as one row
+    gather per query, turned corner-major by one contiguous copy (one
+    machine word per corner row where a row fits one); from the lattice
+    as one gather per corner, a machine word per row where it fits.
+    Everything after the gather is shared.  The gathered corners are
+    widened to a (2**n, rows * m) accumulator, and axis 0..n-1 is folded
+    in place by one lerp per axis over the two contiguous halves, each
+    scaling contiguous memory by a contiguous fraction vector (the
+    axis' fractions, each repeated for the m entries of its row).  The
+    leading axes that :func:`_float32_axes` proves exact fold in
+    float32 and the half-folded rest in float64.  Integral queries on
+    unsigned entries with ``b + q*n <= 53`` are exact throughout, so
+    their bias is subtracted once from the blend; otherwise it is
+    subtracted from every gathered corner.  The repeated fractions and
+    the float64 rest live in per-thread scratch reused across calls.
     """
     n, count = frac.shape
     m = table.shape[-1]
-    offsets = _corner_offsets(n, table.shape[0])[:, None]
-    flat = np.ascontiguousarray(table).reshape(-1, m)
-    word = _ROW_WORDS.get(m * flat.itemsize)
-    if word is not None:
-        # one table row per machine word: a 1-D gather instead of a row gather
-        flat = flat.view(word).reshape(-1)
+    word = _ROW_WORDS.get(m * table.itemsize)
+    if cells is None:
+        offsets = _corner_offsets(n, table.shape[0])[:, None]
+        flat = np.ascontiguousarray(table).reshape(-1, m)
+        if word is not None:
+            # one table row per machine word: a 1-D gather instead of a row gather
+            flat = flat.view(word).reshape(-1)
     narrow = _float32_axes(table, frac.dtype)
     corner_bias, blend_bias = bias, 0.0
     if bias and narrow and 8 * table.itemsize + _table_q(table) * n <= 53:
@@ -393,13 +479,18 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
         # in float64 too, so the bias may leave the blend instead of each corner
         corner_bias, blend_bias = 0.0, bias
     out = np.empty((count, m), dtype=np.float64)
-    for start in range(0, count, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, count)
-        idx = offsets + rows[start:stop]
-        if word is None:
-            gathered = flat[idx]
+    step = max(1, _CHUNK_ROWS // m)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        if cells is not None:
+            gathered = np.take(cells, rows[start:stop], axis=0)
+            gathered = (gathered.reshape(stop - start, 1 << n, m) if word is None
+                        else gathered.view(word))
+            gathered = np.ascontiguousarray(gathered.swapaxes(0, 1)).view(table.dtype)
+        elif word is None:
+            gathered = flat[offsets + rows[start:stop]]
         else:
-            gathered = np.take(flat, idx).view(table.dtype)
+            gathered = np.take(flat, offsets + rows[start:stop]).view(table.dtype)
         acc = gathered.reshape(1 << n, -1).astype(np.float32 if narrow else np.float64)
         if corner_bias:
             acc -= corner_bias
@@ -477,8 +568,8 @@ def query_batch(lut, patches) -> np.ndarray:
     integral = bool(np.all(patches == np.floor(patches)))
     cells, frac = _decompose_arrays(np.ascontiguousarray(patches.T), lut.q,
                                     _fold_dtype(lut, integral))
-    return _fold_corners(lut.entries, _flat_rows(cells, lut.lattice_points), frac,
-                         lut.bias)
+    return _fold_corners(lut.entries, _flat_rows(cells, _row_radix(lut)), frac,
+                         lut.bias, _cell_table(lut))
 
 
 def lattice_values(q: int) -> np.ndarray:
@@ -500,13 +591,15 @@ def bake_real(oracle, q: int, n: int, m: int, chunk: int = 4096) -> RealLut:
     """
     _check_geometry(q, n, m)
     lattice = lattice_size(q)
-    axis = lattice_values(q)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    total = points.shape[0]
+    # per axis, the uint8 lattice index of every point in C order; each
+    # block scales its slice to pixel values (lattice_values), so no
+    # float array of every lattice point is made
+    cells = [g.reshape(-1) for g in
+             np.meshgrid(*([np.arange(lattice, dtype=np.uint8)] * n), indexing="ij")]
+    total = cells[0].size
     out = np.empty((total, m), dtype=np.float64)
     for start in range(0, total, chunk):
-        block = points[start:start + chunk]
+        block = np.stack([c[start:start + chunk] for c in cells], axis=-1) * float(2 ** q)
         try:
             vals = np.asarray(oracle(block), dtype=np.float64)
         except Exception as exc:
@@ -539,21 +632,31 @@ def quantize(real: RealLut, bit_depth: int = 8, signed: bool = False,
 
     Returns ``(lut, report)``; the report carries the largest absolute
     rounding error among unclipped entries and the count of values that
-    fell outside the representable range and were clamped.
+    fell outside the representable range and were clamped.  Entries are
+    rounded in chunks of ``_CHUNK_ROWS``, so the float temporaries stay
+    small whatever the table size.
     """
     if bit_depth not in _UINT_DTYPES:
         raise ValueError(f"unsupported bit depth {bit_depth}")
     bias = 2 ** (bit_depth - 1) if signed else 0
     top = 2 ** bit_depth - 1
-    raw = round_half_away(real.entries) + bias
-    clipped = int(np.count_nonzero((raw < 0) | (raw > top)))
-    stored = np.clip(raw, 0, top).astype(_UINT_DTYPES[bit_depth])
-    back = stored.astype(np.float64) - bias
-    unclipped = (raw >= 0) & (raw <= top)
-    if unclipped.any():
-        max_err = float(np.max(np.abs(back - real.entries)[unclipped]))
-    else:
-        max_err = float("inf")
+    entries = real.entries.reshape(-1)
+    stored = np.empty(entries.shape, _UINT_DTYPES[bit_depth])
+    clipped, max_err = 0, float("-inf")
+    for start in range(0, entries.size, _CHUNK_ROWS):
+        part = entries[start:start + _CHUNK_ROWS]
+        raw = round_half_away(part) + bias
+        clipped += int(np.count_nonzero((raw < 0) | (raw > top)))
+        unclipped = (raw >= 0) & (raw <= top)
+        out = stored[start:start + _CHUNK_ROWS]
+        out[...] = np.clip(raw, 0, top, out=raw)
+        if unclipped.any():
+            back = out.astype(np.float64) - bias
+            max_err = max(max_err, float(np.max(np.abs(back - part)[unclipped])))
+    if max_err < 0.0:
+        max_err = float("inf")          # every entry was clipped
+    stored = stored.reshape(real.entries.shape)
+    stored.setflags(write=False)       # handed to the table without a copy
     cls = CoeffLut if coeff else QuantizedLut
     lut = cls(real.q, real.n, real.m, stored, bit_depth=bit_depth, signed=signed)
     return lut, QuantizeReport(max_err, clipped)
@@ -641,7 +744,8 @@ def _unpack_container(data: bytes):
     payload = payload[:need]
     if zlib.crc32(payload) & 0xFFFFFFFF != header.crc:
         raise ChecksumError("payload CRC32 does not match header")
-    entries = np.frombuffer(payload, dtype=dt).copy()
+    # read-only over immutable bytes: a quantized table keeps it uncopied
+    entries = np.frombuffer(payload, dtype=dt)
     lattice = lattice_size(header.q)
     want = lattice ** header.n * header.m
     if header.entry_count != want:

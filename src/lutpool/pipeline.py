@@ -12,10 +12,14 @@ with a tape that records the corner weights its gradient needs.  The
 kernel decomposes each pixel once per stage and table spacing q, into a
 lattice-cell plane and a fraction plane; every oriented query reads
 shifted views of those planes rather than gathering and decomposing its
-own patches.  Queries of integer-valued stacks fold the leading axes of
-their table corners in float32 for as long as that is exact and the
-rest in float64 (see :func:`lutpool.lut._float32_axes`), so the result
-is the same in every bit.
+own patches.  A quantized table reads each query as one row of its
+cached cell table (see :func:`lutpool.lut._pack_cells`), so its base
+rows count cells; real tables and quantized tables past the cell-table
+cap gather 2**n lattice rows, counted over lattice points.  Queries of
+integer-valued stacks fold the leading axes of their table corners in
+float32 for as long as that is exact and the rest in float64 (see
+:func:`lutpool.lut._float32_axes`), so the result is the same in every
+bit.
 
 Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
@@ -33,8 +37,8 @@ from functools import partial
 import numpy as np
 
 from . import lut as _lut
-from .lut import (QuantizedLut, RealLut, round_half_away, _decompose_arrays,
-                  _flat_rows, _fold_dtype)
+from .lut import (QuantizedLut, RealLut, round_half_away, _cell_table,
+                  _decompose_arrays, _flat_rows, _fold_dtype, _row_radix)
 # Kept as module attributes although the stage kernel calls neither:
 # perfbench/tracing.py wraps ``pipeline.real_table`` and
 # ``pipeline.interpolate`` by name.
@@ -230,7 +234,9 @@ def _query(planes, offsets, pad: int, shape, lattice: int, dtype):
 
     ``planes`` is the (cells, fractions) decomposition of the padded
     stack; each of the n pattern offsets selects one shifted (B, h, w)
-    view of both planes.
+    view of both planes.  ``lattice`` is the per-axis count of the flat
+    rows (:func:`~lutpool.lut._row_radix`): the table's cells when it is
+    read through its cell table, its lattice points otherwise.
     """
     cells, fracs = planes
     b, h, w = shape
@@ -263,16 +269,18 @@ def _lookup(table, query, corners=None) -> np.ndarray:
     """Outputs (N, m) of ``table`` at a query (flat base rows, fractions).
 
     Without ``corners`` the corner fold reads the table in its stored
-    dtype, accumulating in the fractions' dtype.  With a preallocated
-    (2**n, N) pair of index and weight arrays (a real-valued table
-    only), the corner weights are written there for the gradient
-    scatter and the rows are blended with them.
+    dtype, from its cell table where it has one, accumulating in the
+    fractions' dtype.  With a preallocated (2**n, N) pair of index and
+    weight arrays (a real-valued table only), the corner weights are
+    written there for the gradient scatter and the rows are blended
+    with them.
     """
     rows, frac = query
     # both kernels are called through the module, so that a wrap of the
     # lutpool.lut attribute (perfbench's tracer) sees every call
     if corners is None:
-        return _lut._fold_corners(table.entries, rows, frac, table.bias)
+        return _lut._fold_corners(table.entries, rows, frac, table.bias,
+                                  _cell_table(table))
     _lut.corner_weights(rows, frac, table.lattice_points, out=corners)
     return _blend(table.entries.reshape(-1, table.m), *corners)
 
@@ -325,7 +333,7 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     del padded
 
     def query(table, offsets):
-        return _query(planes[table.q], offsets, pad, stack.shape, table.lattice_points,
+        return _query(planes[table.q], offsets, pad, stack.shape, _row_radix(table),
                       _fold_dtype(table, integral))
 
     if need_alpha:

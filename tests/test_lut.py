@@ -1,6 +1,7 @@
 """Lattice table storage, decomposition, interpolation, and container I/O."""
 
 import itertools
+import sys
 import threading
 import tracemalloc
 
@@ -38,8 +39,9 @@ from lutpool import (
 )
 import lutpool.lut as lut_module
 from lutpool.lut import (FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MAGIC,
-                         _CHUNK_ROWS, _decompose_arrays, _flat_rows, _float32_axes,
-                         _fold_corners, _fold_dtype, _pack_container, real_table)
+                         _CELL_TABLE_BYTES, _CHUNK_ROWS, _cell_table, _decompose_arrays,
+                         _flat_rows, _float32_axes, _fold_corners, _fold_dtype,
+                         _pack_cells, _pack_container, _row_radix, real_table)
 from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN
 
 
@@ -251,11 +253,14 @@ class TestQueryKernel:
             assert got.dtype == np.float64
             np.testing.assert_array_equal(got, want, err_msg=f"q={q} m={m} signed={signed}")
 
-    @pytest.mark.parametrize("m", [1, 3, 4])
+    @pytest.mark.parametrize("m", [1, 3, 4, 16])
     def test_chunk_boundaries(self, m):
+        # a chunk holds _CHUNK_ROWS // m queries; q4 n4 m16 is past the
+        # cell-table cap, so its chunks gather lattice rows
         rng = np.random.default_rng(130 + m)
         lut = random_int_lut(rng, 4, 4, m, signed=True)
-        for rows in (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1):
+        step = _CHUNK_ROWS // m
+        for rows in (0, 1, step - 1, step, step + 1):
             patches = integer_patches(rng, rows, 4)
             got = query_batch(lut, patches)
             assert got.shape == (rows, m)
@@ -372,9 +377,9 @@ def fold_dtypes(monkeypatch):
     """Accumulator dtypes of every corner fold run while the spy is set."""
     seen = []
 
-    def spy(table, rows, frac, bias=0.0):
+    def spy(table, rows, frac, bias=0.0, cells=None):
         seen.append(frac.dtype)
-        return _fold_corners(table, rows, frac, bias)
+        return _fold_corners(table, rows, frac, bias, cells)
 
     monkeypatch.setattr(lut_module, "_fold_corners", spy)
     return seen
@@ -513,6 +518,172 @@ class TestFloat32Bound:
             np.testing.assert_array_equal(got, want, err_msg=f"signed={signed}")
 
 
+def packed_bytes(q, n, m, bit_depth):
+    """Bytes of the cell table of a q/n/m table with entries of ``bit_depth`` bits."""
+    return (2 ** (8 - q)) ** n * 2 ** n * m * bit_depth // 8
+
+
+def both_gathers(lut, patches):
+    """The fold of ``patches`` through the cell table and through the lattice rows."""
+    cells, frac = _decompose_arrays(np.ascontiguousarray(patches.T), lut.q,
+                                    _fold_dtype(lut, bool(np.all(patches % 1 == 0))))
+    packed = _cell_table(lut)
+    by_cell = _fold_corners(lut.entries, _flat_rows(cells, lut.lattice_points - 1), frac,
+                            lut.bias, packed)
+    by_lattice = _fold_corners(lut.entries, _flat_rows(cells, lut.lattice_points), frac,
+                               lut.bias)
+    return by_cell, by_lattice
+
+
+class TestCellTable:
+    """One packed row per query gives the bits of the 2**n lattice-row gathers."""
+
+    def test_layout(self):
+        # row r holds, in corner_weights' order, the corners of cell r
+        rng = np.random.default_rng(140)
+        for q, n, m, bit_depth in ((6, 2, 3, 8), (5, 3, 4, 16), (6, 4, 1, 8),
+                                   (7, 1, 16, 16)):
+            lut = random_int_lut(rng, q, n, m, bit_depth)
+            packed = _pack_cells(lut.entries)
+            side = lut.lattice_points - 1
+            assert packed.shape == (side ** n, 2 ** n * m)
+            assert packed.dtype == lut.entries.dtype and not packed.flags.writeable
+            for r in rng.integers(0, side ** n, 20):
+                cell = np.unravel_index(r, (side,) * n)
+                want = [lut.entries[tuple(np.add(cell, bits))]
+                        for bits in itertools.product((0, 1), repeat=n)]
+                np.testing.assert_array_equal(packed[r], np.concatenate(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_cell_gather_bitwise(self, n, bit_depth):
+        # m * itemsize in {1, 2, 4, 8} turns the rows corner-major as one
+        # word per corner row; m = 3 and m = 16 move m-entry rows
+        rng = np.random.default_rng(150 + 10 * n + bit_depth)
+        checked = 0
+        for q, m, signed in itertools.product(range(1, 8), (1, 2, 3, 4, 16),
+                                              (False, True)):
+            if (packed_bytes(q, n, m, bit_depth) > _CELL_TABLE_BYTES
+                    or lattice_size(q) ** n * m > 2_000_000):
+                continue
+            lut = random_int_lut(rng, q, n, m, bit_depth, signed)
+            assert _cell_table(lut) is not None and _row_radix(lut) == 2 ** (8 - q)
+            integral = integer_patches(rng, 300, n)
+            quarter = np.minimum(rng.integers(0, 1021, (300, n)) / 4.0, 255.0)
+            uniform = rng.uniform(0.0, 255.0, (300, n))
+            for patches in (integral, quarter, uniform):
+                by_cell, by_lattice = both_gathers(lut, patches)
+                assert by_cell.tobytes() == by_lattice.tobytes(), (q, m, signed)
+                assert query_batch(lut, patches).tobytes() == by_cell.tobytes()
+            # integral and quarter-step queries are exact: the oracle's bits
+            for patches in (integral, quarter):
+                np.testing.assert_array_equal(query_batch(lut, patches),
+                                              window_oracle(lut, patches),
+                                              err_msg=f"q={q} m={m} signed={signed}")
+            checked += 1
+        assert checked >= 10
+
+    def test_built_once_on_first_query(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(lut_module, "_pack_cells",
+                            lambda entries: built.append(1) or _pack_cells(entries))
+        lut = bake(lambda p: p[:, :1].copy(), q=4, n=4, m=1)
+        assert built == []                      # not by bake
+        patches = integer_patches(np.random.default_rng(141), 50, 4)
+        first = query_batch(lut, patches)
+        np.testing.assert_array_equal(query_batch(lut, patches), first)
+        assert built == [1]
+        assert _cell_table(lut) is _cell_table(lut)
+
+    def test_over_the_cap_gathers_lattice_rows(self, monkeypatch):
+        # q3 n4 m4 would pack into 64 MiB: it is never built and the
+        # queries count lattice points
+        assert packed_bytes(3, 4, 4, 8) > _CELL_TABLE_BYTES
+        monkeypatch.setattr(lut_module, "_pack_cells",
+                            lambda entries: pytest.fail("cell table built"))
+        rng = np.random.default_rng(142)
+        lut = random_int_lut(rng, 3, 4, 4, signed=True)
+        assert _cell_table(lut) is None and _row_radix(lut) == lattice_size(3)
+        for patches in (integer_patches(rng, 500, 4),
+                        rng.integers(0, 1021, (500, 4)) / 4.0):
+            np.testing.assert_array_equal(query_batch(lut, patches),
+                                          window_oracle(lut, patches))
+        # and the pipeline routes it the same way
+        image = rng.integers(0, 256, (21, 17)).astype(np.uint8)
+        table = random_int_lut(rng, 3, 4, 1)
+        outs = [restore_image(image, PipelineConfig(task="restore", stages=[t]))
+                for t in (table, dequantize(table))]
+        np.testing.assert_array_equal(outs[0], outs[1])
+
+    def test_first_queries_race(self):
+        # threads that all make a fresh table's first query get the
+        # lattice gather's bits, however the build interleaves
+        rng = np.random.default_rng(146)
+        entries = rng.integers(0, 256, (lattice_size(4),) * 4 + (4,))
+        patches = integer_patches(rng, 3 * _CHUNK_ROWS // 4, 4)
+        want = both_gathers(QuantizedLut(4, 4, 4, entries, signed=True), patches)[1]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                lut = QuantizedLut(4, 4, 4, entries, signed=True)
+                start = threading.Barrier(4)
+                got = []
+
+                def run():
+                    start.wait(timeout=60)
+                    got.append(query_batch(lut, patches).tobytes())
+
+                threads = [threading.Thread(target=run) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in threads)
+                assert got == [want.tobytes()] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_real_tables_gather_lattice_rows(self):
+        real = random_real_lut(np.random.default_rng(143), 5, 4, 1)
+        assert _cell_table(real) is None and _row_radix(real) == lattice_size(5)
+
+
+class TestReadOnlyEntries:
+    """Quantized entries cannot change under their cached cell table."""
+
+    def test_in_place_write_raises(self):
+        rng = np.random.default_rng(144)
+        for lut in (random_int_lut(rng, 5, 2, 3),
+                    random_int_lut(rng, 6, 2, 1, bit_depth=16, signed=True),
+                    CoeffLut(6, 2, 4, np.full((5, 5, 4), 64, np.uint8)),
+                    bake(lambda p: p[:, :1].copy(), q=6, n=2, m=1),
+                    deserialize(serialize(random_int_lut(rng, 6, 2, 2)))):
+            with pytest.raises(ValueError):
+                lut.entries[0] = 1
+            with pytest.raises(ValueError):
+                lut.entries += 1
+            with pytest.raises(AttributeError):   # the table is frozen too
+                lut.entries = np.zeros_like(lut.entries)
+
+    def test_callers_array_stays_writeable(self):
+        for dtype in (np.uint8, np.int64):
+            entries = np.zeros((5, 5, 2), dtype)
+            lut = QuantizedLut(6, 2, 2, entries)
+            assert entries.flags.writeable
+            entries[...] = 7                    # the table kept its own copy
+            assert not lut.entries.any()
+        view = np.zeros((5, 5), np.uint8)
+        lut = QuantizedLut(6, 2, 1, view[..., None])
+        view[...] = 9
+        assert view.flags.writeable and not lut.entries.any()
+
+    def test_real_entries_stay_writeable(self):
+        real = random_real_lut(np.random.default_rng(145), 6, 2, 1)
+        real.entries[...] = 1.0                 # training updates in place
+        assert (real.entries == 1.0).all()
+
+
 def fold_peak(lut, count):
     """tracemalloc peak of one corner fold of ``count`` integral queries.
 
@@ -606,6 +777,25 @@ class TestQuantize:
         lut, report = quantize(real)
         assert report.max_error <= 0.5
         assert np.abs(dequantize(lut).entries - real.entries).max() <= 0.5
+
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_chunked_rounding_matches_whole_table(self, signed):
+        # more than two rounding chunks, clipped values on both sides of
+        # every chunk seam: entries and report equal the whole-table result
+        rng = np.random.default_rng(147)
+        real = random_real_lut(rng, 4, 4, 1, scale=1.0)
+        real.entries[...] = rng.uniform(-200.0, 400.0, real.entries.shape)
+        lut, report = quantize(real, signed=signed)
+        bias = 128 if signed else 0
+        raw = round_half_away(real.entries) + bias
+        assert real.entries.size > 2 * _CHUNK_ROWS
+        np.testing.assert_array_equal(lut.entries, np.clip(raw, 0, 255))
+        inside = (raw >= 0) & (raw <= 255)
+        assert report.clipped == np.count_nonzero(~inside)
+        assert report.max_error == np.abs(raw - bias - real.entries)[inside].max()
+        # nothing representable: no rounding error to report
+        _, report = quantize(RealLut(6, 1, 1, np.full((5, 1), 1e6)))
+        assert (report.max_error, report.clipped) == (float("inf"), 5)
 
     def test_coeff_flag_builds_coeff_lut(self):
         real = RealLut(6, 1, 4, np.tile([1.0, 2.0, 3.0, 4.0], (5, 1)))
