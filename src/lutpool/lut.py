@@ -215,7 +215,7 @@ def _scratch_array(slot: str, dtype, shape) -> np.ndarray:
     return buf[:size].reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedLut:
     """Integer-valued dense table.
 
@@ -225,6 +225,7 @@ class QuantizedLut:
     to ``entry - bias`` (128 for 8-bit residual tables).  The table is
     frozen and ``entries`` read-only, never the caller's writeable array
     (that is copied), so the cell table cached from it cannot go stale.
+    Tables compare and hash by identity.
     """
 
     q: int
@@ -291,9 +292,12 @@ class CoeffLut(QuantizedLut):
         return self.m
 
 
-@dataclass
+@dataclass(eq=False)
 class RealLut:
-    """Float64 table used during training / baking (and for raw logits)."""
+    """Float64 table used during training / baking (and for raw logits).
+
+    Compares and hashes by identity, like :class:`QuantizedLut`.
+    """
 
     q: int
     n: int

@@ -9,15 +9,20 @@ pixel shuffle; earlier cascade stages refine at unit scale (m == 1).
 One kernel, :func:`stage_pass`, runs a stage on a (B, h, w) stack: a
 restored image is a stack of one, and training passes a batch of crops
 with a tape that records the corner weights its gradient needs.  The
-kernel decomposes each pixel once per stage and table spacing q, into a
-lattice-cell plane and a fraction plane; every oriented query reads
-shifted views of those planes rather than gathering and decomposing its
-own patches.  A quantized table reads each query as one row of its
-cached cell table (see :func:`lutpool.lut._pack_cells`), so its base
-rows count cells; real tables and quantized tables past the cell-table
-cap gather 2**n lattice rows, counted over lattice points.  Queries of
-integer-valued stacks fold the leading axes of their table corners in
-float32 for as long as that is exact and the rest in float64 (see
+kernel runs over bands of whole rows of at most ``_BAND_ANCHORS``
+anchors; since an output pixel depends only on its receptive field and
+each band pads its own rows exactly as the whole frame is padded, the
+bands give the bits of one whole-frame pass while only the stage's
+input, blocks and fusion weights are frame-sized.  Each band decomposes
+each pixel once per table spacing q, into a lattice-cell plane and a
+fraction plane; every oriented query reads shifted views of those
+planes rather than gathering and decomposing its own patches.  A
+quantized table reads each query as one row of its cached cell table
+(see :func:`lutpool.lut._pack_cells`), so its base rows count cells;
+real tables and quantized tables past the cell-table cap gather 2**n
+lattice rows, counted over lattice points.  Queries of integer-valued
+bands fold the leading axes of their table corners in float32 for as
+long as that is exact and the rest in float64 (see
 :func:`lutpool.lut._float32_axes`), so the result is the same in every
 bit.
 
@@ -25,7 +30,8 @@ Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
 at the very end, with round-half-away-from-zero.  With residual mode on,
 each stage adds its prediction to a baseline: the stage input itself at
-unit scale, or its bicubic upsample for the upscaling stage.
+unit scale, or its bicubic upsample for the upscaling stage, computed
+per band as those rows of :func:`bicubic_resize`.
 """
 
 from __future__ import annotations
@@ -47,6 +53,11 @@ from .orientation import (KernelPattern, OrientationSet, SQUARE_PATTERN,
                           block_permutation)
 from .pooling import (PoolingSpec, average_weights, combine, gmp_weights,
                       oap_weights)
+
+
+# Anchors per band of a stage pass (whole rows, at least one); the same
+# size as the corner fold's chunks, not a tuned knob.
+_BAND_ANCHORS = 1 << 14
 
 
 @dataclass
@@ -165,9 +176,17 @@ def _keys_kernel(x: np.ndarray) -> np.ndarray:
     return np.where(ax <= 1.0, inner, np.where(ax < 2.0, outer, 0.0))
 
 
-def _resize_axis(arr: np.ndarray, out_len: int, scale: float, axis: int) -> np.ndarray:
+def _resize_axis(arr: np.ndarray, out_len: int, scale: float, axis: int,
+                 start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Cubic resampling of ``arr`` along ``axis`` to ``out_len`` samples.
+
+    Only the output indices [start, stop) are computed (all of them by
+    default).  Sample positions come from the global output index, so
+    the range equals that slice of the full result bit for bit.
+    """
     in_len = arr.shape[axis]
-    pos = (np.arange(out_len, dtype=np.float64) + 0.5) / scale - 0.5
+    stop = out_len if stop is None else stop
+    pos = (np.arange(start, stop, dtype=np.float64) + 0.5) / scale - 0.5
     shrink = min(scale, 1.0)  # widen the kernel when minifying
     support = 2.0 / shrink
     first = np.floor(pos - support).astype(np.int64) + 1
@@ -177,9 +196,9 @@ def _resize_axis(arr: np.ndarray, out_len: int, scale: float, axis: int) -> np.n
     weights = weights / weights.sum(axis=1, keepdims=True)
     taps = np.clip(taps, 0, in_len - 1)  # replicate boundary
     moved = np.moveaxis(arr, axis, 0)
-    out = np.zeros((out_len,) + moved.shape[1:], dtype=np.float64)
+    out = np.zeros((len(pos),) + moved.shape[1:], dtype=np.float64)
     for t in range(ntaps):
-        w = weights[:, t].reshape((out_len,) + (1,) * (moved.ndim - 1))
+        w = weights[:, t].reshape((len(pos),) + (1,) * (moved.ndim - 1))
         out += w * moved[taps[:, t]]
     return np.moveaxis(out, 0, axis)
 
@@ -289,24 +308,18 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
                alpha=None, counters: QueryCounter | None = None, tape=None):
     """One stage on a (B, h, w) stack of in-range images.
 
-    The stack is edge-padded once and decomposed once per distinct
-    sampling exponent q among the stage tables (and the oap coefficient
-    table) into two planes: uint8 lattice cells and in-cell fractions.
-    The padded copy is dropped once the planes are built.  Every
-    (rotation, pattern) query then takes its flat base rows and
-    axis-major fractions from shifted views of the planes, is read from
-    its table and unrotated; the planes are dropped before the
-    (k, B*h*w, rs*rs) ensemble is fused by the configured pooling
-    (``alpha`` passes precomputed oap weights) and the residual baseline
-    is added.  Returns the unclamped per-anchor blocks (B*h*w, rs*rs)
-    and the fusion weights (k, B*h*w).
-
-    Fractions are float32 when the stack is integer-valued (they are
-    then exact multiples of 2**-q).  A table whose first fold axis is
-    provably exact in float32 (:func:`~lutpool.lut._fold_dtype`) keeps
-    them and folds in float32 up to the exactness bound, in float64
-    beyond it, with its bias removed once; every other query is widened
-    to float64.  Both give the same bits.
+    Returns the unclamped per-anchor blocks (B*h*w, rs*rs) and the fusion
+    weights (k, B*h*w).  The stage runs over bands of whole rows of at
+    most ``_BAND_ANCHORS`` anchors (at least one row per band); each band
+    pads, decomposes, queries, fuses and adds its residual baseline on its
+    own rows (see :func:`_stage_band`), so only the stack, the blocks and
+    the weights are frame-sized.  An output pixel depends only on its own
+    receptive field, and the band's padded rows are exactly those rows of
+    the whole stack's edge padding, so the bands give the bits of one
+    pass.  A stack that fits one band, and every pass with a ``tape``,
+    runs as a single band that returns its arrays as they are.  ``alpha``
+    (precomputed oap weights of the whole stack) is sliced per band and
+    ``counters`` add up over the bands.
 
     Training passes a dict as ``tape``: queries then stay float64, every
     table, the oap coefficient table included, is queried through
@@ -316,7 +329,53 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     computed oap weights, ``"coeff"``.
     """
     b, h, w = stack.shape
-    count = b * h * w
+    band_rows = h if tape is not None else max(1, _BAND_ANCHORS // (b * w))
+    if band_rows >= h:
+        return _stage_band(stack, 0, h, stage_luts, config, rs, alpha, counters, tape)
+    k = config.orientations.k
+    m = rs * rs
+    blocks = np.empty((b, h, w, m))
+    weights = np.empty((k, b, h, w))
+    if alpha is not None:
+        alpha = alpha.reshape(k, b, h, w)
+    for y0 in range(0, h, band_rows):
+        y1 = min(h, y0 + band_rows)
+        band_alpha = None if alpha is None else alpha[:, :, y0:y1].reshape(k, -1)
+        pred, wts = _stage_band(stack, y0, y1, stage_luts, config, rs, band_alpha,
+                                counters, None)
+        blocks[:, y0:y1] = pred.reshape(b, y1 - y0, w, m)
+        weights[:, :, y0:y1] = wts.reshape(k, b, y1 - y0, w)
+    return blocks.reshape(-1, m), weights.reshape(k, -1)
+
+
+def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs: int,
+                alpha, counters, tape):
+    """:func:`stage_pass` on the anchors of rows [y0, y1) of the stack.
+
+    The band takes the stack's rows [y0 - pad, y1 + pad), clamped to the
+    frame, and edge-pads only the rows missing at the frame's top and
+    bottom, plus the columns: exactly those rows of the whole stack's
+    padding.  It is decomposed once per distinct sampling exponent q
+    among the stage tables (and the oap coefficient table) into two
+    planes, uint8 lattice cells and in-cell fractions, and the padded copy
+    is dropped.  Every (rotation, pattern) query then takes its flat base
+    rows and axis-major fractions from shifted views of the planes, is
+    read from its table and unrotated; the planes are dropped before the
+    (k, N, rs*rs) ensemble is fused by the configured pooling (``alpha``
+    holds the band's precomputed oap weights) and the residual baseline of
+    the band's rows is added.  Returns the band's blocks (N, rs*rs) and
+    weights (k, N), N = B * (y1 - y0) * w.
+
+    Fractions are float32 when the band's input rows are integer-valued
+    (they are then exact multiples of 2**-q).  A table whose first fold
+    axis is provably exact in float32 (:func:`~lutpool.lut._fold_dtype`)
+    keeps them and folds in float32 up to the exactness bound, in float64
+    beyond it, with its bias removed once; every other query is widened
+    to float64.  Both give the same bits, so bands may differ in this.
+    """
+    b, h, w = stack.shape
+    shape = (b, y1 - y0, w)
+    count = math.prod(shape)
     m = rs * rs
     pool = config.pooling
     rotations = config.orientations.rotations
@@ -325,15 +384,18 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     need_alpha = pool.kind == "oap" and alpha is None
     # one padding serves the stage patterns and the coefficient pattern
     pad = max(p.reach for p in (*config.patterns, config.coeff_pattern)) + config.padding
-    padded = np.pad(stack, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
-    integral = tape is None and bool(np.all(stack == np.floor(stack)))
+    lo, hi = max(0, y0 - pad), min(h, y1 + pad)
+    src = stack[:, lo:hi]
+    padded = np.pad(src, ((0, 0), (pad - (y0 - lo), pad - (hi - y1)), (pad, pad)),
+                    mode="edge")
+    integral = tape is None and bool(np.all(src == np.floor(src)))
     qs = {table.q for table in stage_luts} | ({pool.coeff_lut.q} if need_alpha else set())
     planes = {q: _decompose_arrays(padded, q, np.float32 if integral else np.float64)
               for q in qs}
     del padded
 
     def query(table, offsets):
-        return _query(planes[table.q], offsets, pad, stack.shape, _row_radix(table),
+        return _query(planes[table.q], offsets, pad, shape, _row_radix(table),
                       _fold_dtype(table, integral))
 
     if need_alpha:
@@ -378,11 +440,13 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
 
     if config.residual:
         if rs == 1:
-            pred += stack.reshape(count, 1)
+            pred += stack[:, y0:y1].reshape(count, 1)
         else:
-            # the stack's images ride on the channel axis of bicubic_resize
-            up = bicubic_resize(stack.transpose(1, 2, 0), rs).transpose(2, 0, 1)
-            pred += _to_blocks(up, rs)
+            # the stack's images ride on the channel axis of the resampler;
+            # the row pass computes the band's output rows only
+            up = _resize_axis(stack.transpose(1, 2, 0), h * rs, rs, 0, y0 * rs, y1 * rs)
+            up = _resize_axis(up, w * rs, rs, 1)
+            pred += _to_blocks(up.transpose(2, 0, 1), rs)
     return pred, weights
 
 
@@ -399,13 +463,17 @@ def _run_real(image: np.ndarray, config: PipelineConfig,
         raise ValueError("pixel values must lie in [0, 255]")
 
     alpha = None
+    share = config.pooling.kind == "oap" and config.share_oap_across_stages
     for t, stage_luts in enumerate(config.stages):
         rs = config.scale if (config.task == "sr" and t == config.num_stages - 1) else 1
         h, w = x.shape
         blocks, weights = stage_pass(x[None], stage_luts, config, rs, alpha, counters)
-        if config.pooling.kind == "oap" and config.share_oap_across_stages:
-            alpha = weights      # the first stage's weights serve every stage
-        x = np.clip(pixel_shuffle(blocks.reshape(h, w, rs, rs)), 0.0, 255.0)
+        # the first stage's oap weights serve every later stage
+        alpha = weights if share and t + 1 < config.num_stages else None
+        del weights
+        x = pixel_shuffle(blocks.reshape(h, w, rs, rs))
+        del blocks
+        np.clip(x, 0.0, 255.0, out=x)   # a fresh array: the stage's own output
     return x
 
 

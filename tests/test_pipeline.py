@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,7 +36,8 @@ from lutpool import (
     rotate_patch,
     round_half_away,
 )
-from lutpool.pipeline import _run_real
+from lutpool import pipeline
+from lutpool.pipeline import _resize_axis, _run_real, stage_pass
 from tests.test_pooling import constant_entry_coeff
 
 
@@ -488,8 +490,10 @@ class TestConcurrentRestores:
         # oap restores (their q5 m4 coefficient table folds 3 axes in
         # float32 and 1 in float64) and gmp x2 SR restores (signed m4
         # tables, repeated float32 fractions) use both scratch slots;
-        # every frame spans more than one fold chunk.  More threads than
-        # cores and a short switch interval interleave the folds.
+        # every frame holds more than 2**14 anchors, so each stage runs
+        # as two bands of rows and each band spans more than one fold
+        # chunk.  More threads than cores and a short switch interval
+        # interleave the folds.
         oap = TestSmallFrames.config("oap")
         sr = TestSmallFrames.config("sr")
         rng = np.random.default_rng(41)
@@ -520,3 +524,221 @@ class TestConcurrentRestores:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [[w] * rounds for w in want]
+
+
+def sdy_tables(rng, m, signed, patterns=(SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN), q=4):
+    """One random quantized table per pattern (signed ones stay near zero)."""
+    lo, hi = (96, 161) if signed else (0, 256)
+    shape = (lattice_size(q),) * 4 + (m,)
+    return [QuantizedLut(q, 4, m, rng.integers(lo, hi, shape), signed=signed)
+            for _ in patterns]
+
+
+def band_configs():
+    """The pipelines the banded stage pass is checked on, by name."""
+    rng = np.random.default_rng(51)
+    sdy = [SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN]
+    coeff = CoeffLut(5, 4, 4, rng.integers(0, 256, (lattice_size(5),) * 4 + (4,)))
+    oap = PoolingSpec(kind="oap", coeff_lut=coeff)
+    gmp = PoolingSpec(kind="gmp", tau=8.0)
+    return {
+        "sdy-average-2": PipelineConfig(
+            task="restore", patterns=sdy,
+            stages=[sdy_tables(rng, 1, False), sdy_tables(rng, 1, False)]),
+        "oap-shared-2": PipelineConfig(
+            task="restore", patterns=sdy, pooling=oap,
+            stages=[sdy_tables(rng, 1, False), sdy_tables(rng, 1, False)]),
+        "oap-per-stage-2": PipelineConfig(
+            task="restore", patterns=sdy, pooling=oap, share_oap_across_stages=False,
+            stages=[sdy_tables(rng, 1, False), sdy_tables(rng, 1, False)]),
+        "sdy-x2-gmp": PipelineConfig(
+            task="sr", scale=2, patterns=sdy, pooling=gmp, residual=True,
+            stages=[sdy_tables(rng, 4, True)]),
+        "s-x3-gmp": PipelineConfig(
+            task="sr", scale=3, pooling=gmp, residual=True,
+            stages=[sdy_tables(rng, 9, True, [SQUARE_PATTERN], q=5)]),
+        "restore-then-x2": PipelineConfig(
+            task="sr", scale=2, patterns=sdy, residual=True,
+            pooling=PoolingSpec(kind="gmp", tau=4.0, norm="l1"),
+            stages=[sdy_tables(rng, 1, True), sdy_tables(rng, 4, True)]),
+    }
+
+
+BAND_CONFIGS = band_configs()
+
+
+class TestBands:
+    """A stage pass cut into bands of rows gives the bits of one pass."""
+
+    SHAPES = [(1, 1), (1, 7), (7, 1), (37, 29), (64, 3), (23, 50)]
+
+    @staticmethod
+    def count_bands(monkeypatch):
+        calls = []
+        band = pipeline._stage_band
+
+        def spy(stack, y0, y1, *args):
+            calls.append((stack.shape, y0, y1))
+            return band(stack, y0, y1, *args)
+
+        monkeypatch.setattr(pipeline, "_stage_band", spy)
+        return calls
+
+    @pytest.mark.parametrize("integral", [True, False])
+    @pytest.mark.parametrize("name", sorted(BAND_CONFIGS))
+    def test_banded_runs_match_one_band(self, monkeypatch, name, integral):
+        config = BAND_CONFIGS[name]
+        model = query_cost_model(config)
+        rng = np.random.default_rng([len(name), integral])
+        for shape in self.SHAPES:
+            h, w = shape
+            assert h * w <= pipeline._BAND_ANCHORS   # the reference is one band
+            image = rng.integers(0, 256, shape).astype(np.float64)
+            if not integral:
+                lower = image[h // 2:]
+                lower += rng.uniform(-0.5, 0.5, lower.shape)
+                np.clip(lower, 0.0, 255.0, out=lower)
+            want = _run_real(image, config, None)
+            want_u8 = restore_image(image, config)
+            # 1 and 7 anchors, and three rows: a short last band where h % 3
+            for band in (1, 7, 3 * w):
+                monkeypatch.setattr(pipeline, "_BAND_ANCHORS", band)
+                calls = self.count_bands(monkeypatch)
+                counters = QueryCounter()
+                got = _run_real(image, config, counters)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (shape, band)
+                rows = max(1, band // w)
+                assert len(calls) == config.num_stages * -(-h // rows)
+                assert all(0 < y1 - y0 <= rows for _, y0, y1 in calls)
+                assert counters.lut_queries == image.size * model["lut_queries_per_pixel"]
+                assert counters.coeff_queries == image.size * model["coeff_queries_per_pixel"]
+                np.testing.assert_array_equal(restore_image(image, config), want_u8)
+                monkeypatch.undo()
+
+    def test_tape_pass_stays_one_band(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        stage = [random_real_stage(rng, m=4, spread=5.0)]
+        config = PipelineConfig(task="sr", scale=2, stages=[stage], residual=True,
+                                pooling=PoolingSpec(kind="gmp", tau=8.0))
+        stack = rng.integers(0, 256, (3, 9, 11)).astype(np.float64)
+        want_tape = {}
+        want = stage_pass(stack, stage, config, 2, tape=want_tape)
+        want_plain = stage_pass(stack, stage, config, 2)
+        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 1)
+        calls = self.count_bands(monkeypatch)
+        tape = {}
+        got = stage_pass(stack, stage, config, 2, tape=tape)
+        assert calls == [(stack.shape, 0, 9)]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(tape["xs"], want_tape["xs"])
+        assert tape["corners"][0][0].shape == (4, 16, stack.size)
+        # without a tape the same pass runs one row of the stack per band
+        plain = stage_pass(stack, stage, config, 2)
+        assert [c[1:] for c in calls[1:]] == [(y, y + 1) for y in range(9)]
+        for a, b in zip(plain, want_plain):
+            assert a.tobytes() == b.tobytes()
+
+    def test_shared_oap_weights_are_sliced_per_band(self, monkeypatch):
+        config = BAND_CONFIGS["oap-shared-2"]
+        rng = np.random.default_rng(53)
+        stack = rng.integers(0, 256, (2, 11, 6)).astype(np.float64)
+        want = stage_pass(stack, config.stages[1], config, 1,
+                          alpha=stage_pass(stack, config.stages[0], config, 1)[1])
+        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 2 * 6 * 4)   # four rows
+        alpha = stage_pass(stack, config.stages[0], config, 1)[1]
+        calls = self.count_bands(monkeypatch)
+        counters = QueryCounter()
+        got = stage_pass(stack, config.stages[1], config, 1, alpha=alpha, counters=counters)
+        assert [c[1:] for c in calls] == [(0, 4), (4, 8), (8, 11)]
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert (counters.lut_queries, counters.coeff_queries) == (12 * stack.size, 0)
+
+
+class TestResizeAxisRange:
+    @pytest.mark.parametrize("scale", [2.0, 3.0, 0.5])
+    def test_range_equals_slice_of_full_result(self, scale):
+        rng = np.random.default_rng(54)
+        for arr in (rng.uniform(0, 255, (13, 17)), rng.uniform(0, 255, (13, 17, 3))):
+            for axis in (0, 1):
+                n = max(1, int(round(arr.shape[axis] * scale)))
+                full = _resize_axis(arr, n, scale, axis)
+                for start, stop in [(0, n), (0, 1), (n - 1, n), (1, n // 2 + 1),
+                                    (n // 3, n)]:
+                    part = _resize_axis(arr, n, scale, axis, start, stop)
+                    want = np.take(full, np.arange(start, stop), axis=axis)
+                    assert part.tobytes() == want.tobytes(), (arr.shape, axis, start, stop)
+
+
+class TestPeakMemorySlope:
+    """Peak bytes per input pixel of one restore, between two frame sizes.
+
+    The slope is the difference of the tracemalloc peaks of a 512x128
+    and a 256x128 restore divided by the difference of their pixel
+    counts, so the band temporaries, equal at both sizes, cancel.  With
+    every stage run over the whole frame at once the slopes were 122.2
+    B/px for the S/q4 oap restore and 488.0 B/px for the x2 S+D+Y gmp
+    residual restore.  Run in bands of 2**14 anchors (whole 128-pixel
+    rows here) they are 48.0 and 72.1 B/px: the float64 input, the
+    blocks and the k = 4 weights, which remain whole.
+    """
+
+    SHAPES = ((256, 128), (512, 128))
+
+    @staticmethod
+    def slope(config, shapes):
+        rng = np.random.default_rng(55)
+        images = [rng.integers(0, 256, s).astype(np.uint8) for s in shapes]
+        for image in images:          # cell tables and fold scratch are built here
+            restore_image(image, config)
+        peaks = []
+        for image in images:
+            tracemalloc.start()
+            try:
+                restore_image(image, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return (peaks[1] - peaks[0]) / (images[1].size - images[0].size)
+
+    @staticmethod
+    def configs():
+        rng = np.random.default_rng(56)
+        coeff = CoeffLut(5, 4, 4, rng.integers(0, 256, (lattice_size(5),) * 4 + (4,)))
+        oap = PipelineConfig(task="restore", stages=[sdy_tables(rng, 1, False, [SQUARE_PATTERN])],
+                             pooling=PoolingSpec(kind="oap", coeff_lut=coeff))
+        sdy = [SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN]
+        sr = PipelineConfig(task="sr", scale=2, patterns=sdy, residual=True,
+                            pooling=PoolingSpec(kind="gmp", tau=8.0),
+                            stages=[sdy_tables(rng, 4, True)])
+        return {"oap": oap, "sdy-x2": sr}
+
+    @pytest.mark.parametrize("name,whole_frame_slope", [("oap", 122.2), ("sdy-x2", 488.0)])
+    def test_slope_at_most_half_of_whole_frame_passes(self, name, whole_frame_slope):
+        assert math.prod(self.SHAPES[0]) > pipeline._BAND_ANCHORS
+        assert self.slope(self.configs()[name], self.SHAPES) <= whole_frame_slope / 2
+
+
+class TestTableEquality:
+    """Tables compare and hash by identity, so holders of tables compare too."""
+
+    def test_tables(self):
+        z = np.zeros((lattice_size(6),) * 2 + (1,), dtype=np.uint8)
+        a, b = QuantizedLut(6, 2, 1, z), QuantizedLut(6, 2, 1, z)
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+        real = RealLut(6, 2, 1, np.zeros(z.shape))
+        assert real == real and real != real.copy()
+        coeff = constant_entry_coeff([1, 1, 1, 1])
+        assert {coeff} == {coeff}
+
+    def test_holders_of_tables(self):
+        coeff, other = constant_entry_coeff([1, 1, 1, 1]), constant_entry_coeff([1, 1, 1, 1])
+        assert PoolingSpec(kind="oap", coeff_lut=coeff) == PoolingSpec(kind="oap", coeff_lut=coeff)
+        assert PoolingSpec(kind="oap", coeff_lut=coeff) != PoolingSpec(kind="oap", coeff_lut=other)
+        lut = bake(lambda p: p[:, :1].copy(), q=4, n=4, m=1)
+        same = PipelineConfig(task="restore", stages=[lut])
+        assert same == PipelineConfig(task="restore", stages=[lut])
+        assert same != PipelineConfig(task="restore", stages=[lut.as_real()])
