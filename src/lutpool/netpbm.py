@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 
 
@@ -45,6 +48,12 @@ def read_pnm(path) -> np.ndarray:
             raise PnmError(f"only maxval 255 is supported, got {maxval}")
         channels = 3 if magic == b"P6" else 1
         need = width * height * channels
+        # check the claim against a regular file before reading: read(need)
+        # would allocate whatever the header asks for
+        st = os.fstat(fh.fileno())
+        left = st.st_size - fh.tell()
+        if stat.S_ISREG(st.st_mode) and left < need:
+            raise PnmError(f"payload holds {left} bytes, header needs {need}")
         data = fh.read(need)
         if len(data) != need:
             raise PnmError(f"payload holds {len(data)} bytes, header needs {need}")

@@ -16,6 +16,7 @@ is a counter-clockwise rotation by the same r (see
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +49,9 @@ class KernelPattern:
             raise ValueError(f"pattern {self.name!r} has duplicate offsets")
         if (0, 0) not in offs:
             raise ValueError(f"pattern {self.name!r} must contain the anchor (0, 0)")
+        # every query rotates the pattern, so the four turns are made once
+        object.__setattr__(self, "_turns", tuple(
+            tuple(rotate_offset(o, r) for o in offs) for r in range(4)))
 
     @property
     def n(self) -> int:
@@ -59,7 +63,7 @@ class KernelPattern:
         return max(max(abs(dr), abs(dc)) for dr, dc in self.offsets)
 
     def rotated(self, r: int) -> tuple:
-        return tuple(rotate_offset(o, r) for o in self.offsets)
+        return self._turns[r % 4]
 
 
 SQUARE_PATTERN = KernelPattern("S", ((0, 0), (0, 1), (1, 0), (1, 1)))
@@ -112,13 +116,19 @@ def rotate_patch(image, anchor, pattern: KernelPattern, r: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def block_permutation(m: int, r: int) -> np.ndarray:
-    """Index map realizing :func:`unrotate_output` on flat m-vectors."""
+    """Index map realizing :func:`unrotate_output` on flat m-vectors.
+
+    Cached per (m, r), and read-only for that reason.
+    """
     side = math.isqrt(m)
     if side * side != m:
         raise ValueError(f"output count {m} is not a square (and not 1)")
     grid = np.arange(m).reshape(side, side)
-    return np.rot90(grid, r % 4).ravel()
+    perm = np.rot90(grid, r % 4).ravel()
+    perm.setflags(write=False)
+    return perm
 
 
 def unrotate_output(block, r: int) -> np.ndarray:

@@ -12,26 +12,31 @@ with a tape that records the corner weights its gradient needs.  The
 kernel runs over bands of whole rows of at most ``_BAND_ANCHORS``
 anchors; since an output pixel depends only on its receptive field and
 each band pads its own rows exactly as the whole frame is padded, the
-bands give the bits of one whole-frame pass while only the stage's
-input, blocks and fusion weights are frame-sized.  Each band decomposes
-each pixel once per table spacing q, into a lattice-cell plane and a
-fraction plane; every oriented query reads shifted views of those
-planes rather than gathering and decomposing its own patches.  A
-quantized table reads each query as one row of its cached cell table
-(see :func:`lutpool.lut._pack_cells`), so its base rows count cells;
-real tables and quantized tables past the cell-table cap gather 2**n
-lattice rows, counted over lattice points.  Queries of integer-valued
-bands fold the leading axes of their table corners in float32 for as
-long as that is exact and the rest in float64 (see
+bands give the bits of one whole-frame pass.  An image streams each
+stage's bands into their rows of the stage's output raster, so only
+the stage's input and output are frame-sized: the input image is read
+as it is (an integer-typed one is widened band by band), the last stage
+writes uint8 rows, and fusion weights are kept whole only when a later
+stage shares them.  Each band decomposes each pixel once per table
+spacing q, into a lattice-cell plane and a fraction plane; every
+oriented query reads shifted views of those planes rather than
+gathering and decomposing its own patches.  A quantized table reads
+each query as one row of its cached cell table (see
+:func:`lutpool.lut._pack_cells`), so its base rows count cells; real
+tables and quantized tables past the cell-table cap gather 2**n lattice
+rows, counted over lattice points.  Queries of integer-valued bands
+fold the leading axes of their table corners in float32 for as long as
+that is exact and the rest in float64 (see
 :func:`lutpool.lut._float32_axes`), so the result is the same in every
 bit.
 
 Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
-at the very end, with round-half-away-from-zero.  With residual mode on,
-each stage adds its prediction to a baseline: the stage input itself at
-unit scale, or its bicubic upsample for the upscaling stage, computed
-per band as those rows of :func:`bicubic_resize`.
+as the last stage writes its rows, with round-half-away-from-zero.  With
+residual mode on, each stage adds its prediction to a baseline: the
+stage input itself at unit scale, or its bicubic upsample for the
+upscaling stage, computed per band as those rows of
+:func:`bicubic_resize`.
 """
 
 from __future__ import annotations
@@ -199,7 +204,8 @@ def _resize_axis(arr: np.ndarray, out_len: int, scale: float, axis: int,
     out = np.zeros((len(pos),) + moved.shape[1:], dtype=np.float64)
     for t in range(ntaps):
         w = weights[:, t].reshape((len(pos),) + (1,) * (moved.ndim - 1))
-        out += w * moved[taps[:, t]]
+        # integer rows are widened first: a mixed-dtype multiply is buffered
+        out += w * moved[taps[:, t]].astype(np.float64, copy=False)
     return np.moveaxis(out, 0, axis)
 
 
@@ -310,16 +316,13 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
 
     Returns the unclamped per-anchor blocks (B*h*w, rs*rs) and the fusion
     weights (k, B*h*w).  The stage runs over bands of whole rows of at
-    most ``_BAND_ANCHORS`` anchors (at least one row per band); each band
-    pads, decomposes, queries, fuses and adds its residual baseline on its
-    own rows (see :func:`_stage_band`), so only the stack, the blocks and
-    the weights are frame-sized.  An output pixel depends only on its own
-    receptive field, and the band's padded rows are exactly those rows of
-    the whole stack's edge padding, so the bands give the bits of one
-    pass.  A stack that fits one band, and every pass with a ``tape``,
-    runs as a single band that returns its arrays as they are.  ``alpha``
-    (precomputed oap weights of the whole stack) is sliced per band and
-    ``counters`` add up over the bands.
+    most ``_BAND_ANCHORS`` anchors (see :func:`_bands`); the bands' arrays
+    are copied into the returned ones.  A stack that fits one band, and
+    every pass with a ``tape``, runs as a single band that returns its
+    arrays as they are.  ``alpha`` (precomputed oap weights of the whole
+    stack) is sliced per band and ``counters`` add up over the bands.
+    The image pipeline does not call this: it consumes :func:`_bands`
+    directly and keeps no frame-sized blocks or weights.
 
     Training passes a dict as ``tape``: queries then stay float64, every
     table, the oap coefficient table included, is queried through
@@ -329,23 +332,47 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     computed oap weights, ``"coeff"``.
     """
     b, h, w = stack.shape
-    band_rows = h if tape is not None else max(1, _BAND_ANCHORS // (b * w))
-    if band_rows >= h:
+    if tape is not None or _band_rows(stack) >= h:
         return _stage_band(stack, 0, h, stage_luts, config, rs, alpha, counters, tape)
     k = config.orientations.k
     m = rs * rs
     blocks = np.empty((b, h, w, m))
     weights = np.empty((k, b, h, w))
-    if alpha is not None:
-        alpha = alpha.reshape(k, b, h, w)
-    for y0 in range(0, h, band_rows):
-        y1 = min(h, y0 + band_rows)
-        band_alpha = None if alpha is None else alpha[:, :, y0:y1].reshape(k, -1)
-        pred, wts = _stage_band(stack, y0, y1, stage_luts, config, rs, band_alpha,
-                                counters, None)
+    for y0, y1, pred, wts in _bands(stack, stage_luts, config, rs, alpha, counters):
         blocks[:, y0:y1] = pred.reshape(b, y1 - y0, w, m)
         weights[:, :, y0:y1] = wts.reshape(k, b, y1 - y0, w)
     return blocks.reshape(-1, m), weights.reshape(k, -1)
+
+
+def _band_rows(stack) -> int:
+    """Rows per band of a stage pass: at most ``_BAND_ANCHORS`` anchors, at least one row."""
+    b, _, w = stack.shape
+    return max(1, _BAND_ANCHORS // (b * w))
+
+
+def _bands(stack, stage_luts, config: PipelineConfig, rs: int, alpha, counters):
+    """A stage pass without a tape, one band of rows at a time.
+
+    Yields ``(y0, y1, blocks, weights)`` for the rows [y0, y1) of the
+    stack, top to bottom, with the band's unclamped blocks (N, rs*rs)
+    and fusion weights (k, N), N = B * (y1 - y0) * w.  Each band pads,
+    decomposes, queries, fuses and adds its residual baseline on its own
+    rows (see :func:`_stage_band`).  An output pixel depends only on its
+    own receptive field, and the band's padded rows are exactly those
+    rows of the whole stack's edge padding, so the bands give the bits of
+    one whole-stack pass.  ``alpha`` (oap weights of the whole stack,
+    (k, B*h*w)) is sliced per band.
+    """
+    b, h, w = stack.shape
+    k = config.orientations.k
+    rows = _band_rows(stack)
+    if alpha is not None:
+        alpha = alpha.reshape(k, b, h, w)
+    for y0 in range(0, h, rows):
+        y1 = min(h, y0 + rows)
+        band_alpha = None if alpha is None else alpha[:, :, y0:y1].reshape(k, -1)
+        yield (y0, y1) + _stage_band(stack, y0, y1, stage_luts, config, rs, band_alpha,
+                                     counters, None)
 
 
 def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs: int,
@@ -366,12 +393,15 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
     the band's rows is added.  Returns the band's blocks (N, rs*rs) and
     weights (k, N), N = B * (y1 - y0) * w.
 
-    Fractions are float32 when the band's input rows are integer-valued
-    (they are then exact multiples of 2**-q).  A table whose first fold
-    axis is provably exact in float32 (:func:`~lutpool.lut._fold_dtype`)
-    keeps them and folds in float32 up to the exactness bound, in float64
-    beyond it, with its bias removed once; every other query is widened
-    to float64.  Both give the same bits, so bands may differ in this.
+    The stack may be integer-typed (an image as it was given): the band's
+    rows are then widened to float64 as they are decomposed, and are
+    integral without a scan.  Fractions are float32 when the band's
+    input rows are integer-valued (they are then exact multiples of
+    2**-q).  A table whose first fold axis is provably exact in float32
+    (:func:`~lutpool.lut._fold_dtype`) keeps them and folds in float32 up
+    to the exactness bound, in float64 beyond it, with its bias removed
+    once; every other query is widened to float64.  Both give the same
+    bits, so bands may differ in this.
     """
     b, h, w = stack.shape
     shape = (b, y1 - y0, w)
@@ -388,7 +418,8 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
     src = stack[:, lo:hi]
     padded = np.pad(src, ((0, 0), (pad - (y0 - lo), pad - (hi - y1)), (pad, pad)),
                     mode="edge")
-    integral = tape is None and bool(np.all(src == np.floor(src)))
+    # an integer-typed stack is integral; its rows widen as they decompose
+    integral = tape is None and (src.dtype.kind in "ui" or bool(np.all(src == np.floor(src))))
     qs = {table.q for table in stage_luts} | ({pool.coeff_lut.q} if need_alpha else set())
     planes = {q: _decompose_arrays(padded, q, np.float32 if integral else np.float64)
               for q in qs}
@@ -450,35 +481,58 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
     return pred, weights
 
 
-def _run_real(image: np.ndarray, config: PipelineConfig,
-              counters: QueryCounter | None) -> np.ndarray:
-    """All stages on a float image; returns the unquantized result."""
+def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
+              dtype=np.float64) -> np.ndarray:
+    """All stages on an image; the last one writes its raster as ``dtype``.
+
+    Each stage streams its bands: a band's blocks are clamped to [0, 255]
+    and pixel-shuffled into its own rows of the stage's output raster,
+    float64 for every stage but the last.  With ``dtype`` uint8 the last
+    stage's rows are rounded half away from zero as they are written,
+    so no frame-sized float64 result, blocks or rounding temporaries
+    exist.  An integer-typed image is read as it is (each band widens its
+    own rows); any other input is converted to float64 first.  Fusion
+    weights are assembled whole only when later stages share them.
+    """
     config.validate()
-    x = np.asarray(image, dtype=np.float64)
+    x = np.asarray(image)
+    if x.dtype.kind not in "ui":
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a 2-D grayscale image")
     if x.size == 0:
         raise ValueError("empty image")
-    if not (x.min() >= 0.0 and x.max() <= 255.0):   # NaN fails this too
+    if not (x.min() >= 0 and x.max() <= 255):   # NaN fails this too
         raise ValueError("pixel values must lie in [0, 255]")
 
+    k = config.orientations.k
     alpha = None
     share = config.pooling.kind == "oap" and config.share_oap_across_stages
     for t, stage_luts in enumerate(config.stages):
-        rs = config.scale if (config.task == "sr" and t == config.num_stages - 1) else 1
+        last = t + 1 == config.num_stages
+        rs = config.scale if (config.task == "sr" and last) else 1
         h, w = x.shape
-        blocks, weights = stage_pass(x[None], stage_luts, config, rs, alpha, counters)
+        out = np.empty((h * rs, w * rs), dtype=dtype if last else np.float64)
         # the first stage's oap weights serve every later stage
-        alpha = weights if share and t + 1 < config.num_stages else None
-        del weights
-        x = pixel_shuffle(blocks.reshape(h, w, rs, rs))
-        del blocks
-        np.clip(x, 0.0, 255.0, out=x)   # a fresh array: the stage's own output
+        weights = np.empty((k, h * w)) if share and not last and alpha is None else None
+        for y0, y1, blocks, wts in _bands(x[None], stage_luts, config, rs, alpha, counters):
+            if weights is not None:
+                weights[:, y0 * w:y1 * w] = wts
+            np.clip(blocks, 0.0, 255.0, out=blocks)
+            if out.dtype != np.float64:
+                blocks = round_half_away(blocks)
+            out[y0 * rs:y1 * rs] = pixel_shuffle(blocks.reshape(y1 - y0, w, rs, rs))
+        if weights is not None:
+            alpha = weights
+        x = out
     return x
 
 
 def restore_image(image, config: PipelineConfig,
                   counters: QueryCounter | None = None) -> np.ndarray:
-    """Run the configured pipeline and quantize once at the end (uint8)."""
-    out = _run_real(image, config, counters)
-    return round_half_away(out).astype(np.uint8)
+    """Run the configured pipeline and quantize once at the end (uint8).
+
+    The last stage rounds half away from zero band by band and writes
+    uint8 rows straight into the result (see :func:`_run_real`).
+    """
+    return _run_real(image, config, counters, np.uint8)

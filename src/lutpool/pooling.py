@@ -109,10 +109,13 @@ def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
         return softmax(raw, axis=1).T
     if isinstance(coeff, CoeffLut) or (
             isinstance(coeff, QuantizedLut) and not coeff.signed):
-        # rows of zero total keep the uniform fill; the rest divide in place
         total = np.sum(raw, axis=1, keepdims=True)
+        positive = total > 0.0
+        if positive.all():
+            return (raw / total).T
+        # rows of zero total keep the uniform fill; the rest divide in place
         w = np.full_like(raw, 1.0 / raw.shape[1])
-        np.divide(raw, total, out=w, where=total > 0.0)
+        np.divide(raw, total, out=w, where=positive)
         return w.T
     raise TypeError("coefficient table must be a CoeffLut or RealLut")
 

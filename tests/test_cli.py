@@ -102,6 +102,14 @@ class TestRestore:
         assert run("restore", "--input", str(tmp_path / "nope.pgm"),
                    "--out", str(tmp_path / "o.pgm"), "--lut", str(lut)) == 2
 
+    def test_oversized_header_claim(self, tmp_path):
+        lut = tmp_path / "ident.lut"
+        run("bake", "--rule", "identity", "--q", "4", "--out", str(lut))
+        src = tmp_path / "huge.pgm"
+        src.write_bytes(b"P5\n40000 40000\n255\n" + bytes(8))
+        assert run("restore", "--input", str(src), "--out", str(tmp_path / "o.pgm"),
+                   "--lut", str(lut)) == 2
+
     def test_corrupt_table(self, tmp_path):
         bad = tmp_path / "bad.lut"
         bad.write_bytes(bytes(64))

@@ -1,5 +1,7 @@
 """Synthetic corpus, degradations, manifests, and netpbm i/o."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,20 @@ class TestNetpbm:
             path.write_bytes(blob)
             with pytest.raises(PnmError):
                 read_pnm(path)
+
+    def test_oversized_claim_fails_before_reading(self, tmp_path):
+        # 1.6 GB claimed by a 27-byte file: rejected without allocating it
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P5\n40000 40000\n255\n" + bytes(8))
+        assert path.stat().st_size == 27
+        tracemalloc.start()
+        try:
+            with pytest.raises(PnmError, match="header needs 1600000000"):
+                read_pnm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_write_errors(self, tmp_path):
         with pytest.raises(PnmError):

@@ -616,6 +616,73 @@ class TestBands:
                 np.testing.assert_array_equal(restore_image(image, config), want_u8)
                 monkeypatch.undo()
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32])
+    @pytest.mark.parametrize("name", sorted(BAND_CONFIGS))
+    def test_input_dtypes_match_one_band_float64(self, monkeypatch, name, dtype):
+        # integer frames are widened band by band; float32 ones (with a
+        # non-integral lower half) are converted whole, as before
+        config = BAND_CONFIGS[name]
+        rng = np.random.default_rng([len(name), np.dtype(dtype).itemsize])
+        for shape in self.SHAPES:
+            h, w = shape
+            image = rng.integers(0, 256, shape).astype(dtype)
+            if dtype == np.float32:
+                lower = image[h // 2:]
+                lower += rng.integers(-2, 3, lower.shape) / np.float32(4)
+                np.clip(lower, 0, 255, out=lower)
+            reference = image.astype(np.float64)
+            want = _run_real(reference, config, None)
+            want_u8 = restore_image(reference, config)
+            # the last stage's uint8 rows are the rounded float64 result
+            assert want_u8.tobytes() == round_half_away(want).astype(np.uint8).tobytes()
+            for band in (1, 7, 3 * w):
+                monkeypatch.setattr(pipeline, "_BAND_ANCHORS", band)
+                calls = self.count_bands(monkeypatch)
+                got = _run_real(image, config, None)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (shape, band)
+                got_u8 = restore_image(image, config)
+                assert got_u8.dtype == np.uint8 and got_u8.tobytes() == want_u8.tobytes()
+                assert len(calls) == 2 * config.num_stages * -(-h // max(1, band // w))
+                monkeypatch.undo()
+
+    @pytest.mark.parametrize("name", ["oap-shared-3", "oap-per-stage-2", "sdy-average-2"])
+    def test_whole_weights_only_for_a_shared_oap_cascade(self, monkeypatch, name):
+        # a shared oap cascade keeps its first stage's weights whole for
+        # the later stages; no other pipeline assembles weights
+        if name == "oap-shared-3":
+            shared = BAND_CONFIGS["oap-shared-2"]
+            config = PipelineConfig(task="restore", patterns=shared.patterns,
+                                    pooling=shared.pooling,
+                                    stages=shared.stages + shared.stages[:1])
+        else:
+            config = BAND_CONFIGS[name]
+        rng = np.random.default_rng(57)
+        h, w = 23, 9
+        image = rng.integers(0, 256, (h, w)).astype(np.uint8)
+        want = _run_real(image, config, None)
+        want_alpha = stage_pass(image[None].astype(np.float64), config.stages[0], config, 1)[1]
+        alphas = []
+        bands = pipeline._bands
+
+        def spy(stack, stage_luts, config, rs, alpha, counters):
+            alphas.append(None if alpha is None else alpha.copy())
+            return bands(stack, stage_luts, config, rs, alpha, counters)
+
+        monkeypatch.setattr(pipeline, "_bands", spy)
+        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 2 * w)   # two rows
+        counters = QueryCounter()
+        got = _run_real(image, config, counters)
+        assert got.tobytes() == want.tobytes()
+        assert len(alphas) == config.num_stages and alphas[0] is None
+        model = query_cost_model(config)
+        assert counters.coeff_queries == image.size * model["coeff_queries_per_pixel"]
+        if name == "oap-shared-3":
+            for alpha in alphas[1:]:
+                assert alpha.shape == (4, h * w)
+                assert alpha.tobytes() == want_alpha.tobytes()
+        else:
+            assert alphas == [None] * config.num_stages
+
     def test_tape_pass_stays_one_band(self, monkeypatch):
         rng = np.random.default_rng(52)
         stage = [random_real_stage(rng, m=4, spread=5.0)]
@@ -681,8 +748,11 @@ class TestPeakMemorySlope:
     every stage run over the whole frame at once the slopes were 122.2
     B/px for the S/q4 oap restore and 488.0 B/px for the x2 S+D+Y gmp
     residual restore.  Run in bands of 2**14 anchors (whole 128-pixel
-    rows here) they are 48.0 and 72.1 B/px: the float64 input, the
-    blocks and the k = 4 weights, which remain whole.
+    rows here) they were 48.0 and 72.1 B/px: the float64 input, the
+    blocks and the k = 4 weights, which remained whole.  With each band
+    written straight into uint8 rows of the result, the uint8 input read
+    band by band and no weights kept, they are 1.04 and 4.13 B/px: the
+    uint8 output itself, 1 B per input pixel at unit scale and 4 at x2.
     """
 
     SHAPES = ((256, 128), (512, 128))
@@ -719,6 +789,10 @@ class TestPeakMemorySlope:
     def test_slope_at_most_half_of_whole_frame_passes(self, name, whole_frame_slope):
         assert math.prod(self.SHAPES[0]) > pipeline._BAND_ANCHORS
         assert self.slope(self.configs()[name], self.SHAPES) <= whole_frame_slope / 2
+
+    @pytest.mark.parametrize("name,bound", [("oap", 2.0), ("sdy-x2", 6.0)])
+    def test_slope_is_about_the_uint8_output(self, name, bound):
+        assert self.slope(self.configs()[name], self.SHAPES) <= bound
 
 
 class TestTableEquality:
