@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -29,8 +30,8 @@ from .orientation import PATTERNS, OrientationSet
 from .pipeline import (PipelineConfig, QueryCounter, bicubic_resize,
                        query_cost_model, restore_image)
 from .pooling import PoolingSpec
-from .train import (TrainConfig, TrainableLut, TrainablePipeline,
-                    evaluate_pairs, export_pipeline, finetune, train)
+from .train import (TrainConfig, TrainablePipeline, evaluate_pairs,
+                    export_pipeline, finetune, train)
 
 
 class UsageError(Exception):
@@ -56,13 +57,25 @@ def _parse_patterns(text: str):
             f"unknown pattern {exc.args[0]!r}; choices: {', '.join(PATTERNS)}")
 
 
+# Pixels per band of the color-to-luma conversion in _load_gray.
+_LUMA_BAND_PIXELS = 1 << 14
+
+
 def _load_gray(path) -> np.ndarray:
-    """Image as grayscale uint8; color inputs collapse to the luma plane."""
+    """Image as grayscale uint8; color inputs collapse to the luma plane.
+
+    A color frame converts in bands of rows into the uint8 plane, so its
+    float64 temporaries stay band-sized; BT.601 luma lies in 16..235, so
+    the rounded values need no clip.
+    """
     img = read_pnm(path)
-    if img.ndim == 3:
-        img = round_half_away(rgb_to_y(img)).astype(np.uint8)
-        img = np.clip(img, 0, 255).astype(np.uint8)
-    return img
+    if img.ndim == 2:
+        return img
+    gray = np.empty(img.shape[:2], dtype=np.uint8)
+    rows = max(1, _LUMA_BAND_PIXELS // img.shape[1])
+    for y in range(0, img.shape[0], rows):
+        gray[y:y + rows] = round_half_away(rgb_to_y(img[y:y + rows]))
+    return gray
 
 
 def _bake_oracle(name: str, pattern, scale: int):
@@ -455,34 +468,34 @@ def _train_val_pairs(manifest_path):
     return train_pairs, val_pairs
 
 
-def _write_run_dir(out_dir, tp, cfg_real, report, val_real, val_exported,
+def _write_run_dir(out_dir, config, exported, report, val_real, val_exported,
                    quant_reports):
     os.makedirs(out_dir, exist_ok=True)
-    exported, _ = export_pipeline(tp)
     stage_names, real_names = [], []
-    for i, (tl, qlut) in enumerate(zip(tp.luts, exported.stages[0])):
+    for i, (lut, qlut) in enumerate(zip(config.stages[0], exported.stages[0])):
         rname = f"stage0_p{i}.real.lut"
         qname = f"stage0_p{i}.lut"
-        save_lut(tl.lut, os.path.join(out_dir, rname))
+        save_lut(lut, os.path.join(out_dir, rname))
         save_lut(qlut, os.path.join(out_dir, qname))
         real_names.append(rname)
         stage_names.append(qname)
-    pool_doc = {"kind": tp.pooling, "tau": tp.tau, "norm": tp.norm,
+    pool = config.pooling
+    pool_doc = {"kind": pool.kind, "tau": pool.tau, "norm": pool.norm,
                 "coeff": None, "real_coeff": None}
-    if tp.pooling == "oap" and tp.coeff is not None:
-        save_lut(tp.coeff.lut, os.path.join(out_dir, "coeff.real.lut"))
+    if pool.kind == "oap":
+        save_lut(pool.coeff_lut, os.path.join(out_dir, "coeff.real.lut"))
         save_lut(exported.pooling.coeff_lut, os.path.join(out_dir, "coeff.lut"))
         pool_doc["coeff"] = "coeff.lut"
         pool_doc["real_coeff"] = "coeff.real.lut"
     doc = {
-        "task": tp.task, "scale": tp.scale,
-        "patterns": [p.name for p in tp.patterns],
-        "orientations": list(tp.orientations.rotations),
+        "task": config.task, "scale": config.scale,
+        "patterns": [p.name for p in config.patterns],
+        "orientations": list(config.orientations.rotations),
         "pooling": pool_doc,
-        "residual": tp.residual,
+        "residual": config.residual,
         "stages": [stage_names],
         "real_stages": [real_names],
-        "coeff_pattern": tp.coeff_pattern.name,
+        "coeff_pattern": config.coeff_pattern.name,
     }
     with open(os.path.join(out_dir, "pipeline.json"), "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)
@@ -508,11 +521,12 @@ def _write_run_dir(out_dir, tp, cfg_real, report, val_real, val_exported,
 
 
 def _finish_run(out_dir, tp, report, val_pairs):
-    border = tp.scale if tp.task == "sr" else 0
-    val_real = evaluate_pairs(tp.to_config(), val_pairs, border)
+    config = tp.to_config()
+    border = config.scale if config.task == "sr" else 0
+    val_real = evaluate_pairs(config, val_pairs, border)
     exported, quant_reports = export_pipeline(tp)
     val_exported = evaluate_pairs(exported, val_pairs, border)
-    summary = _write_run_dir(out_dir, tp, tp.to_config(), report,
+    summary = _write_run_dir(out_dir, config, exported, report,
                              val_real, val_exported, quant_reports)
     print(f"best step {report.best_step}: val PSNR {report.best_val_psnr:.3f} dB")
     print(f"exported tables: {val_exported:.3f} dB "
@@ -549,15 +563,11 @@ def _cmd_finetune(args) -> int:
     train_pairs, val_pairs = _train_val_pairs(args.data)
     base_json = os.path.join(args.from_dir, "pipeline.json")
     base = _config_from_json(base_json, prefer_real=True)
-    luts = []
-    for lut in base.stages[0]:
-        luts.append(TrainableLut(lut if isinstance(lut, RealLut) else dequantize(lut)))
-    tp = TrainablePipeline(
-        task=base.task, scale=base.scale, luts=luts,
-        patterns=list(base.patterns), orientations=base.orientations,
-        pooling="average", residual=base.residual, norm=args.norm
-        if hasattr(args, "norm") else "l2",
-        coeff_pattern=base.coeff_pattern)
+    tables = [lut if isinstance(lut, RealLut) else dequantize(lut)
+              for lut in base.stages[0]]
+    tp = TrainablePipeline(dataclasses.replace(
+        base, stages=[tables],
+        pooling=dataclasses.replace(base.pooling, kind="average", coeff_lut=None)))
     cfg = TrainConfig(iterations=args.steps, batch_size=args.batch,
                       crop=args.crop, lr=args.lr, loss=args.loss,
                       reg_weight=args.reg_weight, seed=args.seed,

@@ -1,5 +1,11 @@
 """Gradient-based optimization of lattice tables.
 
+The trainable model is a single-stage :class:`~lutpool.pipeline.PipelineConfig`
+whose tables are ``RealLut``s (for oap, the coefficient table too);
+:class:`TrainablePipeline` keeps that config together with each table's
+gradient and Adam state and the log-temperature.  Fine-tuning and export
+map over the config's tables with ``dataclasses.replace``.
+
 The forward pass is the inference pipeline's own stage kernel,
 :func:`lutpool.pipeline.stage_pass`, run on a mini-batch of crops with a
 tape and without the final clamp/quantization: oriented queries read
@@ -29,7 +35,7 @@ order, so a (seed, config) pair reproduces training bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,8 +44,7 @@ from .lut import CoeffLut, RealLut, lattice_size, quantize, round_half_away
 # lutpool.lut: perfbench/tracing.py wraps ``train.corner_weights`` by name.
 from .lut import corner_weights  # noqa: F401
 from .metrics import psnr
-from .orientation import (KernelPattern, OrientationSet, SQUARE_PATTERN,
-                          block_permutation)
+from .orientation import SQUARE_PATTERN, block_permutation
 from .pipeline import PipelineConfig, restore_image, stage_pass, _to_blocks
 from .pooling import PoolingSpec, gmp_distances, softmax
 
@@ -170,96 +175,78 @@ class TrainableLut:
         if self.adam is None:
             self.adam = AdamState.like(self.lut.entries)
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
 
 @dataclass
 class TrainablePipeline:
-    """Single-stage pipeline with trainable tables (one per pattern)."""
+    """A single-stage pipeline config of trainable tables and their optimizer state.
 
-    task: str
-    scale: int
-    luts: list
-    patterns: list = field(default_factory=lambda: [SQUARE_PATTERN])
-    orientations: OrientationSet = field(default_factory=OrientationSet)
-    pooling: str = "average"
-    residual: bool = True
-    norm: str = "l2"
-    coeff: TrainableLut = None
-    coeff_pattern: KernelPattern = SQUARE_PATTERN
+    ``config`` is the model: ``config.stages[0]`` holds one ``RealLut``
+    per pattern and, for oap pooling, ``config.pooling.coeff_lut`` is the
+    ``RealLut`` of fusion logits.  ``luts`` and ``coeff`` hold each
+    table's gradient, Adam moments and learning-rate factor; their
+    ``lut`` is the config's own table object.  The soft-median
+    temperature trains as ``log_tau``; :meth:`to_config` writes it into
+    ``config.pooling.tau``, so read the config through that method.
+    """
+
+    config: PipelineConfig
     log_tau: np.ndarray = None
     tau_trainable: bool = False
-    tau_grad: np.ndarray = None
-    tau_adam: AdamState = None
+    luts: list = field(init=False)
+    coeff: TrainableLut = field(init=False)
+    tau_grad: np.ndarray = field(init=False)
+    tau_adam: AdamState = field(init=False)
 
     def __post_init__(self):
         if self.log_tau is None:
             self.log_tau = np.zeros(1)
         self.log_tau = np.asarray(self.log_tau, dtype=np.float64).reshape(1)
-        if self.tau_grad is None:
-            self.tau_grad = np.zeros(1)
-        if self.tau_adam is None:
-            self.tau_adam = AdamState.like(self.log_tau)
-        if len(self.luts) != len(self.patterns):
-            raise ValueError("one trainable table per pattern is required")
-        if self.pooling == "oap" and self.coeff is None:
-            raise ValueError("oap training needs a coefficient table")
+        self.tau_grad = np.zeros(1)
+        self.tau_adam = AdamState.like(self.log_tau)
+        self.to_config().validate()
+        if self.config.num_stages != 1:
+            raise ValueError("training runs single-stage pipelines")
+        self.luts = [TrainableLut(lut) for lut in self.config.stages[0]]
+        pool = self.config.pooling
+        self.coeff = TrainableLut(pool.coeff_lut) if pool.kind == "oap" else None
 
     @classmethod
-    def zero_init(cls, task: str, scale: int, q: int,
-                  patterns=None, pooling: str = "average",
-                  residual: bool = True, **kw) -> "TrainablePipeline":
+    def zero_init(cls, task: str, scale: int, q: int, patterns=None,
+                  pooling: str = "average", residual: bool = True,
+                  norm: str = "l2", coeff: TrainableLut = None,
+                  **kw) -> "TrainablePipeline":
+        """All-zero tables, one per pattern; ``kw`` goes to :class:`PipelineConfig`.
+
+        An oap pipeline trains ``coeff.lut`` with ``coeff``'s optimizer state.
+        """
         patterns = list(patterns) if patterns else [SQUARE_PATTERN]
         m = scale * scale if task == "sr" else 1
-        luts = []
-        for p in patterns:
-            shape = (lattice_size(q),) * p.n + (m,)
-            luts.append(TrainableLut(RealLut(q, p.n, m, np.zeros(shape))))
-        return cls(task=task, scale=scale, luts=luts, patterns=patterns,
-                   pooling=pooling, residual=residual, **kw)
-
-    @property
-    def rs(self) -> int:
-        return self.scale if self.task == "sr" else 1
-
-    @property
-    def tau(self) -> float:
-        return float(np.exp(self.log_tau[0]))
+        luts = [RealLut(q, p.n, m, np.zeros((lattice_size(q),) * p.n + (m,)))
+                for p in patterns]
+        pool = PoolingSpec(kind=pooling, norm=norm,
+                           coeff_lut=coeff.lut if coeff is not None else None)
+        tp = cls(PipelineConfig(task=task, scale=scale, patterns=patterns,
+                                pooling=pool, residual=residual, stages=[luts], **kw))
+        if tp.coeff is not None:
+            tp.coeff = coeff   # the caller's optimizer state for its table
+        return tp
 
     def parameters(self):
-        params = list(self.luts)
-        if self.pooling == "oap" and self.coeff is not None:
-            params.append(self.coeff)
-        return params
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
-        self.tau_grad[...] = 0.0
+        return self.luts + ([self.coeff] if self.coeff is not None else [])
 
     def snapshot(self):
-        return ([tl.lut.entries.copy() for tl in self.luts],
-                self.coeff.lut.entries.copy() if self.coeff is not None else None,
-                self.log_tau.copy())
+        return [p.lut.entries.copy() for p in self.parameters()], self.log_tau.copy()
 
     def load_snapshot(self, snap):
-        entries, coeff_entries, log_tau = snap
-        for tl, e in zip(self.luts, entries):
-            tl.lut.entries[...] = e
-        if coeff_entries is not None:
-            self.coeff.lut.entries[...] = coeff_entries
+        entries, log_tau = snap
+        for p, e in zip(self.parameters(), entries):
+            p.lut.entries[...] = e
         self.log_tau[...] = log_tau
 
     def to_config(self) -> PipelineConfig:
-        pool = PoolingSpec(
-            kind=self.pooling, tau=self.tau, norm=self.norm,
-            coeff_lut=self.coeff.lut if (self.pooling == "oap" and self.coeff) else None)
-        return PipelineConfig(
-            task=self.task, scale=self.scale, patterns=list(self.patterns),
-            orientations=self.orientations, pooling=pool, residual=self.residual,
-            stages=[[tl.lut for tl in self.luts]],
-            coeff_pattern=self.coeff_pattern)
+        """The live config, with ``pooling.tau`` set from ``log_tau``."""
+        self.config.pooling.tau = float(np.exp(self.log_tau[0]))
+        return self.config
 
 
 @dataclass
@@ -343,8 +330,9 @@ def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):
     _check_pixels(batch.targets, "batch target")
     config = tp.to_config()
     tape = {}
-    pred, alpha = stage_pass(batch.inputs, config.stages[0], config, tp.rs, tape=tape)
-    diff = pred - _to_blocks(batch.targets, tp.rs)
+    pred, alpha = stage_pass(batch.inputs, config.stages[0], config, config.scale,
+                             tape=tape)
+    diff = pred - _to_blocks(batch.targets, config.scale)
     fid, dfid = _loss_and_grad(diff, cfg.loss, cfg.epsilon)
 
     reg = 0.0
@@ -370,38 +358,39 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
     """
     tp.tau_grad[...] = 0.0
     losses, alpha, g, tape = _forward(tp, batch, cfg)   # g: dL/dpred, (N, m)
+    config = tp.config
+    pool = config.pooling
 
     xs = tape.pop("xs")
     k, count, m = xs.shape
-    npat = len(tp.patterns)
+    npat = len(config.patterns)
 
     grad_xs = alpha[:, :, None] * g[None]       # direct path through the blend
 
-    needs_alpha_grad = tp.pooling in ("gmp", "oap")
-    if needs_alpha_grad:
+    if pool.kind in ("gmp", "oap"):
         c = np.einsum("nm,knm->kn", g, xs)      # dL/dalpha
         if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
             c = c + cfg.reg_weight * (
                 np.log(np.maximum(alpha, 1e-300)) + 1.0) / count
-    if tp.pooling == "gmp":
-        dist, dev, _ = gmp_distances(xs, tp.norm)
+    if pool.kind == "gmp":
+        dist, dev, _ = gmp_distances(xs, pool.norm)
     del xs
 
-    if tp.pooling == "gmp":
-        tau = tp.tau
+    if pool.kind == "gmp":
+        tau = pool.tau
         # softmax over orientations: u_i = -dist_i / tau
         s = alpha * (c - np.sum(alpha * c, axis=0, keepdims=True))
         ddist = -s / tau
         if tp.tau_trainable:
             tp.tau_grad[0] = float(np.sum(s * dist) / tau)
-        if tp.norm == "l2":
+        if pool.norm == "l2":
             unit = dev / np.maximum(dist, 1e-300)[:, :, None]
         else:
             unit = np.sign(dev)
         del dev
         t = ddist[:, :, None] * unit
         grad_xs += t - t.sum(axis=0, keepdims=True) / k
-    elif tp.pooling == "oap":
+    elif pool.kind == "oap":
         arow = alpha.T                           # (N, k)
         crow = c.T
         srow = arow * (crow - np.sum(arow * crow, axis=1, keepdims=True))
@@ -410,7 +399,7 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
     # per-rotation output gradient, block permutation undone
     graw = grad_xs / npat
     if m > 1:
-        for ri, r in enumerate(tp.orientations.rotations):
+        for ri, r in enumerate(config.orientations.rotations):
             graw[ri][:, block_permutation(m, r)] = graw[ri].copy()
     for tl, (idx, wts) in zip(tp.luts, tape.pop("corners")):
         _scatter(tl.grad.reshape(-1, m), idx, wts, graw[:, None])
@@ -461,7 +450,8 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
     _check_pairs(train_pairs, "training")
     _check_pairs(val_pairs, "validation")
     rng = np.random.default_rng(cfg.seed)
-    border = tp.scale if tp.task == "sr" else 0
+    config = tp.config
+    border = config.scale if config.task == "sr" else 0
     history, val_history = [], []
 
     best_snap = tp.snapshot()
@@ -471,7 +461,7 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
 
     for step in range(cfg.iterations):
         lr = cosine_lr(step, cfg.iterations, cfg.lr)
-        batch = sample_batch(rng, train_pairs, cfg.crop, tp.rs,
+        batch = sample_batch(rng, train_pairs, cfg.crop, config.scale,
                              cfg.batch_size, cfg.augment)
         losses = forward_backward(tp, batch, cfg)
         if not math.isfinite(losses["total"]):
@@ -479,7 +469,7 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
                 f"non-finite loss at step {step}: {losses}")
         for tl in tp.parameters():
             adam_step(tl.lut.entries, tl.grad, tl.adam, step, lr * tl.lr_factor)
-        if tp.pooling == "gmp" and tp.tau_trainable:
+        if config.pooling.kind == "gmp" and tp.tau_trainable:
             adam_step(tp.log_tau, tp.tau_grad, tp.tau_adam, step,
                       lr * cfg.tau_lr_factor)
         history.append({"step": step, "lr": lr, **losses})
@@ -508,24 +498,21 @@ def finetune(tp: TrainablePipeline, train_pairs, val_pairs, cfg: TrainConfig,
     """
     if pooling not in ("oap", "gmp"):
         raise ValueError("finetune targets oap or gmp pooling")
-    luts = [TrainableLut(tl.lut.copy(), lr_factor=cfg.finetune_lr_factor)
-            for tl in tp.luts]
+    base = tp.to_config()
     coeff = None
     if pooling == "oap":
-        k = tp.orientations.k
-        q = coeff_q if coeff_q is not None else tp.luts[0].lut.q
-        n = tp.coeff_pattern.n
-        shape = (lattice_size(q),) * n + (k,)
-        coeff = TrainableLut(RealLut(q, n, k, np.zeros(shape)))
-    ft = TrainablePipeline(
-        task=tp.task, scale=tp.scale, luts=luts, patterns=list(tp.patterns),
-        orientations=tp.orientations, pooling=pooling, residual=tp.residual,
-        norm=tp.norm, coeff=coeff, coeff_pattern=tp.coeff_pattern)
+        k = base.orientations.k
+        q = coeff_q if coeff_q is not None else base.stages[0][0].q
+        n = base.coeff_pattern.n
+        coeff = RealLut(q, n, k, np.zeros((lattice_size(q),) * n + (k,)))
+    ft = TrainablePipeline(replace(
+        base, stages=[[lut.copy() for lut in base.stages[0]]],
+        pooling=replace(base.pooling, kind=pooling, coeff_lut=coeff)))
+    for tl in ft.luts:
+        tl.lr_factor = cfg.finetune_lr_factor
     if pooling == "gmp":
         ft.tau_trainable = True
-        tau0 = tau_init if tau_init is not None else 1e4
-        ft.log_tau[...] = math.log(tau0)
-        ft.tau_adam = AdamState.like(ft.log_tau)
+        ft.log_tau[...] = math.log(tau_init if tau_init is not None else 1e4)
     report = train(ft, train_pairs, val_pairs, cfg)
     return ft, report
 
@@ -538,23 +525,16 @@ def export_pipeline(tp: TrainablePipeline, bit_depth: int = 8):
     per-entry softmax to 0..255 (sum-normalized again at query time).
     Returns the deployable config and a per-table quantization report.
     """
-    stages = []
-    reports = {}
-    for i, tl in enumerate(tp.luts):
-        lut, rep = quantize(tl.lut, bit_depth=bit_depth, signed=tp.residual)
-        stages.append(lut)
-        reports[f"stage0_pattern{i}"] = rep
+    config = tp.to_config()
+    stage, reports = [], {}
+    for i, lut in enumerate(config.stages[0]):
+        qlut, reports[f"stage0_pattern{i}"] = quantize(lut, bit_depth=bit_depth,
+                                                       signed=config.residual)
+        stage.append(qlut)
     coeff = None
-    if tp.pooling == "oap" and tp.coeff is not None:
-        logits = tp.coeff.lut.entries
-        weights = softmax(logits, axis=-1)
-        stored = round_half_away(weights * 255.0).astype(np.uint8)
-        coeff = CoeffLut(tp.coeff.lut.q, tp.coeff.lut.n, tp.coeff.lut.m,
-                         stored, bit_depth=8, signed=False)
-    pool = PoolingSpec(kind=tp.pooling, tau=tp.tau, norm=tp.norm,
-                       coeff_lut=coeff)
-    config = PipelineConfig(
-        task=tp.task, scale=tp.scale, patterns=list(tp.patterns),
-        orientations=tp.orientations, pooling=pool, residual=tp.residual,
-        stages=[stages], coeff_pattern=tp.coeff_pattern)
-    return config, reports
+    if tp.coeff is not None:
+        real = tp.coeff.lut
+        stored = round_half_away(softmax(real.entries, axis=-1) * 255.0).astype(np.uint8)
+        coeff = CoeffLut(real.q, real.n, real.m, stored, bit_depth=8, signed=False)
+    return replace(config, stages=[stage],
+                   pooling=replace(config.pooling, coeff_lut=coeff)), reports

@@ -3,11 +3,12 @@
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lutpool import read_pnm, write_pnm
+from lutpool import cli, finetune, read_pnm, rgb_to_y, round_half_away, write_pnm
 from lutpool.cli import main
 from lutpool.lut import _pack_container
 
@@ -81,6 +82,38 @@ class TestRestore:
         assert run("restore", "--input", str(src), "--out", str(dst),
                    "--lut", str(lut)) == 0
         np.testing.assert_array_equal(read_pnm(dst), 235)  # white maps to peak luma
+
+    def test_color_bands_match_whole_frame_luma(self, tmp_path):
+        rng = np.random.default_rng(31)
+        for h, w in ((1, 1), (3, 5), (37, 29), (130, 300)):
+            rgb = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+            rgb[0, 0] = 0
+            rgb[-1, -1] = 255
+            rgb[h // 2, :, rng.integers(3)] = 255
+            path = tmp_path / f"c{h}x{w}.ppm"
+            write_pnm(path, rgb)
+            want = round_half_away(rgb_to_y(rgb)).astype(np.uint8)
+            got = cli._load_gray(path)
+            assert got.dtype == np.uint8
+            assert got.tobytes() == want.tobytes()
+
+    def test_color_luma_memory_slope(self, tmp_path):
+        peaks = {}
+        for side in (256, 512):
+            path = tmp_path / f"c{side}.ppm"
+            write_pnm(path, np.random.default_rng(side).integers(
+                0, 256, (side, side, 3)).astype(np.uint8))
+            tracemalloc.start()
+            try:
+                gray = cli._load_gray(path)
+                peaks[side] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert gray.shape == (side, side)
+            del gray
+        # the 3 B/px RGB read plus the uint8 plane; whole-frame float64
+        # conversion took 43 B/px
+        assert (peaks[512] - peaks[256]) / (512 ** 2 - 256 ** 2) <= 5.0
 
     def test_report_json(self, tmp_path):
         lut = tmp_path / "ident.lut"
@@ -326,6 +359,33 @@ class TestFinetuneCommand:
         doc = json.loads((out_dir / "pipeline.json").read_text())
         assert doc["pooling"]["kind"] == "gmp"
         assert doc["pooling"]["tau"] > 0.0
+
+    def test_gmp_finetune_keeps_the_base_norm(self, dataset_dir, tmp_path,
+                                              monkeypatch):
+        base_dir = tmp_path / "l1_base"
+        assert run("train", "--data", str(dataset_dir / "manifest.tsv"),
+                   "--task", "sr", "--scale", "2", "--q", "4", "--pooling", "gmp",
+                   "--norm", "l1", "--tau", "20", "--steps", "2", "--batch", "2",
+                   "--crop", "8", "--val-interval", "1",
+                   "--out-dir", str(base_dir)) == 0
+        assert json.loads((base_dir / "pipeline.json").read_text())["pooling"]["norm"] == "l1"
+        tuned = []
+
+        def recording_finetune(*args, **kwargs):
+            ft, report = finetune(*args, **kwargs)
+            tuned.append(ft)
+            return ft, report
+
+        monkeypatch.setattr(cli, "finetune", recording_finetune)
+        out_dir = tmp_path / "gmp_run"
+        assert run("finetune", "--data", str(dataset_dir / "manifest.tsv"),
+                   "--from-dir", str(base_dir), "--pooling", "gmp",
+                   "--steps", "2", "--batch", "2", "--crop", "8",
+                   "--val-interval", "1", "--out-dir", str(out_dir)) == 0
+        assert tuned[0].to_config().pooling.norm == "l1"
+        doc = json.loads((out_dir / "pipeline.json").read_text())
+        assert doc["pooling"]["kind"] == "gmp"
+        assert doc["pooling"]["norm"] == "l1"
 
     def test_pooling_required_to_be_fusion(self, dataset_dir, train_run_dir,
                                            tmp_path):

@@ -1,5 +1,6 @@
 """Losses, optimizer, gradients, and the training/fine-tuning loops."""
 
+import hashlib
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from lutpool import (
     DegradationRecipe,
     KernelPattern,
     OrientationSet,
+    PipelineConfig,
     RealLut,
     TrainConfig,
     TrainableLut,
@@ -190,10 +192,10 @@ class TestTrainablePipeline:
         tp = TrainablePipeline.zero_init("sr", 2, q=4)
         assert len(tp.luts) == 1
         assert tp.luts[0].lut.entries.shape == (17, 17, 17, 17, 4)
-        assert tp.rs == 2
+        assert tp.config.scale == 2
         tp = TrainablePipeline.zero_init("restore", 1, q=5, patterns=[PAIR, SINGLE])
         assert [tl.lut.n for tl in tp.luts] == [2, 1]
-        assert tp.rs == 1
+        assert tp.config.scale == 1
 
     def test_oap_needs_coeff(self):
         with pytest.raises(ValueError):
@@ -319,21 +321,25 @@ def add_at_forward_backward(tp, batch, cfg):
     ``forward_backward`` must reproduce every bit of its losses and
     gradients.
     """
-    tp.zero_grad()
+    for p in tp.parameters():
+        p.grad[...] = 0.0
+    tp.tau_grad[...] = 0.0
+    config = tp.to_config()
+    pool = config.pooling
     b, h, w = batch.inputs.shape
-    rs = tp.rs
+    rs = config.scale
     m = rs * rs
     count = b * h * w
-    k = tp.orientations.k
-    npat = len(tp.patterns)
-    pad = max(p.reach for p in tp.patterns)
+    k = config.orientations.k
+    npat = len(config.patterns)
+    pad = max(p.reach for p in config.patterns)
     padded = np.pad(batch.inputs, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
 
     xs = np.zeros((k, count, m))
     raws = {}
-    for pi, (pattern, tl) in enumerate(zip(tp.patterns, tp.luts)):
+    for pi, (pattern, tl) in enumerate(zip(config.patterns, tp.luts)):
         flat = tl.lut.entries.reshape(-1, m)
-        for ri, r in enumerate(tp.orientations.rotations):
+        for ri, r in enumerate(config.orientations.rotations):
             patches = _gather_batch(padded, pattern.rotated(r), pad, h, w)
             base, frac = _decompose_clamped(patches.reshape(count, pattern.n), tl.lut.q)
             idx, wts = loop_corner_weights(base, frac, tl.lut.lattice_points)
@@ -346,18 +352,18 @@ def add_at_forward_backward(tp, batch, cfg):
             xs[ri] += out / npat
             raws[(pi, ri)] = (idx, wts, perm)
 
-    if tp.pooling == "average":
+    if pool.kind == "average":
         alpha = np.full((k, count), 1.0 / k)
-    elif tp.pooling == "gmp":
-        tau = tp.tau
+    elif pool.kind == "gmp":
+        tau = pool.tau
         dev = xs - np.mean(xs, axis=0)[None]
-        if tp.norm == "l2":
+        if pool.norm == "l2":
             dist = np.sqrt(np.sum(dev * dev, axis=-1))
         else:
             dist = np.sum(np.abs(dev), axis=-1)
         alpha = softmax(-dist / tau, axis=0)
     else:
-        cp = tp.coeff_pattern
+        cp = config.coeff_pattern
         cpadded = np.pad(batch.inputs, ((0, 0), (cp.reach,) * 2, (cp.reach,) * 2),
                          mode="edge")
         cpatches = _gather_batch(cpadded, cp.offsets, cp.reach, h, w)
@@ -371,7 +377,7 @@ def add_at_forward_backward(tp, batch, cfg):
         alpha = softmax(logits, axis=1).T
 
     pred = np.sum(alpha[:, :, None] * xs, axis=0)
-    if tp.residual:
+    if config.residual:
         if rs > 1:
             up = _resize_axis(batch.inputs, h * rs, float(rs), 1)
             up = _resize_axis(up, w * rs, float(rs), 2)
@@ -387,22 +393,22 @@ def add_at_forward_backward(tp, batch, cfg):
               "regularizer": reg}
 
     grad_xs = alpha[:, :, None] * g[None]
-    if tp.pooling in ("gmp", "oap"):
+    if pool.kind in ("gmp", "oap"):
         c = np.einsum("nm,knm->kn", g, xs)
         if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
             c = c + cfg.reg_weight * (
                 np.log(np.maximum(alpha, 1e-300)) + 1.0) / count
-    if tp.pooling == "gmp":
+    if pool.kind == "gmp":
         s = alpha * (c - np.sum(alpha * c, axis=0, keepdims=True))
         if tp.tau_trainable:
             tp.tau_grad[0] = float(np.sum(s * dist) / tau)
-        if tp.norm == "l2":
+        if pool.norm == "l2":
             unit = dev / np.maximum(dist, 1e-300)[:, :, None]
         else:
             unit = np.sign(dev)
         t = (-s / tau)[:, :, None] * unit
         grad_xs += t - t.sum(axis=0, keepdims=True) / k
-    elif tp.pooling == "oap":
+    elif pool.kind == "oap":
         arow, crow = alpha.T, c.T
         srow = arow * (crow - np.sum(arow * crow, axis=1, keepdims=True))
         cflat_grad = tp.coeff.grad.reshape(-1, k)
@@ -480,7 +486,7 @@ class TestVectorizedStep:
         pats = ([SQUARE_PATTERN] if patterns == "S"
                 else [SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN])
         tp, cfg = oracle_pipeline(rng, task, fusion, pats)
-        rs = tp.rs
+        rs = tp.config.scale
         inputs = rng.uniform(0, 255, (3, 6, 6))
         inputs[0] = np.round(inputs[0])         # lattice-aligned and exact values
         batch = Batch(inputs, rng.uniform(0, 255, (3, 6 * rs, 6 * rs)))
@@ -559,7 +565,7 @@ class TestTrainInferParity:
         image = rng.uniform(0, 255, (9, 11))
         image[0] = np.round(image[0])
         config = tp.to_config()
-        rs = tp.rs
+        rs = config.scale
         tape = {}
         blocks, _ = stage_pass(image[None], config.stages[0], config, rs, tape=tape)
         assert set(tape) == {"xs", "corners"} | ({"coeff"} if fusion == "oap" else set())
@@ -572,7 +578,7 @@ def fd_relative_errors(tp, batch, cfg, rng, n_coords=30, h=1e-4):
     """Central-difference check of every parameter group; returns rels."""
     forward_backward(tp, batch, cfg)
     groups = [(tl.lut.entries, tl.grad) for tl in tp.parameters()]
-    if tp.pooling == "gmp" and tp.tau_trainable:
+    if tp.config.pooling.kind == "gmp" and tp.tau_trainable:
         groups.append((tp.log_tau, tp.tau_grad))
     rels = []
     for values, grad in groups:
@@ -743,7 +749,7 @@ class TestFinetune:
                               TrainConfig(iterations=10, batch_size=4, crop=8,
                                           lr=1e-3, seed=1, val_interval=5),
                               pooling="oap", coeff_q=5)
-        assert ft.pooling == "oap"
+        assert ft.config.pooling.kind == "oap"
         assert ft.coeff.lut.q == 5
         assert ft.coeff.lut.m == 4
         # the init snapshot evaluates identically to the averaging base
@@ -768,7 +774,7 @@ class TestFinetune:
                                           lr=1e-3, seed=1, val_interval=5),
                               pooling="gmp", tau_init=256.0)
         assert ft.tau_trainable
-        assert ft.pooling == "gmp"
+        assert ft.config.pooling.kind == "gmp"
         base_psnr = evaluate_pairs(tp.to_config(), pairs[6:], border=2)
         assert report.best_val_psnr >= base_psnr
 
@@ -778,7 +784,7 @@ class TestFinetune:
         ft, _ = finetune(tp, pairs[:3], pairs[3:],
                          TrainConfig(iterations=1, batch_size=2, crop=8,
                                      seed=0, val_interval=1), pooling="gmp")
-        assert ft.tau == pytest.approx(1e4, rel=1e-9)
+        assert ft.to_config().pooling.tau == pytest.approx(1e4, rel=1e-9)
 
     def test_rejects_other_poolings(self):
         tp = TrainablePipeline.zero_init("sr", 2, q=4)
@@ -814,3 +820,133 @@ class TestExport:
         img = rng.integers(0, 256, (10, 10)).astype(np.uint8)
         out = restore_image(img, config)
         assert out.shape == (20, 20)
+
+
+class TestModelDescription:
+    """The trainable model is its PipelineConfig; nothing beside it mirrors it."""
+
+    def oap_pipeline(self):
+        shape = (lattice_size(5),) * 2 + (4,)
+        coeff = TrainableLut(RealLut(5, 2, 4, np.zeros(shape)))
+        return TrainablePipeline.zero_init("sr", 2, q=4, patterns=[SQUARE_PATTERN, PAIR],
+                                           pooling="oap", coeff=coeff, coeff_pattern=PAIR)
+
+    def test_parameters_are_the_config_tables(self):
+        tp = self.oap_pipeline()
+        config = tp.to_config()
+        assert tp.to_config() is config is tp.config
+        params = tp.parameters()
+        for i, table in enumerate(config.stages[0]):
+            assert params[i].lut is table
+        assert params[-1] is tp.coeff
+        assert tp.coeff.lut is config.pooling.coeff_lut
+
+    def test_no_mirrored_fields(self):
+        tp = self.oap_pipeline()
+        for name in ("task", "scale", "patterns", "orientations", "pooling",
+                     "residual", "norm", "coeff_pattern", "tau", "rs"):
+            assert not hasattr(tp, name), name
+
+    def test_tau_follows_log_tau(self):
+        tp = TrainablePipeline.zero_init("restore", 1, q=4, pooling="gmp")
+        assert tp.to_config().pooling.tau == 1.0
+        tp.log_tau[...] = math.log(30.0)
+        assert tp.to_config().pooling.tau == float(np.exp(math.log(30.0)))
+
+    def test_export_leaves_the_config_alone(self):
+        tp = self.oap_pipeline()
+        config = tp.to_config()
+        tables, pool = list(config.stages[0]), config.pooling
+        exported, _ = export_pipeline(tp)
+        assert config.stages[0] == tables and config.pooling is pool
+        assert pool.coeff_lut is tp.coeff.lut
+        assert exported is not config and exported.pooling is not pool
+        for table, qlut in zip(tables, exported.stages[0]):
+            assert qlut is not table and qlut.entries.dtype == np.uint8
+        assert exported.pooling.coeff_lut.entries.dtype == np.uint8
+
+    def test_finetune_builds_its_own_config(self):
+        tp = TrainablePipeline.zero_init("sr", 2, q=4, norm="l1")
+        config = tp.to_config()
+        tables = list(config.stages[0])
+        pairs = sr_pairs(4)
+        ft, _ = finetune(tp, pairs[:3], pairs[3:],
+                         TrainConfig(iterations=2, batch_size=2, crop=8,
+                                     seed=0, val_interval=1), pooling="gmp")
+        assert tp.config is config and config.stages[0] == tables
+        assert config.pooling.kind == "average"
+        assert ft.config is not config
+        assert all(a is not b for a, b in zip(ft.config.stages[0], tables))
+        assert ft.config.pooling.norm == "l1"
+
+    def test_config_checks_reject_bad_models(self):
+        lut = RealLut(4, 4, 1, np.zeros((17,) * 4 + (1,)))
+        with pytest.raises(ValueError, match="tables for"):
+            TrainablePipeline(PipelineConfig(stages=[[lut, lut]]))
+        with pytest.raises(ValueError, match="single-stage"):
+            TrainablePipeline(PipelineConfig(stages=[[lut], [lut]]))
+        with pytest.raises(ValueError, match="coefficient table"):
+            TrainablePipeline.zero_init("restore", 1, q=4, pooling="oap")
+
+
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _log_digests(report):
+    rows = [[h["step"], h["lr"], h["total"], h["fidelity"], h["regularizer"]]
+            for h in report.history]
+    return _sha(rows), _sha(report.val_history)
+
+
+class TestBytePin:
+    """train() + finetune() bytes, recorded before the model became a PipelineConfig.
+
+    The oap recipe is the benchmark's S/q4 x2 average -> oap operation
+    with fewer steps; the gmp recipe fine-tunes an l1 soft-median with a
+    trainable temperature.  Tables, coefficient table, log_tau and both
+    reports' histories must keep every bit.
+    """
+
+    BASE = {"base_tables": "54fe35f9109547b9",
+            "base_log": ("6bff3df5e7ec1c3c", "4e75e5fde0bc8993")}
+    RECIPES = {
+        "oap": ("l2", dict(iterations=6, lr=5e-2), dict(coeff_q=5), {
+            "tables": "dd1a1f5288f5597b", "coeff": "c2d8656ba050d73c",
+            "log_tau": "af5570f5a1810b7a",
+            "log": ("b0e80b1002e1ad35", "6cfce18171d3d432"), "best_steps": (24, 1)}),
+        "gmp": ("l1", dict(iterations=8, lr=2e-3), dict(tau_init=20.0), {
+            "tables": "6f6c6a496f809659", "coeff": None,
+            "log_tau": "08795e30b6422ab9",
+            "log": ("bfa00742ce7ee2b7", "bf7b368365abef31"), "best_steps": (24, 5)}),
+    }
+
+    @pytest.mark.parametrize("pooling", sorted(RECIPES))
+    def test_trained_bytes_are_pinned(self, pooling):
+        norm, tune, kw, want = self.RECIPES[pooling]
+        recipe = DegradationRecipe("bicubic_down", scale=2)
+        imgs = make_synthetic_corpus(16, 48, 7)
+        pairs = [(degrade(img, recipe, i), img) for i, img in enumerate(imgs)]
+        train_pairs, val_pairs = pairs[:12], pairs[12:]
+        tp = TrainablePipeline.zero_init("sr", 2, q=4, norm=norm)
+        report = train(tp, train_pairs, val_pairs,
+                       TrainConfig(iterations=30, batch_size=16, crop=16, lr=5e-2,
+                                   seed=7, val_interval=5))
+        ft, ft_report = finetune(tp, train_pairs, val_pairs,
+                                 TrainConfig(batch_size=16, crop=16, seed=8,
+                                             val_interval=2, **tune),
+                                 pooling, **kw)
+        params = ft.parameters()
+        got = {
+            "base_tables": _sha(*[p.lut.entries for p in tp.parameters()]),
+            "base_log": _log_digests(report),
+            "tables": _sha(params[0].lut.entries),
+            "coeff": _sha(params[1].lut.entries) if pooling == "oap" else None,
+            "log_tau": _sha(ft.log_tau),
+            "log": _log_digests(ft_report),
+            "best_steps": (report.best_step, ft_report.best_step),
+        }
+        assert got == {**self.BASE, **want}
