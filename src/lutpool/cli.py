@@ -129,40 +129,103 @@ def _pooling_from_args(args) -> PoolingSpec:
     return PoolingSpec(kind=kind, tau=args.tau, norm=args.norm, coeff_lut=coeff)
 
 
+_REQUIRED = object()
+
+
+def _json_check(value, kinds, name: str):
+    """Raise ValueError naming ``name`` unless ``value`` is one of ``kinds``.
+
+    Booleans pass only where ``bool`` is one of ``kinds``: JSON true is
+    not a number here.
+    """
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        wanted = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"pipeline.json: {name!r} must be {wanted}, "
+                         f"not {type(value).__name__}")
+
+
+def _json_value(doc: dict, key: str, kinds, default=_REQUIRED, items=None,
+                prefix: str = ""):
+    """``doc[key]`` of one of ``kinds``, every element of ``items`` for a list.
+
+    A missing key (or JSON null) gives ``default``, or raises ValueError
+    naming the key when there is none.
+    """
+    name = prefix + key
+    value = doc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"pipeline.json: missing key {name!r}")
+        return default
+    _json_check(value, kinds, name)
+    if items is not None:
+        for item in value:
+            _json_check(item, items, name)
+    return value
+
+
+def _json_pattern(name, key: str):
+    if name not in PATTERNS:
+        raise ValueError(f"pipeline.json: unknown pattern {name!r} in {key!r}; "
+                         f"choices: {', '.join(PATTERNS)}")
+    return PATTERNS[name]
+
+
 def _config_from_json(path, prefer_real: bool = False) -> PipelineConfig:
-    """Build a pipeline from a JSON description with table file references."""
+    """Build a pipeline from a JSON description with table file references.
+
+    The document is checked as it is read: a top level that is not an
+    object, a missing ``stages``, a value of the wrong type or an unknown
+    pattern name raises ``ValueError`` naming the key (exit 3).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"pipeline.json must hold an object, not {type(doc).__name__}")
     root = os.path.dirname(os.path.abspath(path))
 
     def _resolve(rel):
         return rel if os.path.isabs(rel) else os.path.join(root, rel)
 
+    def _stages(key, default=_REQUIRED):
+        stages = _json_value(doc, key, (list,), default, items=(list,))
+        for stage in stages:
+            for name in stage:
+                _json_check(name, (str,), key)
+        return stages
+
     stage_key = "stages"
-    if prefer_real and doc.get("real_stages"):
+    if prefer_real and _stages("real_stages", []):
         stage_key = "real_stages"
-    stages = [[load_lut(_resolve(p)) for p in stage] for stage in doc[stage_key]]
-    pool_doc = doc.get("pooling", {})
+    stages = [[load_lut(_resolve(p)) for p in stage] for stage in _stages(stage_key)]
+    pool_doc = _json_value(doc, "pooling", (dict,), {})
+
+    def _pool(key, kinds, default):
+        return _json_value(pool_doc, key, kinds, default, prefix="pooling.")
+
     coeff = None
-    coeff_key = "real_coeff" if (prefer_real and pool_doc.get("real_coeff")) else "coeff"
-    if pool_doc.get(coeff_key):
+    coeff_key = "real_coeff" if (prefer_real and _pool("real_coeff", (str,), "")) else "coeff"
+    if _pool(coeff_key, (str,), ""):
         coeff = load_lut(_resolve(pool_doc[coeff_key]))
     pooling = PoolingSpec(
-        kind=pool_doc.get("kind", "average"),
-        tau=float(pool_doc.get("tau", 1.0)),
-        norm=pool_doc.get("norm", "l2"),
+        kind=_pool("kind", (str,), "average"),
+        tau=float(_pool("tau", (int, float), 1.0)),
+        norm=_pool("norm", (str,), "l2"),
         coeff_lut=coeff,
     )
-    patterns = [PATTERNS[n] for n in doc.get("patterns", ["S"])]
+    patterns = [_json_pattern(n, "patterns")
+                for n in _json_value(doc, "patterns", (list,), ["S"], items=(str,))]
+    orientations = _json_value(doc, "orientations", (list,), [0, 1, 2, 3], items=(int,))
     return PipelineConfig(
-        task=doc.get("task", "restore"),
-        scale=int(doc.get("scale", 1)),
+        task=_json_value(doc, "task", (str,), "restore"),
+        scale=_json_value(doc, "scale", (int,), 1),
         patterns=patterns,
-        orientations=OrientationSet(tuple(doc.get("orientations", (0, 1, 2, 3)))),
+        orientations=OrientationSet(tuple(orientations)),
         pooling=pooling,
-        residual=bool(doc.get("residual", False)),
+        residual=_json_value(doc, "residual", (bool,), False),
         stages=stages,
-        coeff_pattern=PATTERNS[doc.get("coeff_pattern", "S")],
+        coeff_pattern=_json_pattern(_json_value(doc, "coeff_pattern", (str,), "S"),
+                                    "coeff_pattern"),
     )
 
 

@@ -200,12 +200,19 @@ def _fold_dtype(lut, integral: bool) -> np.dtype:
     return np.dtype(np.float64)
 
 
-# Per-thread scratch arrays of the corner fold, reused across calls.
+# Per-thread scratch arrays of the corner fold and the training step,
+# reused across calls.
 _scratch = threading.local()
 
 
 def _scratch_array(slot: str, dtype, shape) -> np.ndarray:
-    """Scratch array of ``shape`` from this thread's reused buffer for ``slot``."""
+    """Scratch array of ``shape`` from this thread's reused buffer for ``slot``.
+
+    One buffer per (slot, dtype), grown to the largest request and kept
+    for the thread's life.  The array is overwritten by the next request
+    for the same slot and dtype on this thread, so a caller must be done
+    with it by then.
+    """
     buffers = _scratch.__dict__.setdefault("buffers", {})
     size = math.prod(shape)
     key = (slot, np.dtype(dtype))
@@ -454,7 +461,8 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
     :func:`corner_weights`' corner order: from a cell table as one row
     gather per query, turned corner-major by one contiguous copy (one
     machine word per corner row where a row fits one); from the lattice
-    as one gather per corner, a machine word per row where it fits.
+    as one ``np.take`` of the 2**n corner rows of every query, a machine
+    word per row where it fits.
     Everything after the gather is shared.  The gathered corners are
     widened to a (2**n, rows * m) accumulator, and axis 0..n-1 is folded
     in place by one lerp per axis over the two contiguous halves, each
@@ -492,7 +500,9 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
                         else gathered.view(word))
             gathered = np.ascontiguousarray(gathered.swapaxes(0, 1)).view(table.dtype)
         elif word is None:
-            gathered = flat[offsets + rows[start:stop]]
+            # a 2-D row gather: np.take moves whole rows, fancy indexing
+            # about 6x slower on 2**16 rows
+            gathered = np.take(flat, offsets + rows[start:stop], axis=0)
         else:
             gathered = np.take(flat, offsets + rows[start:stop]).view(table.dtype)
         acc = gathered.reshape(1 << n, -1).astype(np.float32 if narrow else np.float64)

@@ -278,16 +278,29 @@ def _blend(flat: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
     """Corner-weighted sum of table rows: sum_c wts[c] * flat[idx[c]].
 
     idx/wts are corner-major (2**n, N).  One gather brings in every
-    corner; the products are then added corner by corner onto zeros.
-    ``g.sum(axis=0)`` would add in the same order except when N * m is
-    1, where numpy sums the lone column pairwise.
+    corner, into this thread's reused (2**n, N, m) scratch; the products
+    are then added corner by corner onto zeros.  ``g.sum(axis=0)`` would
+    add in the same order except when N * m is 1, where numpy sums the
+    lone column pairwise.  The gather runs with ``mode="clip"``, which
+    writes straight into the scratch (the default mode buffers its output
+    and takes twice as long), so the index range is checked first: an
+    index outside the table raises ``IndexError``.
     """
-    g = np.take(flat, idx, axis=0)
+    if idx.size and (idx.min() < 0 or idx.max() >= flat.shape[0]):
+        raise IndexError(f"corner index outside a table of {flat.shape[0]} rows")
+    g = _lut._scratch_array("blend", np.float64, idx.shape + flat.shape[1:])
+    np.take(flat, idx, axis=0, out=g, mode="clip")
     g *= wts[:, :, None]
     out = np.zeros(g.shape[1:])
     for gc in g:
         out += gc
     return out
+
+
+def _tape_arrays(slot: str, shape):
+    """Corner index (int64) and weight (float64) arrays of a tape, from thread scratch."""
+    return (_lut._scratch_array(slot, np.int64, shape),
+            _lut._scratch_array(slot, np.float64, shape))
 
 
 def _lookup(table, query, corners=None) -> np.ndarray:
@@ -329,7 +342,10 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     :func:`~lutpool.lut.corner_weights`, and the tape receives what the
     backward pass needs -- ``"xs"`` (the ensemble), ``"corners"`` (per
     pattern, (k, 2**n, B*h*w) indices and weights) and, when the stage
-    computed oap weights, ``"coeff"``.
+    computed oap weights, ``"coeff"``.  The corner arrays live in this
+    thread's scratch (:func:`~lutpool.lut._scratch_array`), reused from
+    step to step, so a tape is valid only until the next taped pass on
+    the same thread: consume it first, as ``forward_backward`` does.
     """
     b, h, w = stack.shape
     if tape is not None or _band_rows(stack) >= h:
@@ -433,8 +449,7 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
         cp, coeff = config.coeff_pattern, pool.coeff_lut
         corners = None
         if tape is not None:
-            corners = tape["coeff"] = (np.empty((1 << cp.n, count), dtype=np.int64),
-                                       np.empty((1 << cp.n, count)))
+            corners = tape["coeff"] = _tape_arrays("coeff", (1 << cp.n, count))
         if counters is not None:
             counters.coeff_queries += count
         alpha = oap_weights(query(coeff, cp.offsets), coeff,
@@ -442,9 +457,8 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
 
     xs = np.zeros((k, count, m))
     if tape is not None:
-        tape["corners"] = [(np.empty((k, 1 << p.n, count), dtype=np.int64),
-                            np.empty((k, 1 << p.n, count)))
-                           for p in config.patterns]
+        tape["corners"] = [_tape_arrays(f"corners{pi}", (k, 1 << p.n, count))
+                           for pi, p in enumerate(config.patterns)]
     for ri, r in enumerate(rotations):
         for pi, (pattern, table) in enumerate(zip(config.patterns, stage_luts)):
             corners = None

@@ -86,14 +86,22 @@ def gmp_distances(xs: np.ndarray, norm: str = "l2"):
 def gmp_weights(xs: np.ndarray, tau: float, norm: str = "l2") -> np.ndarray:
     """Soft-median weights exp(-d_i / tau), normalized over orientations.
 
-    Computed with the minimum distance shifted out of the exponent, so
-    tiny temperatures stay finite and an all-equal ensemble degrades to
-    uniform weights.
+    The max-shifted softmax of ``-d / tau``; an all-equal ensemble
+    degrades to uniform weights.  At a temperature so small that every
+    ``-d_i / tau`` of an anchor overflows to -inf, that anchor takes the
+    minimum distance out first, so its weights stay finite: the nearest
+    predictions share them.  Every other anchor keeps the plain softmax.
     """
     if not tau > 0.0:
         raise ValueError("gmp temperature must be positive")
     d, _, _ = gmp_distances(xs, norm)
-    return softmax(-d / tau, axis=0)
+    with np.errstate(over="ignore"):    # -d / tau past -inf weighs 0
+        u = -d / tau
+        lost = ~np.isfinite(u.max(axis=0))
+        if lost.any():
+            near = d[:, lost]
+            u[:, lost] = -(near - near.min(axis=0)) / tau
+    return softmax(u, axis=0)
 
 
 def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:

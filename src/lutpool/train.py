@@ -27,6 +27,10 @@ backward pass scatters each output column onto the table with one
 ``np.bincount`` over the whole (rotation, corner, row) sequence;
 bincount adds in input order from zero, so every gradient entry is the
 same sum, in the same order, as a per-corner ``np.add.at`` would form.
+The tape's corner arrays, the gather, the scatter's products and Adam's
+two slices are per-thread buffers reused from step to step (see
+:func:`lutpool.lut._scratch_array`), so a warm step does not page-fault
+on fresh arrays.
 
 Everything is float64 numpy with a seeded generator and fixed reduction
 order, so a (seed, config) pair reproduces training bit for bit.
@@ -39,7 +43,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lut import CoeffLut, RealLut, lattice_size, quantize, round_half_away
+from .lut import (CoeffLut, RealLut, lattice_size, quantize, round_half_away,
+                  _scratch_array)
 # Kept as a module attribute although the stage kernel calls it through
 # lutpool.lut: perfbench/tracing.py wraps ``train.corner_weights`` by name.
 from .lut import corner_weights  # noqa: F401
@@ -137,10 +142,11 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
     # The textbook out-of-place update, operation for operation, run
     # through two scratch buffers over slices of the leading axis, so a
     # step allocates no parameter-size temporaries and each slice stays
-    # in cache for the whole update.
+    # in cache for the whole update; the buffers are this thread's reused
+    # scratch, so a step does not page-fault on fresh ones.
     rows = max(1, _ADAM_CHUNK * len(arrays[0]) // max(arrays[0].size, 1))
-    scratch_a = np.empty(arrays[0][:rows].shape)
-    scratch_b = np.empty_like(scratch_a)
+    scratch_a = _scratch_array("adam_a", np.float64, arrays[0][:rows].shape)
+    scratch_b = _scratch_array("adam_b", np.float64, scratch_a.shape)
     for start in range(0, len(arrays[0]), rows):
         v, g, m1, m2 = (x[start:start + rows] for x in arrays)
         a, b = scratch_a[:len(v)], scratch_b[:len(v)]
@@ -304,12 +310,18 @@ def _scatter(flat_grad: np.ndarray, idx: np.ndarray, wts: np.ndarray,
     gradient, so the sums round identically; a sum from +0.0 is never
     -0.0, so assigning it equals adding it onto zeros.  Every entry of
     flat_grad is overwritten, rows no query read with 0.0.
+
+    The products and gout's columns (copied out once, column-major) live
+    in this thread's reused scratch, so a step allocates only bincount's
+    own table-length result per column.
     """
-    rows = flat_grad.shape[0]
+    rows, m = flat_grad.shape
     flat_idx = idx.ravel()
-    vals = np.empty(wts.shape)
-    for j in range(flat_grad.shape[1]):
-        np.multiply(wts, np.ascontiguousarray(gout[..., j]), out=vals)
+    vals = _scratch_array("scatter", np.float64, wts.shape)
+    cols = _scratch_array("scatter_cols", np.float64, (m,) + gout.shape[:-1])
+    cols[...] = np.moveaxis(gout, -1, 0)
+    for j in range(m):
+        np.multiply(wts, cols[j], out=vals)
         flat_grad[:, j] = np.bincount(flat_idx, vals.ravel(), minlength=rows)
 
 

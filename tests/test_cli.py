@@ -164,6 +164,32 @@ class TestRestore:
                    "--out", str(tmp_path / "o.pgm"), "--lut", str(bad)) == 2
         assert run("inspect", str(bad)) == 2
 
+    @pytest.mark.parametrize("doc, key", [
+        ({}, "'stages'"),
+        ({"stages": 5}, "'stages'"),
+        ([1, 2], "object"),
+        ({"stages": [["ident.lut"]], "patterns": ["Q"]}, "'patterns'"),
+        ({"stages": [[5]]}, "'stages'"),
+        ({"stages": [["ident.lut"]], "pooling": "gmp"}, "'pooling'"),
+        ({"stages": [["ident.lut"]], "pooling": {"tau": "small"}}, "'pooling.tau'"),
+        ({"stages": [["ident.lut"]], "coeff_pattern": "Q"}, "'coeff_pattern'"),
+        ({"stages": [["ident.lut"]], "residual": 1}, "'residual'"),
+    ])
+    def test_malformed_config_is_validation_error(self, tmp_path, capsys, doc, key):
+        run("bake", "--rule", "identity", "--q", "4", "--out", str(tmp_path / "ident.lut"))
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps(doc))
+        src = tmp_path / "in.pgm"
+        write_test_image(src, size=8)
+        capsys.readouterr()
+        # main returning at all means no exception escaped: no traceback
+        assert run("restore", "--input", str(src), "--out", str(tmp_path / "o.pgm"),
+                   "--config", str(config)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_geometry_mismatch(self, tmp_path):
         # an upscale block table cannot serve a same-size restore task
         lut = tmp_path / "zr.lut"

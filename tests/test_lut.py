@@ -649,6 +649,54 @@ class TestCellTable:
         assert _cell_table(real) is None and _row_radix(real) == lattice_size(5)
 
 
+class FancyRowTake:
+    """numpy, except that a 2-D row ``np.take`` is the fancy index ``a[indices]``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, a, indices, axis=None, **kw):
+        if axis == 0 and a.ndim == 2 and not kw:
+            self.calls += 1
+            return a[indices]
+        return np.take(a, indices, axis=axis, **kw)
+
+
+class TestLatticeGather:
+    """Rows too wide for one machine word are gathered with np.take, bit for bit."""
+
+    @pytest.mark.parametrize("q, n, m, kind", [
+        (4, 4, 4, "real"),          # 32-byte rows
+        (6, 2, 16, "real"),
+        (3, 4, 3, "signed"),        # quantized, past the cell-table cap
+        (4, 4, 16, "unsigned"),
+    ])
+    def test_take_equals_the_fancy_index(self, monkeypatch, q, n, m, kind):
+        rng = np.random.default_rng(160 + q * n * m)
+        lut = (random_real_lut(rng, q, n, m) if kind == "real"
+               else random_int_lut(rng, q, n, m, signed=kind == "signed"))
+        assert _cell_table(lut) is None
+        assert lut.m * lut.entries.itemsize not in (1, 2, 4, 8)
+        integral = integer_patches(rng, 3 * _CHUNK_ROWS // lut.m + 5, n)
+        uniform = rng.uniform(0.0, 255.0, (700, n))
+        for patches in (integral, uniform):
+            cells, frac = _decompose_arrays(
+                np.ascontiguousarray(patches.T), lut.q,
+                _fold_dtype(lut, bool(np.all(patches % 1 == 0))))
+            rows = _flat_rows(cells, lut.lattice_points)
+            got = _fold_corners(lut.entries, rows, frac, lut.bias)
+            fancy = FancyRowTake()
+            monkeypatch.setattr(lut_module, "np", fancy)
+            want = _fold_corners(lut.entries, rows, frac, lut.bias)
+            monkeypatch.undo()
+            assert fancy.calls == -(-len(patches) // (_CHUNK_ROWS // lut.m))
+            assert got.tobytes() == want.tobytes()
+            assert query_batch(lut, patches).tobytes() == got.tobytes()
+
+
 class TestReadOnlyEntries:
     """Quantized entries cannot change under their cached cell table."""
 

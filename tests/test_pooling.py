@@ -149,6 +149,31 @@ class TestGmpWeights:
         w = gmp_weights(xs, 1e-9)
         np.testing.assert_array_equal(w, 0.25)
 
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_subnormal_tau_stays_finite(self, norm):
+        # every -d / tau overflows to -inf: the plain softmax gave NaN
+        rng = np.random.default_rng(7)
+        xs = rng.uniform(0, 255, (4, 8, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = gmp_weights(xs, 1e-320, norm)
+        assert np.all(np.isfinite(w))
+        assert np.all(w >= 0.0)
+        np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+        d, _, _ = gmp_distances(xs, norm)
+        nearest = d == d.min(axis=0)
+        np.testing.assert_array_equal(w, nearest / nearest.sum(axis=0))
+        assert PoolingSpec(kind="gmp", tau=1e-320).tau == 1e-320
+
+    @pytest.mark.parametrize("tau", [8.0, 1e-300])
+    @pytest.mark.parametrize("norm", ["l2", "l1"])
+    def test_finite_temperatures_keep_their_bits(self, tau, norm):
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(0, 255, (4, 64, 4))
+        xs[:, :4] = 99.0   # all-equal anchors too
+        d, _, _ = gmp_distances(xs, norm)
+        assert gmp_weights(xs, tau, norm).tobytes() == softmax(-d / tau, axis=0).tobytes()
+
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
             gmp_weights(np.zeros((4, 1, 1)), 0.0)

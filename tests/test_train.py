@@ -42,7 +42,7 @@ from lutpool import (
 from lutpool.lut import corner_weights
 from lutpool.orientation import (DIAGONAL_PATTERN, SQUARE_PATTERN, WYE_PATTERN,
                                  block_permutation)
-from lutpool.pipeline import _resize_axis, _run_real, pixel_shuffle, stage_pass
+from lutpool.pipeline import _blend, _resize_axis, _run_real, pixel_shuffle, stage_pass
 from lutpool.pooling import softmax
 from lutpool.train import _loss_and_grad, _to_blocks
 
@@ -549,6 +549,68 @@ class TestVectorizedStep:
         with pytest.raises(ValueError):
             corner_weights(rows, frac.T, lattice,
                            out=(idx, np.empty((500, 1 << n)).T))
+
+
+class TestStepBuffers:
+    """The step's large arrays are per-thread buffers reused across steps."""
+
+    def test_successive_tapes_share_their_corner_buffers(self):
+        rng = np.random.default_rng(24)
+        tp, _ = oracle_pipeline(rng, "sr", "oap", [SQUARE_PATTERN, DIAGONAL_PATTERN])
+        config = tp.to_config()
+        tapes = []
+        for _ in range(2):
+            tapes.append({})
+            stage_pass(rng.uniform(0, 255, (2, 5, 7)), config.stages[0], config,
+                       config.scale, tape=tapes[-1])
+        for a, b in zip(tapes[0]["corners"] + [tapes[0]["coeff"]],
+                        tapes[1]["corners"] + [tapes[1]["coeff"]]):
+            assert np.shares_memory(a[0], b[0]) and np.shares_memory(a[1], b[1])
+        # the ensemble is the caller's to keep
+        assert not np.shares_memory(tapes[0]["xs"], tapes[1]["xs"])
+
+    def test_warm_oap_step_peak(self):
+        # the benchmark's memory probe: 16 crops of 16x16, S/q4 x2 tables
+        # and a q5 coefficient table; the buffers were grown by the
+        # earlier steps, so a warm step allocates only small temporaries
+        rng = np.random.default_rng(25)
+        coeff = TrainableLut(RealLut(5, 4, 4, np.zeros((lattice_size(5),) * 4 + (4,))))
+        tp = TrainablePipeline.zero_init("sr", 2, q=4, pooling="oap", coeff=coeff)
+        pairs = sr_pairs(count=4, size=48, seed=2)
+        cfg = TrainConfig(iterations=1, batch_size=16, crop=16, lr=5e-2)
+
+        def step(batch):
+            assert math.isfinite(forward_backward(tp, batch, cfg)["total"])
+            for param in tp.parameters():
+                adam_step(param.lut.entries, param.grad, param.adam, 0, cfg.lr)
+
+        for _ in range(2):
+            step(sample_batch(rng, pairs, 16, 2, 16))
+        batch = sample_batch(rng, pairs, 16, 2, 16)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            step(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8.54 MB when the tape, gather, products and Adam slices were fresh
+        assert peak <= 4e6
+
+    def test_blend_checks_the_index_range(self):
+        rng = np.random.default_rng(26)
+        flat = rng.normal(0, 1, (30, 4))
+        idx = rng.integers(0, 30, (4, 50))
+        wts = rng.uniform(0, 1, (4, 50))
+        want = np.zeros((50, 4))
+        for c in range(4):
+            want += wts[c, :, None] * flat[idx[c]]
+        assert _blend(flat, idx, wts).tobytes() == want.tobytes()
+        for bad in (30, -1, 10 ** 6):
+            wrong = idx.copy()
+            wrong[2, 17] = bad
+            with pytest.raises(IndexError):
+                _blend(flat, wrong, wts)
 
 
 class TestTrainInferParity:
