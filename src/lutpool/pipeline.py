@@ -35,15 +35,21 @@ next stage's queries stay in domain -- and are quantized exactly once,
 as the last stage writes its rows, with round-half-away-from-zero.  With
 residual mode on, each stage adds its prediction to a baseline: the
 stage input itself at unit scale, or its bicubic upsample for the
-upscaling stage, computed per band as those rows of
-:func:`bicubic_resize`.
+upscaling stage.  That upsample is added phase by phase: each of the
+rs * rs sub-pixel planes of a band is a row and a column pass of
+shifted slices of the band's edge-padded rows, with the per-phase taps
+of the resampler's cached geometry, added straight into its column of
+the blocks (see :func:`_add_upsample`); it has the bits of those pixels
+of :func:`bicubic_resize`.  Block unrotation, fusion and the final pixel
+shuffle likewise work column by column, without permutation copies or
+ensemble-sized temporaries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -181,17 +187,15 @@ def _keys_kernel(x: np.ndarray) -> np.ndarray:
     return np.where(ax <= 1.0, inner, np.where(ax < 2.0, outer, 0.0))
 
 
-def _resize_axis(arr: np.ndarray, out_len: int, scale: float, axis: int,
-                 start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Cubic resampling of ``arr`` along ``axis`` to ``out_len`` samples.
+@lru_cache(maxsize=64)
+def _resize_geometry(in_len: int, out_len: int, scale: float):
+    """Cubic weights (out_len, ntaps) and first, unclipped taps (out_len,) of one axis.
 
-    Only the output indices [start, stop) are computed (all of them by
-    default).  Sample positions come from the global output index, so
-    the range equals that slice of the full result bit for bit.
+    Output sample i reads input samples ``first[i] + t`` (t < ntaps),
+    replicated at the edges.  Cached per axis geometry and read-only
+    for that reason.
     """
-    in_len = arr.shape[axis]
-    stop = out_len if stop is None else stop
-    pos = (np.arange(start, stop, dtype=np.float64) + 0.5) / scale - 0.5
+    pos = (np.arange(out_len, dtype=np.float64) + 0.5) / scale - 0.5
     shrink = min(scale, 1.0)  # widen the kernel when minifying
     support = 2.0 / shrink
     first = np.floor(pos - support).astype(np.int64) + 1
@@ -199,14 +203,48 @@ def _resize_axis(arr: np.ndarray, out_len: int, scale: float, axis: int,
     taps = first[:, None] + np.arange(ntaps, dtype=np.int64)[None, :]
     weights = _keys_kernel((pos[:, None] - taps) * shrink)
     weights = weights / weights.sum(axis=1, keepdims=True)
-    taps = np.clip(taps, 0, in_len - 1)  # replicate boundary
+    weights.setflags(write=False)
+    first.setflags(write=False)
+    return weights, first
+
+
+def _resize_axis(arr: np.ndarray, out_len: int, scale: float, axis: int) -> np.ndarray:
+    """Cubic resampling of ``arr`` along ``axis`` to ``out_len`` samples."""
+    in_len = arr.shape[axis]
+    weights, first = _resize_geometry(in_len, out_len, scale)
+    taps = np.clip(first[:, None] + np.arange(weights.shape[1]), 0, in_len - 1)
     moved = np.moveaxis(arr, axis, 0)
-    out = np.zeros((len(pos),) + moved.shape[1:], dtype=np.float64)
-    for t in range(ntaps):
-        w = weights[:, t].reshape((len(pos),) + (1,) * (moved.ndim - 1))
+    out = np.zeros((out_len,) + moved.shape[1:], dtype=np.float64)
+    for t in range(weights.shape[1]):
+        w = weights[:, t].reshape((out_len,) + (1,) * (moved.ndim - 1))
         # integer rows are widened first: a mixed-dtype multiply is buffered
         out += w * moved[taps[:, t]].astype(np.float64, copy=False)
     return np.moveaxis(out, 0, axis)
+
+
+@lru_cache(maxsize=64)
+def _phase_taps(in_len: int, rs: int):
+    """The taps of an ``rs``-fold cubic upsample of one axis, phase by phase.
+
+    Output sample y * rs + p reads, for each ``(offset, weights)`` of
+    phase p, input sample y + offset (replicated at the edges) with
+    weight ``weights[y]``: the taps of :func:`_resize_geometry`, whose
+    first tap is y plus a constant per phase.  Taps whose weight is zero
+    at every y are left out; a zero product adds nothing to a sum that
+    started at +0.0.  The per-y weight columns are kept because at x3
+    they differ in the last bits from one y to the next.
+    """
+    weights, first = _resize_geometry(in_len, in_len * rs, rs)
+    phases = []
+    for p in range(rs):
+        taps = []
+        for t, col in enumerate(weights[p::rs].T):
+            if col.any():
+                col = col.copy()
+                col.setflags(write=False)
+                taps.append((int(first[p]) + t, col))
+        phases.append(tuple(taps))
+    return tuple(phases)
 
 
 def bicubic_resize(image, scale: float, out_shape=None) -> np.ndarray:
@@ -402,9 +440,10 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
     among the stage tables (and the oap coefficient table) into two
     planes, uint8 lattice cells and in-cell fractions, and the padded copy
     is dropped.  Every (rotation, pattern) query then takes its flat base
-    rows and axis-major fractions from shifted views of the planes, is
-    read from its table and unrotated; the planes are dropped before the
-    (k, N, rs*rs) ensemble is fused by the configured pooling (``alpha``
+    rows and axis-major fractions from shifted views of the planes and is
+    read from its table; each rotation's pattern outputs are averaged and
+    unrotated into the (k, N, rs*rs) ensemble.  The planes are dropped
+    before the ensemble is fused by the configured pooling (``alpha``
     holds the band's precomputed oap weights) and the residual baseline of
     the band's rows is added.  Returns the band's blocks (N, rs*rs) and
     weights (k, N), N = B * (y1 - y0) * w.
@@ -455,11 +494,18 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
         alpha = oap_weights(query(coeff, cp.offsets), coeff,
                             query=partial(_lookup, corners=corners))
 
-    xs = np.zeros((k, count, m))
+    xs = np.empty((k, count, m))
     if tape is not None:
         tape["corners"] = [_tape_arrays(f"corners{pi}", (k, 1 << p.n, count))
                            for pi, p in enumerate(config.patterns)]
+    # each rotation sums its patterns' outputs / npat onto +0.0 (the first
+    # is added to 0.0) in the rotated frame, then unrotates the sum's blocks,
+    # a column permutation that commutes with the sum: column perm[j] goes
+    # to column j
+    rotated = np.empty((count, m)) if m > 1 else None
     for ri, r in enumerate(rotations):
+        unrotate = m > 1 and r != 0
+        acc = rotated if unrotate else xs[ri]
         for pi, (pattern, table) in enumerate(zip(config.patterns, stage_luts)):
             corners = None
             if tape is not None:
@@ -468,10 +514,15 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
             out = _lookup(table, query(table, pattern.rotated(r)), corners)
             if counters is not None:
                 counters.lut_queries += count
-            if m > 1:
-                out = out[:, block_permutation(m, r)]
-            xs[ri] += out / npat
-    del planes
+            out /= npat
+            if pi:
+                acc += out
+            else:
+                np.add(out, 0.0, out=acc)
+        if unrotate:
+            for j, col in enumerate(block_permutation(m, r)):
+                xs[ri, :, j] = rotated[:, col]
+    del planes, rotated
 
     if pool.kind == "average":
         weights = average_weights(k, count)
@@ -487,12 +538,46 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
         if rs == 1:
             pred += stack[:, y0:y1].reshape(count, 1)
         else:
-            # the stack's images ride on the channel axis of the resampler;
-            # the row pass computes the band's output rows only
-            up = _resize_axis(stack.transpose(1, 2, 0), h * rs, rs, 0, y0 * rs, y1 * rs)
-            up = _resize_axis(up, w * rs, rs, 1)
-            pred += _to_blocks(up.transpose(2, 0, 1), rs)
+            _add_upsample(pred, stack, y0, y1, rs)
     return pred, weights
+
+
+def _add_upsample(pred, stack, y0: int, y1: int, rs: int) -> None:
+    """Add rows [y0, y1) of the stack's ``rs``-fold bicubic upsample to ``pred``.
+
+    ``pred`` holds the band's blocks (B * (y1 - y0) * w, rs * rs); output
+    pixel (y * rs + pr, x * rs + pc) is column pr * rs + pc of anchor
+    (y, x).  Each row phase pr is a row pass over the band's rows, and
+    each column phase pc then a column pass over that, as in
+    :func:`bicubic_resize`: products of the phase's taps
+    (:func:`_phase_taps`) with shifted slices of the band, edge-padded
+    once, are added in tap order onto +0.0.  So every plane has the bits
+    of those pixels of :func:`bicubic_resize` and is added straight into
+    its column of ``pred``.
+    """
+    b, h, w = stack.shape
+    rows = y1 - y0
+    row_taps, col_taps = _phase_taps(h, rs), _phase_taps(w, rs)
+    offsets = [o for phase in row_taps + col_taps for o, _ in phase]
+    lo, hi = min(offsets), max(offsets)
+    top, bottom = max(0, y0 + lo), min(h, y1 + hi)
+    # padded row i and column c are the stack's row y0 + lo + i and column c + lo, clamped
+    src = np.pad(np.asarray(stack[:, top:bottom], dtype=np.float64),
+                 ((0, 0), (top - (y0 + lo), y1 + hi - bottom), (-lo, hi)), mode="edge")
+    across = np.empty((b, rows, src.shape[2]))
+    plane = np.empty((b, rows, w))
+    term, plane_term = np.empty_like(across), np.empty_like(plane)
+    for pr, taps in enumerate(row_taps):
+        across.fill(0.0)
+        for o, wt in taps:
+            np.multiply(wt[y0:y1, None], src[:, o - lo:o - lo + rows], out=term)
+            across += term
+        for pc, ctaps in enumerate(col_taps):
+            plane.fill(0.0)
+            for o, wt in ctaps:
+                np.multiply(wt, across[:, :, o - lo:o - lo + w], out=plane_term)
+                plane += plane_term
+            pred[:, pr * rs + pc] += plane.reshape(-1)
 
 
 def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
@@ -535,7 +620,13 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
             np.clip(blocks, 0.0, 255.0, out=blocks)
             if out.dtype != np.float64:
                 blocks = round_half_away(blocks)
-            out[y0 * rs:y1 * rs] = pixel_shuffle(blocks.reshape(y1 - y0, w, rs, rs))
+            # pixel shuffle, one block column at a time: column pr * rs + pc
+            # holds the output pixels (y * rs + pr, x * rs + pc)
+            rows = out[y0 * rs:y1 * rs].reshape(y1 - y0, rs, w, rs)
+            for j in range(rs * rs):
+                rows[:, j // rs, :, j % rs] = blocks[:, j].reshape(y1 - y0, w)
+            # drop this band's arrays before the generator computes the next one
+            del blocks, wts
         if weights is not None:
             alpha = weights
         x = out

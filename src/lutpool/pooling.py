@@ -61,9 +61,19 @@ def combine(xs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     Every pooling strategy funnels through this one routine so that
     strategies producing identical weights produce bitwise-identical
-    outputs.
+    outputs.  The products are accumulated one orientation at a time
+    onto +0.0, ``((0 + w0 x0) + w1 x1) + ...``: the order and the start
+    of ``np.sum(weights[:, :, None] * xs, axis=0)``, without its
+    (k, N, m) temporary.  (numpy sums pairwise instead when the result
+    is a single value and k >= 8, which no orientation set reaches.)
     """
-    return np.sum(weights[:, :, None] * xs, axis=0)
+    out = weights[0][:, None] * xs[0]
+    out += 0.0          # the sum starts at +0.0: a -0.0 first product becomes +0.0
+    term = np.empty_like(out)
+    for x, w in zip(xs[1:], weights[1:]):
+        np.multiply(w[:, None], x, out=term)
+        out += term
+    return out
 
 
 def average_weights(k: int, count: int) -> np.ndarray:
@@ -71,16 +81,43 @@ def average_weights(k: int, count: int) -> np.ndarray:
 
 
 def gmp_distances(xs: np.ndarray, norm: str = "l2"):
-    """Distance of each prediction from the ensemble mean, (k, N)."""
+    """Distance of each prediction from the ensemble mean, (k, N).
+
+    Also returns the deviations from the mean (k, N, m) and the mean.
+    """
     mean = np.mean(xs, axis=0)
-    dev = xs - mean[None]
-    if norm == "l2":
-        d = np.sqrt(np.sum(dev * dev, axis=-1))
-    elif norm == "l1":
-        d = np.sum(np.abs(dev), axis=-1)
-    else:
+    return _distances(xs, mean, norm), xs - mean[None], mean
+
+
+def _distances(xs: np.ndarray, mean: np.ndarray, norm: str) -> np.ndarray:
+    """l1 or l2 distance of each prediction (k, N, m) from ``mean`` (N, m).
+
+    One orientation at a time, through one (N, m) buffer of deviations.
+    Its m columns are added in sequence, which is the order of
+    ``np.sum(axis=-1)`` over fewer than 8 terms; from 8 on numpy sums
+    pairwise, so the row sum itself is taken.  The distances are thus
+    the bits of ``sqrt(sum(dev * dev, -1))`` and ``sum(|dev|, -1)``.
+    """
+    if norm not in ("l1", "l2"):
         raise ValueError(f"unknown distance norm {norm!r}")
-    return d, dev, mean
+    k, count, m = xs.shape
+    d = np.empty((k, count))
+    dev = np.empty((count, m))
+    for x, row in zip(xs, d):
+        np.subtract(x, mean, out=dev)
+        if norm == "l2":
+            np.multiply(dev, dev, out=dev)
+        else:
+            np.abs(dev, out=dev)
+        if m < 8:
+            row[...] = dev[:, 0]
+            for j in range(1, m):
+                row += dev[:, j]
+        else:
+            np.sum(dev, axis=-1, out=row)
+    if norm == "l2":
+        np.sqrt(d, out=d)
+    return d
 
 
 def gmp_weights(xs: np.ndarray, tau: float, norm: str = "l2") -> np.ndarray:
@@ -91,10 +128,13 @@ def gmp_weights(xs: np.ndarray, tau: float, norm: str = "l2") -> np.ndarray:
     ``-d_i / tau`` of an anchor overflows to -inf, that anchor takes the
     minimum distance out first, so its weights stay finite: the nearest
     predictions share them.  Every other anchor keeps the plain softmax.
+    The mean is ``np.mean(xs, axis=0)``, orientations added in sequence,
+    and each distance sums its m terms in the order of ``np.sum`` over
+    the last axis (see :func:`_distances`), with no (k, N, m) temporary.
     """
     if not tau > 0.0:
         raise ValueError("gmp temperature must be positive")
-    d, _, _ = gmp_distances(xs, norm)
+    d = _distances(xs, np.mean(xs, axis=0), norm)
     with np.errstate(over="ignore"):    # -d / tau past -inf weighs 0
         u = -d / tau
         lost = ~np.isfinite(u.max(axis=0))
@@ -120,7 +160,8 @@ def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
         total = np.sum(raw, axis=1, keepdims=True)
         positive = total > 0.0
         if positive.all():
-            return (raw / total).T
+            # (k, N) in C order: each orientation's weights are contiguous
+            return np.divide(raw.T, total.T, out=np.empty(raw.shape[::-1]))
         # rows of zero total keep the uniform fill; the rest divide in place
         w = np.full_like(raw, 1.0 / raw.shape[1])
         np.divide(raw, total, out=w, where=positive)

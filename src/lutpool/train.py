@@ -81,6 +81,8 @@ class TrainConfig:
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
+        if self.batch_size < 1 or self.crop < 1:
+            raise ValueError("a batch needs at least one crop of at least one pixel")
 
 
 def charbonnier(pred, target, epsilon: float = 1e-3) -> float:
@@ -263,29 +265,33 @@ class Batch:
 
 def sample_batch(rng: np.random.Generator, pairs, crop: int, rs: int,
                  batch_size: int, augment: bool = True) -> Batch:
-    """Random aligned crop pairs with optional rotation/flip augmentation."""
-    ins, tgts = [], []
-    for _ in range(batch_size):
+    """Random aligned crop pairs with optional rotation/flip augmentation.
+
+    Each crop is written, as a rotated and flipped view, straight into
+    its slot of the batch's float64 arrays.
+    """
+    ins = np.empty((batch_size, crop, crop))
+    tgts = np.empty((batch_size, crop * rs, crop * rs))
+    for n in range(batch_size):
         inp, tgt = pairs[rng.integers(len(pairs))]
         h, w = inp.shape
         if h < crop or w < crop:
             raise ValueError(f"image {inp.shape} smaller than crop {crop}")
         i = int(rng.integers(h - crop + 1))
         j = int(rng.integers(w - crop + 1))
-        ci = np.asarray(inp[i:i + crop, j:j + crop], dtype=np.float64)
-        ct = np.asarray(tgt[rs * i: rs * (i + crop), rs * j: rs * (j + crop)],
-                        dtype=np.float64)
+        ci = inp[i:i + crop, j:j + crop]
+        ct = tgt[rs * i: rs * (i + crop), rs * j: rs * (j + crop)]
         if augment:
             r = int(rng.integers(4))
             f = int(rng.integers(2))
             ci = np.rot90(ci, r)
             ct = np.rot90(ct, r)
             if f:
-                ci = np.flip(ci, axis=1)
-                ct = np.flip(ct, axis=1)
-        ins.append(np.ascontiguousarray(ci))
-        tgts.append(np.ascontiguousarray(ct))
-    return Batch(np.stack(ins), np.stack(tgts))
+                ci = ci[:, ::-1]
+                ct = ct[:, ::-1]
+        ins[n] = ci
+        tgts[n] = ct
+    return Batch(ins, tgts)
 
 
 def _loss_and_grad(diff: np.ndarray, kind: str, epsilon: float):

@@ -435,3 +435,117 @@ class TestTopLevel:
 
     def test_unknown_flag_is_usage_error(self):
         assert run("bake", "--frobnicate") == 1
+
+
+class TestFuzz:
+    """Seeded mutations of pipeline.json documents, table containers and PNM headers.
+
+    Every run of ``lutpool`` must end in exit 0, 2 (i/o) or 3
+    (validation), never with an exception escaping ``main``.
+    """
+
+    CASES = 120
+    VALUES = [None, True, False, 0, 1, 2, 3, 4, -1, 2 ** 40, 0.5, -0.0, 1e-320, 1e308,
+              float("inf"), float("nan"), "", "S", "D", "Y", "Q", "sr", "restore", "avg",
+              "average", "gmp", "oap", "l1", "l2", "ident.lut", "sr.lut", "missing.lut",
+              "pipeline.json", ".", [], [0], [4], [0, 0], [[]], [["ident.lut"]], [["sr.lut"]],
+              [["ident.lut", "ident.lut"]], [["ident.lut"], ["sr.lut"]], ["S", "D"], {},
+              {"kind": "oap"}, {"kind": "gmp", "tau": 1e-320}, {"kind": "oap", "coeff": "ident.lut"}]
+    BASE = {"task": "restore", "scale": 1, "stages": [["ident.lut"]], "patterns": ["S"],
+            "orientations": [0, 1, 2, 3], "pooling": {"kind": "gmp", "tau": 8.0, "norm": "l2"},
+            "residual": False, "coeff_pattern": "S"}
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        assert run("bake", "--rule", "identity", "--q", "6", "--out", str(tmp_path / "ident.lut")) == 0
+        assert run("bake", "--rule", "zero-residual", "--q", "6", "--scale", "2",
+                   "--out", str(tmp_path / "sr.lut")) == 0
+        write_test_image(tmp_path / "in.pgm", size=8)
+        return tmp_path
+
+    @staticmethod
+    def lutpool(capsys, *argv):
+        capsys.readouterr()
+        try:
+            code = main(list(argv))
+        except BaseException as exc:    # noqa: BLE001 -- the failure under test
+            pytest.fail(f"{argv}: {exc!r} escaped main")
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err
+        return code
+
+    def restore(self, capsys, files, *argv):
+        return self.lutpool(capsys, "restore", "--input", str(files / "in.pgm"),
+                            "--out", str(files / "out.pgm"), *argv)
+
+    def test_pipeline_documents(self, files, capsys):
+        rng = np.random.default_rng(1019)
+        keys = list(self.BASE) + ["unknown"]
+        codes = set()
+        for case in range(self.CASES):
+            doc = json.loads(json.dumps(self.BASE))
+            for _ in range(rng.integers(1, 4)):
+                op = rng.integers(3)
+                if op == 0:
+                    doc[keys[rng.integers(len(keys))]] = self.VALUES[rng.integers(len(self.VALUES))]
+                elif op == 1:
+                    doc.pop(keys[rng.integers(len(keys))], None)
+                elif isinstance(doc.get("pooling"), dict):
+                    sub = ("kind", "tau", "norm", "coeff", "real_coeff")[rng.integers(5)]
+                    doc["pooling"][sub] = self.VALUES[rng.integers(len(self.VALUES))]
+            text = json.dumps(doc)
+            if rng.random() < 0.2:
+                at = int(rng.integers(len(text)))
+                text = text[:at] if rng.random() < 0.5 else text[:at] + "}[,:0\"x"[rng.integers(7)] + text[at + 1:]
+            (files / "pipeline.json").write_text(text)
+            codes.add(self.restore(capsys, files, "--config", str(files / "pipeline.json")))
+        assert codes == {0, 2, 3}
+
+    def test_table_containers(self, files, capsys):
+        rng = np.random.default_rng(1020)
+        good = (files / "ident.lut").read_bytes()
+        codes = set()
+        for case in range(self.CASES):
+            data = bytearray(good)
+            op = rng.integers(4)
+            if op == 0:          # a few bytes anywhere, most of them in the header
+                for _ in range(rng.integers(1, 4)):
+                    at = int(rng.integers(64 if rng.random() < 0.7 else len(data)))
+                    data[at] = int(rng.integers(256))
+            elif op == 1:        # a 32-bit field of the header
+                at = int(rng.integers(0, 60))
+                data[at:at + 4] = int(rng.integers(2 ** 32, dtype=np.uint64)).to_bytes(4, "little")
+            elif op == 2:
+                data = data[:int(rng.integers(len(data)))]
+            else:
+                data += rng.integers(0, 256, int(rng.integers(1, 64))).astype(np.uint8).tobytes()
+            (files / "fuzz.lut").write_bytes(bytes(data))
+            codes.add(self.restore(capsys, files, "--lut", str(files / "fuzz.lut")))
+            self.lutpool(capsys, "inspect", str(files / "fuzz.lut"), "--verify")
+        assert 2 in codes
+
+    def test_pnm_headers(self, files, capsys):
+        rng = np.random.default_rng(1021)
+        payload = rng.integers(0, 241, 8 * 8 * 3).astype(np.uint8).tobytes()
+        alphabet = b"P56 0123456789\n\t#x-+"
+        codes = set()
+        for case in range(self.CASES):
+            magic = b"P5" if rng.random() < 0.7 else b"P6"
+            header = bytearray(magic + b"\n8 8\n255\n")
+            for _ in range(rng.integers(1, 4)):
+                at = int(rng.integers(len(header)))
+                op = rng.integers(3)
+                char = alphabet[rng.integers(len(alphabet))]
+                if op == 0:
+                    header[at] = char
+                elif op == 1:
+                    header.insert(at, char)
+                else:
+                    del header[at]
+            body = payload[:int(rng.integers(0, 8 * 8 * 3 + 1))] if rng.random() < 0.3 else payload
+            (files / "fuzz.pgm").write_bytes(bytes(header) + body)
+            codes.add(self.lutpool(capsys, "restore", "--input", str(files / "fuzz.pgm"),
+                                   "--out", str(files / "out.pgm"),
+                                   "--lut", str(files / "ident.lut")))
+        assert codes == {0, 2}

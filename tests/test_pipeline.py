@@ -37,7 +37,7 @@ from lutpool import (
     round_half_away,
 )
 from lutpool import pipeline
-from lutpool.pipeline import _resize_axis, _run_real, stage_pass
+from lutpool.pipeline import _run_real, _to_blocks, stage_pass
 from tests.test_pooling import constant_entry_coeff
 
 
@@ -707,6 +707,34 @@ class TestBands:
         for a, b in zip(plain, want_plain):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("name", ["sdy-x2-gmp", "s-x3-gmp"])
+    def test_a_band_runs_without_the_previous_bands_arrays(self, monkeypatch, name):
+        # the traced memory at the start of every band is that of the
+        # first: no blocks, rounded blocks or weights of an earlier band
+        config = BAND_CONFIGS[name]
+        h, w = 96, 64
+        rows = 32
+        image = np.random.default_rng(58).integers(0, 256, (h, w)).astype(np.uint8)
+        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", rows * w)
+        want = restore_image(image, config)       # caches and scratch are built here
+        live = []
+        band = pipeline._stage_band
+
+        def spy(*args):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return band(*args)
+
+        monkeypatch.setattr(pipeline, "_stage_band", spy)
+        tracemalloc.start()
+        try:
+            got = restore_image(image, config)
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert len(live) == h // rows
+        one_plane = rows * w * 8          # a float64 value per anchor of a band
+        assert max(live) - live[0] < one_plane, [v - live[0] for v in live]
+
     def test_shared_oap_weights_are_sliced_per_band(self, monkeypatch):
         config = BAND_CONFIGS["oap-shared-2"]
         rng = np.random.default_rng(53)
@@ -724,19 +752,88 @@ class TestBands:
         assert (counters.lut_queries, counters.coeff_queries) == (12 * stack.size, 0)
 
 
-class TestResizeAxisRange:
-    @pytest.mark.parametrize("scale", [2.0, 3.0, 0.5])
-    def test_range_equals_slice_of_full_result(self, scale):
+def resize_axis_per_call(arr, out_len, scale, axis):
+    """The separable resampler with its geometry rebuilt on every call.
+
+    The oracle for the bits of :func:`bicubic_resize`, which reads a
+    cached geometry: every tap, zero-weight ones too, is added onto +0.0.
+    """
+    in_len = arr.shape[axis]
+    pos = (np.arange(out_len, dtype=np.float64) + 0.5) / scale - 0.5
+    shrink = min(scale, 1.0)
+    support = 2.0 / shrink
+    first = np.floor(pos - support).astype(np.int64) + 1
+    ntaps = int(math.ceil(2.0 * support)) + 2
+    taps = first[:, None] + np.arange(ntaps, dtype=np.int64)[None, :]
+    weights = pipeline._keys_kernel((pos[:, None] - taps) * shrink)
+    weights = weights / weights.sum(axis=1, keepdims=True)
+    taps = np.clip(taps, 0, in_len - 1)
+    moved = np.moveaxis(np.asarray(arr, dtype=np.float64), axis, 0)
+    out = np.zeros((out_len,) + moved.shape[1:])
+    for t in range(ntaps):
+        out += weights[:, t].reshape((out_len,) + (1,) * (moved.ndim - 1)) * moved[taps[:, t]]
+    return np.moveaxis(out, 0, axis)
+
+
+class TestResizeGeometry:
+    @pytest.mark.parametrize("scale", [2.0, 3.0, 4.0, 0.5, 1.5, 1 / 3])
+    def test_bicubic_resize_equals_per_call_geometry(self, scale):
         rng = np.random.default_rng(54)
-        for arr in (rng.uniform(0, 255, (13, 17)), rng.uniform(0, 255, (13, 17, 3))):
-            for axis in (0, 1):
-                n = max(1, int(round(arr.shape[axis] * scale)))
-                full = _resize_axis(arr, n, scale, axis)
-                for start, stop in [(0, n), (0, 1), (n - 1, n), (1, n // 2 + 1),
-                                    (n // 3, n)]:
-                    part = _resize_axis(arr, n, scale, axis, start, stop)
-                    want = np.take(full, np.arange(start, stop), axis=axis)
-                    assert part.tobytes() == want.tobytes(), (arr.shape, axis, start, stop)
+        for img in (rng.uniform(0, 255, (13, 17)), rng.integers(0, 256, (13, 17)).astype(np.uint8),
+                    rng.uniform(0, 255, (13, 17, 3)), np.full((1, 1), 7.0)):
+            out_h = max(1, int(round(img.shape[0] * scale)))
+            out_w = max(1, int(round(img.shape[1] * scale)))
+            want = resize_axis_per_call(resize_axis_per_call(img, out_h, scale, 0), out_w, scale, 1)
+            for _ in range(2):        # the second call reads the cached geometry
+                got = bicubic_resize(img, scale)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), img.shape
+
+    @pytest.mark.parametrize("rs", [2, 3, 4])
+    def test_phase_taps_are_the_geometry_taps(self, rs):
+        for n in (1, 2, 3, 5, 64, 1001):
+            weights, first = pipeline._resize_geometry(n, n * rs, rs)
+            # the first tap of output y * rs + p is y plus a constant per phase
+            base = first[:rs]
+            np.testing.assert_array_equal(first.reshape(n, rs), np.arange(n)[:, None] + base)
+            phases = pipeline._phase_taps(n, rs)
+            assert len(phases) == rs
+            for p, taps in enumerate(phases):
+                kept = {o - base[p]: col for o, col in taps}
+                for t in range(weights.shape[1]):
+                    col = weights[p::rs, t]
+                    if t in kept:
+                        assert kept[t].tobytes() == col.tobytes()
+                    else:
+                        assert not col.any()
+                assert kept
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            phases[0][0][1][0] = 1.0
+
+
+class TestStageUpsample:
+    """The residual baseline of an upscaling stage is those rows of bicubic_resize."""
+
+    @pytest.mark.parametrize("rs", [2, 3, 4])
+    def test_band_rows_equal_bicubic_resize(self, rs):
+        rng = np.random.default_rng(60 + rs)
+        for b, h, w in [(1, 1, 1), (1, 7, 5), (3, 9, 11), (2, 13, 3), (1, 37, 29), (2, 4, 1)]:
+            for dtype in (np.uint8, np.float64):
+                stack = rng.integers(0, 256, (b, h, w)).astype(dtype)
+                if dtype == np.float64:
+                    stack[:, h // 2:] += rng.uniform(-0.5, 0.5, stack[:, h // 2:].shape)
+                    np.clip(stack, 0.0, 255.0, out=stack)
+                up = np.stack([bicubic_resize(img, rs) for img in stack])
+                # the band splits of TestBands: 1, 7 and 3 * w anchors, and one band
+                for band in (1, 7, 3 * w, pipeline._BAND_ANCHORS):
+                    rows = max(1, band // (b * w))
+                    for y0 in range(0, h, rows):
+                        y1 = min(h, y0 + rows)
+                        pred = np.zeros((b * (y1 - y0) * w, rs * rs))
+                        pipeline._add_upsample(pred, stack, y0, y1, rs)
+                        want = 0.0 + _to_blocks(up[:, y0 * rs:y1 * rs], rs)
+                        assert pred.tobytes() == want.tobytes(), ((b, h, w), dtype, y0, y1)
 
 
 class TestPeakMemorySlope:

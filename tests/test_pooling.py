@@ -181,6 +181,67 @@ class TestGmpWeights:
             gmp_weights(np.zeros((4, 1, 1)), -1.0)
 
 
+def np_sum_distances(xs, norm):
+    """The soft-median distances as whole-ensemble ``np.sum`` formulas.
+
+    The oracle for the bits of :func:`gmp_distances` and
+    :func:`gmp_weights`, which build them one orientation at a time.
+    """
+    dev = xs - np.mean(xs, axis=0)[None]
+    if norm == "l2":
+        return np.sqrt(np.sum(dev * dev, axis=-1))
+    return np.sum(np.abs(dev), axis=-1)
+
+
+def np_sum_gmp_weights(xs, tau, norm):
+    d = np_sum_distances(xs, norm)
+    with np.errstate(over="ignore"):
+        u = -d / tau
+        lost = ~np.isfinite(u.max(axis=0))
+        if lost.any():
+            near = d[:, lost]
+            u[:, lost] = -(near - near.min(axis=0)) / tau
+    return softmax(u, axis=0)
+
+
+def np_sum_combine(xs, weights):
+    """The blend as one ``np.sum`` over a (k, N, m) product: the oracle for :func:`combine`."""
+    return np.sum(weights[:, :, None] * xs, axis=0)
+
+
+class TestSummationOrder:
+    """Fusion built per orientation keeps the bits of the whole-ensemble sums."""
+
+    @staticmethod
+    def ensembles(rng, m):
+        for k in (1, 2, 4):
+            for count in (1, 2, 37, 300):
+                xs = rng.normal(0.0, 40.0, (k, count, m)) * 10.0 ** rng.integers(-4, 4, (k, count, m))
+                xs[:, : count // 3] = np.round(xs[:, : count // 3])   # ties and integers
+                xs[:, count // 2: count // 2 + 2] = 0.0                 # all-equal anchors
+                xs[:, -1:] = -0.0                                      # sums start at +0.0
+                yield xs
+
+    @pytest.mark.parametrize("tau", [8.0, 1e-320])
+    @pytest.mark.parametrize("m", [1, 4, 9, 16])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_gmp_weights_keep_their_bits(self, norm, m, tau):
+        rng = np.random.default_rng([m, int(tau > 1.0)])
+        for xs in self.ensembles(rng, m):
+            assert gmp_distances(xs, norm)[0].tobytes() == np_sum_distances(xs, norm).tobytes()
+            assert gmp_weights(xs, tau, norm).tobytes() == np_sum_gmp_weights(xs, tau, norm).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    def test_combine_keeps_its_bits(self, m):
+        rng = np.random.default_rng(m)
+        for xs in self.ensembles(rng, m):
+            k, count, _ = xs.shape
+            for weights in (gmp_weights(xs, 8.0), average_weights(k, count),
+                            rng.dirichlet(np.ones(k), count).T,
+                            np.eye(k)[rng.integers(k, size=count)].T):
+                assert combine(xs, weights).tobytes() == np_sum_combine(xs, weights).tobytes()
+
+
 def constant_logit_real_coeff(logits, q=6, n=4):
     logits = np.asarray(logits, dtype=np.float64)
     return bake_real(lambda p: np.tile(logits, (p.shape[0], 1)),

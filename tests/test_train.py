@@ -185,6 +185,9 @@ class TestTrainConfig:
             TrainConfig(regularizer="l2")
         with pytest.raises(ValueError):
             TrainConfig(iterations=0)
+        for empty in (dict(batch_size=0), dict(crop=0)):
+            with pytest.raises(ValueError):
+                TrainConfig(**empty)
 
 
 class TestTrainablePipeline:
