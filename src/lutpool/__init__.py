@@ -58,7 +58,6 @@ from .pooling import (
     gmp_distances,
     gmp_weights,
     oap_weights,
-    simplex_project_check,
     softmax,
 )
 from .pipeline import (

@@ -598,6 +598,14 @@ def _finish_run(out_dir, tp, report, val_pairs):
     return 0
 
 
+def _train_config(args) -> TrainConfig:
+    """The optimization settings shared by the train and finetune commands."""
+    return TrainConfig(iterations=args.steps, batch_size=args.batch,
+                       crop=args.crop, lr=args.lr, loss=args.loss,
+                       reg_weight=args.reg_weight, seed=args.seed,
+                       val_interval=args.val_interval)
+
+
 def _cmd_train(args) -> int:
     kind = _POOLING_NAMES.get(args.pooling)
     if kind is None:
@@ -611,11 +619,7 @@ def _cmd_train(args) -> int:
         residual=not args.no_residual, norm=args.norm)
     if kind == "gmp":
         tp.log_tau[...] = np.log(args.tau)
-    cfg = TrainConfig(iterations=args.steps, batch_size=args.batch,
-                      crop=args.crop, lr=args.lr, loss=args.loss,
-                      reg_weight=args.reg_weight, seed=args.seed,
-                      val_interval=args.val_interval)
-    report = train(tp, train_pairs, val_pairs, cfg)
+    report = train(tp, train_pairs, val_pairs, _train_config(args))
     return _finish_run(args.out_dir, tp, report, val_pairs)
 
 
@@ -631,11 +635,7 @@ def _cmd_finetune(args) -> int:
     tp = TrainablePipeline(dataclasses.replace(
         base, stages=[tables],
         pooling=dataclasses.replace(base.pooling, kind="average", coeff_lut=None)))
-    cfg = TrainConfig(iterations=args.steps, batch_size=args.batch,
-                      crop=args.crop, lr=args.lr, loss=args.loss,
-                      reg_weight=args.reg_weight, seed=args.seed,
-                      val_interval=args.val_interval)
-    ft, report = finetune(tp, train_pairs, val_pairs, cfg, kind,
+    ft, report = finetune(tp, train_pairs, val_pairs, _train_config(args), kind,
                           coeff_q=args.coeff_q, tau_init=args.tau_init)
     return _finish_run(args.out_dir, ft, report, val_pairs)
 

@@ -284,12 +284,6 @@ class QuantizedLut:
     def bias(self) -> int:
         return 2 ** (self.bit_depth - 1) if self.signed else 0
 
-    def payload_bytes(self) -> int:
-        return storage_bytes(self.q, self.n, self.m, self.bit_depth)
-
-    def as_real(self) -> "RealLut":
-        return dequantize(self)
-
 
 class CoeffLut(QuantizedLut):
     """Per-orientation fusion weights, one m == k vector per entry."""

@@ -6,25 +6,25 @@ back to the common frame and fused by the configured pooling.  A final
 super-resolution stage emits an r_s x r_s block per anchor, placed by
 pixel shuffle; earlier cascade stages refine at unit scale (m == 1).
 
-One kernel, :func:`stage_pass`, runs a stage on a (B, h, w) stack: a
-restored image is a stack of one, and training passes a batch of crops
-with a tape that records the corner weights its gradient needs.  The
-kernel runs over bands of whole rows of at most ``_BAND_ANCHORS``
-anchors; since an output pixel depends only on its receptive field and
-each band pads its own rows exactly as the whole frame is padded, the
-bands give the bits of one whole-frame pass.  An image streams each
-stage's bands into their rows of the stage's output raster, so only
-the stage's input and output are frame-sized: the input image is read
-as it is (an integer-typed one is widened band by band), the last stage
-writes uint8 rows, and fusion weights are kept whole only when a later
-stage shares them.  Each band decomposes each pixel once per table
-spacing q, into a lattice-cell plane and a fraction plane; every
-oriented query reads shifted views of those planes rather than
-gathering and decomposing its own patches.  A quantized table reads
-each query as one row of its cached cell table (see
-:func:`lutpool.lut._pack_cells`), so its base rows count cells; real
-tables and quantized tables past the cell-table cap gather 2**n lattice
-rows, counted over lattice points.  Queries of integer-valued bands
+One kernel, :func:`stage_pass`, runs a stage on a band of rows of a
+(B, h, w) stack: training passes a whole batch of crops with a tape
+that records the corner weights its gradient needs, and a restored
+image, a stack of one, runs each stage over bands of whole rows of at
+most ``_BAND_ANCHORS`` anchors.  Since an output pixel depends only on
+its receptive field and each band pads its own rows exactly as the
+whole frame is padded, the bands give the bits of one whole-frame pass.
+An image streams each stage's bands into their rows of the stage's
+output raster, so only the stage's input and output are frame-sized:
+the input image is read as it is (an integer-typed one is widened band
+by band), the last stage writes uint8 rows, and fusion weights are kept
+whole only when a later stage shares them.  Each band decomposes each
+pixel once per table spacing q, into a lattice-cell plane and a
+fraction plane; every oriented query reads shifted views of those
+planes rather than gathering and decomposing its own patches.  A
+quantized table reads each query as one row of its cached cell table
+(see :func:`lutpool.lut._pack_cells`), so its base rows count cells;
+real tables and quantized tables past the cell-table cap gather 2**n
+lattice rows, counted over lattice points.  Queries of integer-valued bands
 fold the leading axes of their table corners in float32 for as long as
 that is exact and the rest in float64 (see
 :func:`lutpool.lut._float32_axes`), so the result is the same in every
@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import ClassVar
 
 import numpy as np
 
@@ -88,9 +89,10 @@ class PipelineConfig:
     pooling: PoolingSpec = field(default_factory=PoolingSpec)
     residual: bool = False
     stages: list = field(default_factory=list)
-    share_oap_across_stages: bool = True
-    padding: int = 0  # extra replicate padding on top of the pattern reach
     coeff_pattern: KernelPattern = SQUARE_PATTERN
+    # No padding beyond a pattern's reach; not a setting: perfbench/checks.py
+    # reads it to pad its oracle's frames.
+    padding: ClassVar[int] = 0
 
     def __post_init__(self):
         if self.task not in ("sr", "restore"):
@@ -117,8 +119,9 @@ class PipelineConfig:
     def num_stages(self) -> int:
         return len(self.stages)
 
-    def stage_m(self, index: int) -> int:
-        return self.scale ** 2 if (self.task == "sr" and index == self.num_stages - 1) else 1
+    def stage_scale(self, index: int) -> int:
+        """Output block side of stage ``index``: the scale for the last sr stage, else 1."""
+        return self.scale if (self.task == "sr" and index == self.num_stages - 1) else 1
 
     def validate(self) -> None:
         if not self.stages:
@@ -128,7 +131,7 @@ class PipelineConfig:
                 raise ValueError(
                     f"stage {t} has {len(stage)} tables for {len(self.patterns)} patterns"
                 )
-            want_m = self.stage_m(t)
+            want_m = self.stage_scale(t) ** 2
             for pattern, lut in zip(self.patterns, stage):
                 if lut.n != pattern.n:
                     raise ValueError(
@@ -160,10 +163,7 @@ def query_cost_model(config: PipelineConfig) -> dict:
     k = config.orientations.k
     stages = config.num_stages
     patterns = len(config.patterns)
-    if config.pooling.kind == "oap":
-        coeff = 1 if config.share_oap_across_stages else stages
-    else:
-        coeff = 0
+    coeff = 1 if config.pooling.kind == "oap" else 0
     per_query = []
     for t, stage in enumerate(config.stages):
         for lut in stage:
@@ -362,103 +362,56 @@ def _lookup(table, query, corners=None) -> np.ndarray:
 
 
 def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
-               alpha=None, counters: QueryCounter | None = None, tape=None):
-    """One stage on a (B, h, w) stack of in-range images.
+               y0: int = 0, y1: int | None = None, alpha=None,
+               counters: QueryCounter | None = None, tape=None):
+    """One stage on the anchors of rows [y0, y1) of a (B, h, w) stack of in-range images.
 
-    Returns the unclamped per-anchor blocks (B*h*w, rs*rs) and the fusion
-    weights (k, B*h*w).  The stage runs over bands of whole rows of at
-    most ``_BAND_ANCHORS`` anchors (see :func:`_bands`); the bands' arrays
-    are copied into the returned ones.  A stack that fits one band, and
-    every pass with a ``tape``, runs as a single band that returns its
-    arrays as they are.  ``alpha`` (precomputed oap weights of the whole
-    stack) is sliced per band and ``counters`` add up over the bands.
-    The image pipeline does not call this: it consumes :func:`_bands`
-    directly and keeps no frame-sized blocks or weights.
+    Rows default to the whole stack.  Returns the rows' unclamped
+    per-anchor blocks (N, rs*rs) and fusion weights (k, N), N = B *
+    (y1 - y0) * w; ``alpha`` holds the rows' precomputed oap weights (k, N)
+    and ``counters`` add up the queries.  :func:`_run_real` cuts each
+    stage into bands of whole rows of at most ``_BAND_ANCHORS`` anchors
+    and runs this once per band.
 
-    Training passes a dict as ``tape``: queries then stay float64, every
-    table, the oap coefficient table included, is queried through
-    :func:`~lutpool.lut.corner_weights`, and the tape receives what the
-    backward pass needs -- ``"xs"`` (the ensemble), ``"corners"`` (per
-    pattern, (k, 2**n, B*h*w) indices and weights) and, when the stage
-    computed oap weights, ``"coeff"``.  The corner arrays live in this
-    thread's scratch (:func:`~lutpool.lut._scratch_array`), reused from
-    step to step, so a tape is valid only until the next taped pass on
-    the same thread: consume it first, as ``forward_backward`` does.
-    """
-    b, h, w = stack.shape
-    if tape is not None or _band_rows(stack) >= h:
-        return _stage_band(stack, 0, h, stage_luts, config, rs, alpha, counters, tape)
-    k = config.orientations.k
-    m = rs * rs
-    blocks = np.empty((b, h, w, m))
-    weights = np.empty((k, b, h, w))
-    for y0, y1, pred, wts in _bands(stack, stage_luts, config, rs, alpha, counters):
-        blocks[:, y0:y1] = pred.reshape(b, y1 - y0, w, m)
-        weights[:, :, y0:y1] = wts.reshape(k, b, y1 - y0, w)
-    return blocks.reshape(-1, m), weights.reshape(k, -1)
-
-
-def _band_rows(stack) -> int:
-    """Rows per band of a stage pass: at most ``_BAND_ANCHORS`` anchors, at least one row."""
-    b, _, w = stack.shape
-    return max(1, _BAND_ANCHORS // (b * w))
-
-
-def _bands(stack, stage_luts, config: PipelineConfig, rs: int, alpha, counters):
-    """A stage pass without a tape, one band of rows at a time.
-
-    Yields ``(y0, y1, blocks, weights)`` for the rows [y0, y1) of the
-    stack, top to bottom, with the band's unclamped blocks (N, rs*rs)
-    and fusion weights (k, N), N = B * (y1 - y0) * w.  Each band pads,
-    decomposes, queries, fuses and adds its residual baseline on its own
-    rows (see :func:`_stage_band`).  An output pixel depends only on its
-    own receptive field, and the band's padded rows are exactly those
-    rows of the whole stack's edge padding, so the bands give the bits of
-    one whole-stack pass.  ``alpha`` (oap weights of the whole stack,
-    (k, B*h*w)) is sliced per band.
-    """
-    b, h, w = stack.shape
-    k = config.orientations.k
-    rows = _band_rows(stack)
-    if alpha is not None:
-        alpha = alpha.reshape(k, b, h, w)
-    for y0 in range(0, h, rows):
-        y1 = min(h, y0 + rows)
-        band_alpha = None if alpha is None else alpha[:, :, y0:y1].reshape(k, -1)
-        yield (y0, y1) + _stage_band(stack, y0, y1, stage_luts, config, rs, band_alpha,
-                                     counters, None)
-
-
-def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs: int,
-                alpha, counters, tape):
-    """:func:`stage_pass` on the anchors of rows [y0, y1) of the stack.
-
-    The band takes the stack's rows [y0 - pad, y1 + pad), clamped to the
-    frame, and edge-pads only the rows missing at the frame's top and
+    The rows take the stack's rows [y0 - pad, y1 + pad), clamped to the
+    frame, and edge-pad only the rows missing at the frame's top and
     bottom, plus the columns: exactly those rows of the whole stack's
-    padding.  It is decomposed once per distinct sampling exponent q
-    among the stage tables (and the oap coefficient table) into two
-    planes, uint8 lattice cells and in-cell fractions, and the padded copy
-    is dropped.  Every (rotation, pattern) query then takes its flat base
-    rows and axis-major fractions from shifted views of the planes and is
-    read from its table; each rotation's pattern outputs are averaged and
-    unrotated into the (k, N, rs*rs) ensemble.  The planes are dropped
-    before the ensemble is fused by the configured pooling (``alpha``
-    holds the band's precomputed oap weights) and the residual baseline of
-    the band's rows is added.  Returns the band's blocks (N, rs*rs) and
-    weights (k, N), N = B * (y1 - y0) * w.
+    padding.  An output pixel depends only on its receptive field, so
+    bands give the bits of one whole-stack pass.  The padded rows are
+    decomposed once per distinct sampling exponent q among the stage
+    tables (and the oap coefficient table) into two planes, uint8 lattice
+    cells and in-cell fractions, and the padded copy is dropped.  Every
+    (rotation, pattern) query then takes its flat base rows and axis-major
+    fractions from shifted views of the planes and is read from its
+    table; each rotation's pattern outputs are averaged and unrotated into
+    the (k, N, rs*rs) ensemble.  The planes are dropped before the
+    ensemble is fused by the configured pooling and the residual baseline
+    of the rows is added.
 
-    The stack may be integer-typed (an image as it was given): the band's
-    rows are then widened to float64 as they are decomposed, and are
-    integral without a scan.  Fractions are float32 when the band's
-    input rows are integer-valued (they are then exact multiples of
-    2**-q).  A table whose first fold axis is provably exact in float32
+    The stack may be integer-typed (an image as it was given): its rows
+    are then widened to float64 as they are decomposed, and are integral
+    without a scan.  Fractions are float32 when the input rows are
+    integer-valued (they are then exact multiples of 2**-q).  A table
+    whose first fold axis is provably exact in float32
     (:func:`~lutpool.lut._fold_dtype`) keeps them and folds in float32 up
     to the exactness bound, in float64 beyond it, with its bias removed
     once; every other query is widened to float64.  Both give the same
     bits, so bands may differ in this.
+
+    Training passes a dict as ``tape`` over the whole stack: queries then
+    stay float64, every table, the oap coefficient table included, is
+    queried through :func:`~lutpool.lut.corner_weights`, and the tape
+    receives what the backward pass needs -- ``"xs"`` (the ensemble),
+    ``"corners"`` (per pattern, (k, 2**n, N) indices and weights) and,
+    when the stage computed oap weights, ``"coeff"``.  The corner arrays
+    live in this thread's scratch (:func:`~lutpool.lut._scratch_array`),
+    reused from step to step, so a tape is valid only until the next
+    taped pass on the same thread: consume it first, as
+    ``forward_backward`` does.
     """
     b, h, w = stack.shape
+    if y1 is None:
+        y1 = h
     shape = (b, y1 - y0, w)
     count = math.prod(shape)
     m = rs * rs
@@ -468,7 +421,7 @@ def _stage_band(stack, y0: int, y1: int, stage_luts, config: PipelineConfig, rs:
     npat = len(stage_luts)
     need_alpha = pool.kind == "oap" and alpha is None
     # one padding serves the stage patterns and the coefficient pattern
-    pad = max(p.reach for p in (*config.patterns, config.coeff_pattern)) + config.padding
+    pad = max(p.reach for p in (*config.patterns, config.coeff_pattern))
     lo, hi = max(0, y0 - pad), min(h, y1 + pad)
     src = stack[:, lo:hi]
     padded = np.pad(src, ((0, 0), (pad - (y0 - lo), pad - (hi - y1)), (pad, pad)),
@@ -584,14 +537,16 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
               dtype=np.float64) -> np.ndarray:
     """All stages on an image; the last one writes its raster as ``dtype``.
 
-    Each stage streams its bands: a band's blocks are clamped to [0, 255]
-    and pixel-shuffled into its own rows of the stage's output raster,
-    float64 for every stage but the last.  With ``dtype`` uint8 the last
-    stage's rows are rounded half away from zero as they are written,
-    so no frame-sized float64 result, blocks or rounding temporaries
-    exist.  An integer-typed image is read as it is (each band widens its
-    own rows); any other input is converted to float64 first.  Fusion
-    weights are assembled whole only when later stages share them.
+    Each stage runs :func:`stage_pass` over bands of whole rows of at
+    most ``_BAND_ANCHORS`` anchors (at least one row): a band's blocks
+    are clamped to [0, 255] and pixel-shuffled into its own rows of the
+    stage's output raster, float64 for every stage but the last.  With
+    ``dtype`` uint8 the last stage's rows are rounded half away from
+    zero as they are written, so no frame-sized float64 result, blocks
+    or rounding temporaries exist.  An integer-typed image is read as it
+    is (each band widens its own rows); any other input is converted to
+    float64 first.  The first stage's oap weights are assembled whole
+    when later stages share them, and sliced per band for those stages.
     """
     config.validate()
     x = np.asarray(image)
@@ -606,15 +561,20 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
 
     k = config.orientations.k
     alpha = None
-    share = config.pooling.kind == "oap" and config.share_oap_across_stages
     for t, stage_luts in enumerate(config.stages):
         last = t + 1 == config.num_stages
-        rs = config.scale if (config.task == "sr" and last) else 1
+        rs = config.stage_scale(t)
         h, w = x.shape
         out = np.empty((h * rs, w * rs), dtype=dtype if last else np.float64)
         # the first stage's oap weights serve every later stage
-        weights = np.empty((k, h * w)) if share and not last and alpha is None else None
-        for y0, y1, blocks, wts in _bands(x[None], stage_luts, config, rs, alpha, counters):
+        weights = (np.empty((k, h * w))
+                   if config.pooling.kind == "oap" and not last and alpha is None else None)
+        step = max(1, _BAND_ANCHORS // w)
+        for y0 in range(0, h, step):
+            y1 = min(h, y0 + step)
+            band_alpha = None if alpha is None else alpha[:, y0 * w:y1 * w]
+            blocks, wts = stage_pass(x[None], stage_luts, config, rs, y0, y1, band_alpha,
+                                     counters)
             if weights is not None:
                 weights[:, y0 * w:y1 * w] = wts
             np.clip(blocks, 0.0, 255.0, out=blocks)
@@ -625,7 +585,7 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
             rows = out[y0 * rs:y1 * rs].reshape(y1 - y0, rs, w, rs)
             for j in range(rs * rs):
                 rows[:, j // rs, :, j % rs] = blocks[:, j].reshape(y1 - y0, w)
-            # drop this band's arrays before the generator computes the next one
+            # drop this band's arrays before the next band is computed
             del blocks, wts
         if weights is not None:
             alpha = weights

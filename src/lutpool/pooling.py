@@ -194,18 +194,6 @@ def fuse_oap(xs, patch, coeff) -> FusionResult:
     return FusionResult(combine(xs[:, None, :], w)[0], w[:, 0])
 
 
-def simplex_project_check(weights, atol: float = 1e-9) -> bool:
-    """True when weights are a valid point of the probability simplex."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        return False
-    if not np.all(np.isfinite(w)):
-        return False
-    if np.any(w < -atol):
-        return False
-    return bool(abs(w.sum() - 1.0) <= atol)
-
-
 def _check_xs(xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim == 1:

@@ -58,6 +58,17 @@ class TrainingDivergedError(Exception):
     """Raised when a step produces a non-finite loss."""
 
 
+# A fine-tune moves the restoration tables at this fraction of the base
+# learning rate.
+_FINETUNE_LR_FACTOR = 0.1
+# The log-temperature moves on its own scale, 50 times the table learning
+# rate, and by at most _LOG_TAU_STEP per step (a factor e**0.25 of the
+# temperature).  At lr 5e-2 an unbounded step is about 2.5; the largest
+# step of a fine-tune at lr 2e-3 is about 0.1, which the bound leaves alone.
+_TAU_LR_FACTOR = 50.0
+_LOG_TAU_STEP = 0.25
+
+
 @dataclass
 class TrainConfig:
     iterations: int = 2000
@@ -71,8 +82,6 @@ class TrainConfig:
     seed: int = 0
     augment: bool = True
     val_interval: int = 100
-    finetune_lr_factor: float = 0.1
-    tau_lr_factor: float = 50.0    # log-temperature moves on its own scale
 
     def __post_init__(self):
         if self.loss not in ("charbonnier", "l1", "l2"):
@@ -461,7 +470,9 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
     The validation PSNR is measured through the full (quantizing)
     inference path; the parameters giving the best score -- including
     the untouched initialization -- are restored before returning, so a
-    fine-tune can never end worse than it started.  Every pair is checked
+    fine-tune can never end worse than it started.  A trainable
+    soft-median temperature changes ``log_tau`` by at most
+    ``_LOG_TAU_STEP`` per step.  Every pair is checked
     once up front: a NaN, infinite or out-of-range pixel raises
     ``ValueError`` naming the split and the pair index.
     """
@@ -488,8 +499,10 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
         for tl in tp.parameters():
             adam_step(tl.lut.entries, tl.grad, tl.adam, step, lr * tl.lr_factor)
         if config.pooling.kind == "gmp" and tp.tau_trainable:
-            adam_step(tp.log_tau, tp.tau_grad, tp.tau_adam, step,
-                      lr * cfg.tau_lr_factor)
+            start = tp.log_tau[0]
+            adam_step(tp.log_tau, tp.tau_grad, tp.tau_adam, step, lr * _TAU_LR_FACTOR)
+            np.clip(tp.log_tau, start - _LOG_TAU_STEP, start + _LOG_TAU_STEP,
+                    out=tp.log_tau)
         history.append({"step": step, "lr": lr, **losses})
 
         if (step + 1) % cfg.val_interval == 0 or step + 1 == cfg.iterations:
@@ -508,7 +521,7 @@ def finetune(tp: TrainablePipeline, train_pairs, val_pairs, cfg: TrainConfig,
              pooling: str, coeff_q: int = None, tau_init: float = None):
     """Attach a fusion stage to pretrained tables and train it.
 
-    The restoration tables move at ``cfg.finetune_lr_factor`` of the
+    The restoration tables move at ``_FINETUNE_LR_FACTOR`` of the
     base learning rate.  OAP starts from all-zero logits (exactly plain
     averaging); the soft-median starts at a large temperature (also the
     averaging limit) unless ``tau_init`` says otherwise.  Returns the
@@ -527,7 +540,7 @@ def finetune(tp: TrainablePipeline, train_pairs, val_pairs, cfg: TrainConfig,
         base, stages=[[lut.copy() for lut in base.stages[0]]],
         pooling=replace(base.pooling, kind=pooling, coeff_lut=coeff)))
     for tl in ft.luts:
-        tl.lr_factor = cfg.finetune_lr_factor
+        tl.lr_factor = _FINETUNE_LR_FACTOR
     if pooling == "gmp":
         ft.tau_trainable = True
         ft.log_tau[...] = math.log(tau_init if tau_init is not None else 1e4)

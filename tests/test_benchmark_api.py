@@ -1,8 +1,9 @@
-"""The training API the benchmark drives, checked on a tiny corpus.
+"""The package API the benchmark drives, checked on a tiny corpus.
 
-``perfbench/workloads.py`` (``TrainWorkload``) and ``perfbench/tracing.py``
-(``TARGETS``) call the package by these names; a change that breaks one
-of them fails here instead of in a benchmark run.
+``perfbench/workloads.py`` (``TrainWorkload``), ``perfbench/tracing.py``
+(``TARGETS``) and ``perfbench/checks.py`` (``FrameChecker``, the frame
+oracle) call the package by these names; a change that breaks one of
+them fails here instead of in a benchmark run.
 """
 
 import importlib
@@ -12,17 +13,27 @@ from pathlib import Path
 
 import numpy as np
 
+import pytest
+
 from lutpool.data import DegradationRecipe, degrade, make_synthetic_corpus
+from lutpool.lut import CoeffLut, QuantizedLut, lattice_size
+from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN, WYE_PATTERN
+from lutpool.pipeline import PipelineConfig, QueryCounter, restore_image
+from lutpool.pooling import PoolingSpec
 
 training = importlib.import_module("lutpool.train")
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracing():
+    return _load("tracing")
 
 
 def _operation(seed=3):
@@ -77,3 +88,37 @@ def test_traced_names_exist_and_are_called_through_their_module():
     seen = {span[0] for span in tracer.spans}
     assert {"train.forward_backward", "train.adam_step", "train.sample_batch",
             "train.evaluate_pairs", "pipeline.restore_image"} <= seen
+
+
+def _checked_configs():
+    """Random-table stand-ins for the denoise-s oap config and the sr-sdy-x2 config."""
+    rng = np.random.default_rng(12)
+    shape = (lattice_size(4),) * 4
+    coeff = CoeffLut(5, 4, 4, rng.integers(0, 256, (lattice_size(5),) * 4 + (4,)))
+    oap = PipelineConfig(task="restore", pooling=PoolingSpec(kind="oap", coeff_lut=coeff),
+                         stages=[QuantizedLut(4, 4, 1, rng.integers(0, 256, shape + (1,)))])
+    sdy = [SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN]
+    sr = PipelineConfig(task="sr", scale=2, patterns=sdy, residual=True,
+                        pooling=PoolingSpec(kind="gmp", tau=8.0),
+                        stages=[[QuantizedLut(4, 4, 4, rng.integers(96, 161, shape + (4,)),
+                                              signed=True) for _ in sdy]])
+    return {"oap-s-q4": oap, "sdy-x2-gmp": sr}
+
+
+@pytest.mark.parametrize("name", ["oap-s-q4", "sdy-x2-gmp"])
+def test_frame_oracle_accepts_restored_frames(name):
+    checks = _load("checks")
+    config = _checked_configs()[name]
+    checker = checks.FrameChecker(config)
+    image = np.random.default_rng(13).integers(0, 256, (12, 10)).astype(np.uint8)
+    counters = QueryCounter()
+    output = restore_image(image, config, counters)
+    for corner in range(4):
+        assert checker.check(image, output, counters, np.random.default_rng(corner), 16,
+                             corner) == []
+    # the oracle is live: a wrong top-left pixel and a wrong count are flagged
+    bad = output.copy()
+    bad[0, 0] ^= 0x80
+    assert checker.check(image, bad, counters, np.random.default_rng(0), 4, 0)
+    counters.lut_queries += 1
+    assert checker.check(image, output, counters, np.random.default_rng(0), 4, 0)

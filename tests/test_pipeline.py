@@ -24,6 +24,7 @@ from lutpool import (
     bake,
     bake_real,
     bicubic_resize,
+    dequantize,
     fuse_average,
     fuse_gmp,
     fuse_oap,
@@ -378,11 +379,8 @@ class TestQueryCostModel:
         coeff = constant_entry_coeff([1, 1, 1, 1])
         shared = PipelineConfig(task="restore", stages=[lut, lut],
                                 pooling=PoolingSpec(kind="oap", coeff_lut=coeff))
-        per = PipelineConfig(task="restore", stages=[lut, lut],
-                             pooling=PoolingSpec(kind="oap", coeff_lut=coeff),
-                             share_oap_across_stages=False)
+        # the stages share the first stage's weights: once per pixel, not per stage
         assert query_cost_model(shared)["coeff_queries_per_pixel"] == 1
-        assert query_cost_model(per)["coeff_queries_per_pixel"] == 2
 
     def test_counters_match_model(self):
         rng = np.random.default_rng(11)
@@ -396,9 +394,6 @@ class TestQueryCostModel:
                            pooling=PoolingSpec(kind="gmp", tau=4.0)),
             PipelineConfig(task="restore", stages=[lut, lut],
                            pooling=PoolingSpec(kind="oap", coeff_lut=coeff)),
-            PipelineConfig(task="restore", stages=[lut, lut],
-                           pooling=PoolingSpec(kind="oap", coeff_lut=coeff),
-                           share_oap_across_stages=False),
         ]
         for cfg in configs:
             counters = QueryCounter()
@@ -548,9 +543,6 @@ def band_configs():
         "oap-shared-2": PipelineConfig(
             task="restore", patterns=sdy, pooling=oap,
             stages=[sdy_tables(rng, 1, False), sdy_tables(rng, 1, False)]),
-        "oap-per-stage-2": PipelineConfig(
-            task="restore", patterns=sdy, pooling=oap, share_oap_across_stages=False,
-            stages=[sdy_tables(rng, 1, False), sdy_tables(rng, 1, False)]),
         "sdy-x2-gmp": PipelineConfig(
             task="sr", scale=2, patterns=sdy, pooling=gmp, residual=True,
             stages=[sdy_tables(rng, 4, True)]),
@@ -574,14 +566,17 @@ class TestBands:
 
     @staticmethod
     def count_bands(monkeypatch):
+        """Spy on the image pipeline's stage passes: (stack shape, y0, y1, alpha) per band."""
         calls = []
-        band = pipeline._stage_band
+        band = pipeline.stage_pass
 
-        def spy(stack, y0, y1, *args):
-            calls.append((stack.shape, y0, y1))
-            return band(stack, y0, y1, *args)
+        def spy(stack, stage_luts, config, rs, y0=0, y1=None, alpha=None, counters=None,
+                tape=None):
+            calls.append((stack.shape, y0, stack.shape[1] if y1 is None else y1,
+                          None if alpha is None else alpha.copy()))
+            return band(stack, stage_luts, config, rs, y0, y1, alpha, counters, tape)
 
-        monkeypatch.setattr(pipeline, "_stage_band", spy)
+        monkeypatch.setattr(pipeline, "stage_pass", spy)
         return calls
 
     @pytest.mark.parametrize("integral", [True, False])
@@ -610,7 +605,7 @@ class TestBands:
                 assert got.tobytes() == want.tobytes(), (shape, band)
                 rows = max(1, band // w)
                 assert len(calls) == config.num_stages * -(-h // rows)
-                assert all(0 < y1 - y0 <= rows for _, y0, y1 in calls)
+                assert all(0 < y1 - y0 <= rows for _, y0, y1, _ in calls)
                 assert counters.lut_queries == image.size * model["lut_queries_per_pixel"]
                 assert counters.coeff_queries == image.size * model["coeff_queries_per_pixel"]
                 np.testing.assert_array_equal(restore_image(image, config), want_u8)
@@ -645,7 +640,7 @@ class TestBands:
                 assert len(calls) == 2 * config.num_stages * -(-h // max(1, band // w))
                 monkeypatch.undo()
 
-    @pytest.mark.parametrize("name", ["oap-shared-3", "oap-per-stage-2", "sdy-average-2"])
+    @pytest.mark.parametrize("name", ["oap-shared-3", "sdy-average-2"])
     def test_whole_weights_only_for_a_shared_oap_cascade(self, monkeypatch, name):
         # a shared oap cascade keeps its first stage's weights whole for
         # the later stages; no other pipeline assembles weights
@@ -661,27 +656,25 @@ class TestBands:
         image = rng.integers(0, 256, (h, w)).astype(np.uint8)
         want = _run_real(image, config, None)
         want_alpha = stage_pass(image[None].astype(np.float64), config.stages[0], config, 1)[1]
-        alphas = []
-        bands = pipeline._bands
-
-        def spy(stack, stage_luts, config, rs, alpha, counters):
-            alphas.append(None if alpha is None else alpha.copy())
-            return bands(stack, stage_luts, config, rs, alpha, counters)
-
-        monkeypatch.setattr(pipeline, "_bands", spy)
         monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 2 * w)   # two rows
+        calls = self.count_bands(monkeypatch)
         counters = QueryCounter()
         got = _run_real(image, config, counters)
         assert got.tobytes() == want.tobytes()
-        assert len(alphas) == config.num_stages and alphas[0] is None
+        bands = -(-h // 2)
+        assert len(calls) == config.num_stages * bands
         model = query_cost_model(config)
         assert counters.coeff_queries == image.size * model["coeff_queries_per_pixel"]
+        alphas = [[c[3] for c in calls[t * bands:(t + 1) * bands]]
+                  for t in range(config.num_stages)]
+        assert alphas[0] == [None] * bands
         if name == "oap-shared-3":
-            for alpha in alphas[1:]:
-                assert alpha.shape == (4, h * w)
-                assert alpha.tobytes() == want_alpha.tobytes()
+            for stage_alphas in alphas[1:]:
+                whole = np.concatenate(stage_alphas, axis=1)
+                assert whole.shape == (4, h * w)
+                assert whole.tobytes() == want_alpha.tobytes()
         else:
-            assert alphas == [None] * config.num_stages
+            assert alphas == [[None] * bands] * config.num_stages
 
     def test_tape_pass_stays_one_band(self, monkeypatch):
         rng = np.random.default_rng(52)
@@ -691,21 +684,14 @@ class TestBands:
         stack = rng.integers(0, 256, (3, 9, 11)).astype(np.float64)
         want_tape = {}
         want = stage_pass(stack, stage, config, 2, tape=want_tape)
-        want_plain = stage_pass(stack, stage, config, 2)
         monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 1)
-        calls = self.count_bands(monkeypatch)
         tape = {}
         got = stage_pass(stack, stage, config, 2, tape=tape)
-        assert calls == [(stack.shape, 0, 9)]
+        assert got[0].shape == (stack.size, 4)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(tape["xs"], want_tape["xs"])
         assert tape["corners"][0][0].shape == (4, 16, stack.size)
-        # without a tape the same pass runs one row of the stack per band
-        plain = stage_pass(stack, stage, config, 2)
-        assert [c[1:] for c in calls[1:]] == [(y, y + 1) for y in range(9)]
-        for a, b in zip(plain, want_plain):
-            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("name", ["sdy-x2-gmp", "s-x3-gmp"])
     def test_a_band_runs_without_the_previous_bands_arrays(self, monkeypatch, name):
@@ -718,13 +704,13 @@ class TestBands:
         monkeypatch.setattr(pipeline, "_BAND_ANCHORS", rows * w)
         want = restore_image(image, config)       # caches and scratch are built here
         live = []
-        band = pipeline._stage_band
+        band = pipeline.stage_pass
 
         def spy(*args):
             live.append(tracemalloc.get_traced_memory()[0])
             return band(*args)
 
-        monkeypatch.setattr(pipeline, "_stage_band", spy)
+        monkeypatch.setattr(pipeline, "stage_pass", spy)
         tracemalloc.start()
         try:
             got = restore_image(image, config)
@@ -738,18 +724,19 @@ class TestBands:
     def test_shared_oap_weights_are_sliced_per_band(self, monkeypatch):
         config = BAND_CONFIGS["oap-shared-2"]
         rng = np.random.default_rng(53)
-        stack = rng.integers(0, 256, (2, 11, 6)).astype(np.float64)
-        want = stage_pass(stack, config.stages[1], config, 1,
-                          alpha=stage_pass(stack, config.stages[0], config, 1)[1])
-        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 2 * 6 * 4)   # four rows
-        alpha = stage_pass(stack, config.stages[0], config, 1)[1]
+        image = rng.integers(0, 256, (11, 6)).astype(np.float64)
+        want = _run_real(image, config, None)
+        alpha = stage_pass(image[None], config.stages[0], config, 1)[1]
+        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 6 * 4)   # four rows
         calls = self.count_bands(monkeypatch)
         counters = QueryCounter()
-        got = stage_pass(stack, config.stages[1], config, 1, alpha=alpha, counters=counters)
-        assert [c[1:] for c in calls] == [(0, 4), (4, 8), (8, 11)]
-        for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes()
-        assert (counters.lut_queries, counters.coeff_queries) == (12 * stack.size, 0)
+        got = _run_real(image, config, counters)
+        assert [c[1:3] for c in calls] == [(0, 4), (4, 8), (8, 11)] * 2
+        assert [c[3] for c in calls[:3]] == [None] * 3
+        for _, y0, y1, band_alpha in calls[3:]:
+            assert band_alpha.tobytes() == alpha[:, y0 * 6:y1 * 6].tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert (counters.lut_queries, counters.coeff_queries) == (24 * image.size, image.size)
 
 
 def resize_axis_per_call(arr, out_len, scale, axis):
@@ -912,4 +899,4 @@ class TestTableEquality:
         lut = bake(lambda p: p[:, :1].copy(), q=4, n=4, m=1)
         same = PipelineConfig(task="restore", stages=[lut])
         assert same == PipelineConfig(task="restore", stages=[lut])
-        assert same != PipelineConfig(task="restore", stages=[lut.as_real()])
+        assert same != PipelineConfig(task="restore", stages=[dequantize(lut)])

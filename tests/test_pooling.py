@@ -21,9 +21,20 @@ from lutpool import (
     gmp_weights,
     lattice_size,
     oap_weights,
-    simplex_project_check,
     softmax,
 )
+
+
+def simplex_project_check(weights, atol: float = 1e-9) -> bool:
+    """True when weights are a point of the probability simplex, to c04's tolerance."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        return False
+    if not np.all(np.isfinite(w)):
+        return False
+    if np.any(w < -atol):
+        return False
+    return bool(abs(w.sum() - 1.0) <= atol)
 
 
 def scalar_gmp(xs, tau, norm="l2"):

@@ -1,6 +1,7 @@
 """Losses, optimizer, gradients, and the training/fine-tuning loops."""
 
 import hashlib
+import importlib
 import math
 import tracemalloc
 
@@ -842,6 +843,34 @@ class TestFinetune:
         assert ft.config.pooling.kind == "gmp"
         base_psnr = evaluate_pairs(tp.to_config(), pairs[6:], border=2)
         assert report.best_val_psnr >= base_psnr
+
+    def test_log_tau_step_is_bounded(self, monkeypatch):
+        # TestBytePin's gmp recipe fine-tuned at lr 5e-2 instead of 2e-3:
+        # unbounded, its first log_tau step is about 2.5
+        training = importlib.import_module("lutpool.train")
+        recipe = DegradationRecipe("bicubic_down", scale=2)
+        imgs = make_synthetic_corpus(16, 48, 7)
+        pairs = [(degrade(img, recipe, i), img) for i, img in enumerate(imgs)]
+        tp = TrainablePipeline.zero_init("sr", 2, q=4, norm="l1")
+        train(tp, pairs[:12], pairs[12:],
+              TrainConfig(iterations=30, batch_size=16, crop=16, lr=5e-2, seed=7,
+                          val_interval=5))
+        log_taus = []
+
+        def improving(config, pairs, border=0):
+            # every evaluation beats the last, so no step is rolled back
+            log_taus.append(math.log(config.pooling.tau))
+            return float(len(log_taus))
+
+        monkeypatch.setattr(training, "evaluate_pairs", improving)
+        _, report = finetune(tp, pairs[:12], pairs[12:],
+                             TrainConfig(iterations=3, batch_size=16, crop=16, lr=5e-2,
+                                         seed=8, val_interval=1),
+                             pooling="gmp", tau_init=20.0)
+        assert report.best_step == 2 and len(log_taus) == 4
+        steps = np.abs(np.diff(log_taus))
+        assert steps.max() <= training._LOG_TAU_STEP + 1e-12
+        assert steps[0] == pytest.approx(training._LOG_TAU_STEP, abs=1e-12)
 
     def test_default_gmp_temperature_is_large(self):
         tp = TrainablePipeline.zero_init("sr", 2, q=4)
