@@ -11,10 +11,14 @@ import pytest
 from lutpool import (
     AdamState,
     Batch,
+    CoeffLut,
     DegradationRecipe,
     KernelPattern,
     OrientationSet,
     PipelineConfig,
+    PoolingSpec,
+    QuantizedLut,
+    QueryCounter,
     RealLut,
     TrainConfig,
     TrainableLut,
@@ -40,7 +44,7 @@ from lutpool import (
     sample_batch,
     train,
 )
-from lutpool.lut import corner_weights
+from lutpool.lut import _CELL_TABLE_BYTES, corner_weights
 from lutpool.orientation import (DIAGONAL_PATTERN, SQUARE_PATTERN, WYE_PATTERN,
                                  block_permutation)
 from lutpool.pipeline import _blend, _resize_axis, _run_real, pixel_shuffle, stage_pass
@@ -1044,3 +1048,72 @@ class TestBytePin:
             "best_steps": (report.best_step, ft_report.best_step),
         }
         assert got == {**self.BASE, **want}
+
+
+def restore_pin_configs():
+    """The inference pipelines whose output bytes are pinned, by name."""
+    rng = np.random.default_rng(1601)
+    s4 = QuantizedLut(4, 4, 1, rng.integers(0, 256, (17,) * 4 + (1,)))
+    coeff = CoeffLut(5, 4, 4, rng.integers(0, 256, (lattice_size(5),) * 4 + (4,)))
+    sdy = [SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN]
+    signed = [QuantizedLut(4, 4, 4, rng.integers(96, 161, (17,) * 4 + (4,)), signed=True)
+              for _ in sdy]
+    real = RealLut(4, 4, 1, rng.normal(128.0, 40.0, (17,) * 4 + (1,)))
+    q3 = QuantizedLut(3, 4, 1, rng.integers(0, 256, (lattice_size(3),) * 4 + (1,)))
+    # a q3 n4 table's cell table (32**4 rows of 16 entries) is past the cap
+    assert 32 ** 4 * 16 > _CELL_TABLE_BYTES
+    return {
+        "s-q4-average": PipelineConfig(stages=[s4]),
+        "s-q4-gmp": PipelineConfig(stages=[s4], pooling=PoolingSpec(kind="gmp", tau=8.0)),
+        "s-q4-oap-q5": PipelineConfig(stages=[s4],
+                                      pooling=PoolingSpec(kind="oap", coeff_lut=coeff)),
+        "sdy-x2-gmp-residual": PipelineConfig(
+            task="sr", scale=2, patterns=sdy, residual=True,
+            pooling=PoolingSpec(kind="gmp", tau=8.0), stages=[signed]),
+        "real-s-q4": PipelineConfig(stages=[real]),
+        "s-q3-no-cell-table": PipelineConfig(stages=[q3]),
+    }
+
+
+class TestRestoreBytePin:
+    """Inference bytes of the image pipeline, recorded before table reads moved into lut.
+
+    Each pipeline runs on seeded integral and non-integral frames of
+    37x29 (one band) and 130x131 (two bands).  The sha256 of the uint8
+    ``restore_image`` output, of the float64 ``_run_real`` output and of
+    both query counters must keep every bit.
+    """
+
+    SHAPES = [(37, 29), (130, 131)]
+    WANT = {
+        "real-s-q4": "c70cd0856d196239",
+        "s-q3-no-cell-table": "89734abefc564509",
+        "s-q4-average": "bfaa9966de0e8337",
+        "s-q4-gmp": "95015aa40d2781db",
+        "s-q4-oap-q5": "7620ec20ce5df7b9",
+        "sdy-x2-gmp-residual": "88ad77c1b9d5424f",
+    }
+
+    @staticmethod
+    def frames():
+        rng = np.random.default_rng(1602)
+        for shape in TestRestoreBytePin.SHAPES:
+            image = rng.integers(0, 256, shape).astype(np.float64)
+            yield image
+            yield np.clip(image + rng.uniform(-0.5, 0.5, shape), 0.0, 255.0)
+
+    @pytest.mark.parametrize("name", sorted(restore_pin_configs()))
+    def test_restored_bytes_are_pinned(self, name):
+        config = restore_pin_configs()[name]
+        h = hashlib.sha256()
+        for image in self.frames():
+            counters = QueryCounter()
+            out = restore_image(image, config, counters)
+            assert out.dtype == np.uint8
+            h.update(out.tobytes())
+            real = _run_real(image, config, None)
+            assert real.dtype == np.float64
+            h.update(real.tobytes())
+            h.update(np.array([counters.lut_queries, counters.coeff_queries],
+                              dtype=np.int64).tobytes())
+        assert h.hexdigest()[:16] == self.WANT[name]
