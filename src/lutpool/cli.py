@@ -117,10 +117,16 @@ def _bake_oracle(name: str, pattern, scale: int):
     raise ValueError(f"unknown bake rule {name!r}")
 
 
+def _pooling_kind(name: str, allowed=("average", "gmp", "oap")) -> str:
+    """The pooling kind that ``name`` gives; UsageError unless it is in ``allowed``."""
+    kind = _POOLING_NAMES.get(name)
+    if kind not in allowed:
+        raise UsageError(f"--pooling must name one of {', '.join(allowed)}, not {name!r}")
+    return kind
+
+
 def _pooling_from_args(args) -> PoolingSpec:
-    kind = _POOLING_NAMES.get(args.pooling)
-    if kind is None:
-        raise UsageError(f"unknown pooling {args.pooling!r}")
+    kind = _pooling_kind(args.pooling)
     coeff = None
     if kind == "oap":
         if not getattr(args, "coeff_lut", None):
@@ -251,9 +257,8 @@ def _config_from_args(args) -> PipelineConfig:
     )
 
 
-def _add_pipeline_flags(sub, with_config: bool = True):
-    if with_config:
-        sub.add_argument("--config", help="pipeline description JSON")
+def _add_pipeline_flags(sub):
+    sub.add_argument("--config", help="pipeline description JSON")
     sub.add_argument("--lut", action="append", default=[],
                      help="table container; repeat per pattern, then per stage")
     sub.add_argument("--task", choices=("restore", "sr"), default="restore")
@@ -268,6 +273,21 @@ def _add_pipeline_flags(sub, with_config: bool = True):
     sub.add_argument("--coeff-lut", help="weight table for oap pooling")
     sub.add_argument("--residual", action="store_true",
                      help="tables store residuals on top of the baseline")
+
+
+def _add_training_flags(sub, steps: int, val_interval: int):
+    """The data, optimization and output flags of the train and finetune commands."""
+    sub.add_argument("--data", required=True)
+    sub.add_argument("--steps", type=int, default=steps)
+    sub.add_argument("--batch", type=int, default=16)
+    sub.add_argument("--crop", type=int, default=16)
+    sub.add_argument("--lr", type=float, default=1e-4)
+    sub.add_argument("--loss", choices=("charbonnier", "l1", "l2"),
+                     default="charbonnier")
+    sub.add_argument("--reg-weight", type=float, default=1e-3)
+    sub.add_argument("--val-interval", type=int, default=val_interval)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--out-dir", required=True)
 
 
 def _build_parser() -> _Parser:
@@ -320,7 +340,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bench)
 
     p = subs.add_parser("train", help="train tables from scratch on a manifest")
-    p.add_argument("--data", required=True)
     p.add_argument("--task", choices=("restore", "sr"), default="sr")
     p.add_argument("--scale", type=int, default=2)
     p.add_argument("--q", type=int, default=4)
@@ -329,21 +348,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--tau", type=float, default=1.0)
     p.add_argument("--norm", choices=("l1", "l2"), default="l2")
     p.add_argument("--no-residual", action="store_true")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--crop", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--loss", choices=("charbonnier", "l1", "l2"),
-                   default="charbonnier")
-    p.add_argument("--reg-weight", type=float, default=1e-3)
-    p.add_argument("--val-interval", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
+    _add_training_flags(p, steps=2000, val_interval=100)
     p.set_defaults(func=_cmd_train)
 
     p = subs.add_parser("finetune",
                         help="attach and train a fusion stage on trained tables")
-    p.add_argument("--data", required=True)
     p.add_argument("--from-dir", required=True,
                    help="output directory of a previous train run")
     p.add_argument("--pooling", required=True, help="oap | gmp")
@@ -351,16 +360,7 @@ def _build_parser() -> _Parser:
                    help="sampling exponent for the weight table (oap)")
     p.add_argument("--tau-init", type=float,
                    help="starting temperature (gmp); default is the averaging limit")
-    p.add_argument("--steps", type=int, default=400)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--crop", type=int, default=16)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--loss", choices=("charbonnier", "l1", "l2"),
-                   default="charbonnier")
-    p.add_argument("--reg-weight", type=float, default=1e-3)
-    p.add_argument("--val-interval", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True)
+    _add_training_flags(p, steps=400, val_interval=50)
     p.set_defaults(func=_cmd_finetune)
 
     p = subs.add_parser("dataset", help="write the synthetic training corpus")
@@ -607,9 +607,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
-    kind = _POOLING_NAMES.get(args.pooling)
-    if kind is None:
-        raise UsageError(f"unknown pooling {args.pooling!r}")
+    kind = _pooling_kind(args.pooling)
     if kind == "oap":
         raise ValueError("train weight tables with the finetune command")
     train_pairs, val_pairs = _train_val_pairs(args.data)
@@ -624,9 +622,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_finetune(args) -> int:
-    kind = _POOLING_NAMES.get(args.pooling)
-    if kind not in ("oap", "gmp"):
-        raise UsageError("finetune needs --pooling oap or gmp")
+    kind = _pooling_kind(args.pooling, ("oap", "gmp"))
     train_pairs, val_pairs = _train_val_pairs(args.data)
     base_json = os.path.join(args.from_dir, "pipeline.json")
     base = _config_from_json(base_json, prefer_real=True)

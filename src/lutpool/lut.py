@@ -29,6 +29,13 @@ quantized tables and real tables, which training writes in place,
 gather their ``2**n`` corners from the lattice rows, and base rows
 count the ``2**(8-q) + 1`` lattice points.
 
+Every table read -- the image pipeline's stage pass, the training
+tape and :func:`query_batch` -- goes through :func:`_read`, which takes
+a query's cells and fractions axis by axis and makes these choices in
+one place: cell table or lattice rows, the row radix, the fractions'
+dtype, and the corner fold or, for a training tape, the corner weights
+and their blend (:func:`_blend`).
+
 Two in-memory forms exist:
 
 * :class:`QuantizedLut` -- integer storage (unsigned, optionally biased
@@ -438,6 +445,30 @@ def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out=None):
     return idx, w
 
 
+def _blend(flat: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
+    """Corner-weighted sum of table rows: sum_c wts[c] * flat[idx[c]].
+
+    idx/wts are corner-major (2**n, N), as :func:`corner_weights` writes
+    them.  One gather brings in every corner, into this thread's reused
+    (2**n, N, m) scratch; the products are then added corner by corner
+    onto zeros.  ``g.sum(axis=0)`` would add in the same order except
+    when N * m is 1, where numpy sums the lone column pairwise.  The
+    gather runs with ``mode="clip"``, which writes straight into the
+    scratch (the default mode buffers its output and takes twice as
+    long), so the index range is checked first: an index outside the
+    table raises ``IndexError``.
+    """
+    if idx.size and (idx.min() < 0 or idx.max() >= flat.shape[0]):
+        raise IndexError(f"corner index outside a table of {flat.shape[0]} rows")
+    g = _scratch_array("blend", np.float64, idx.shape + flat.shape[1:])
+    np.take(flat, idx, axis=0, out=g, mode="clip")
+    g *= wts[:, :, None]
+    out = np.zeros(g.shape[1:])
+    for gc in g:
+        out += gc
+    return out
+
+
 def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
                   bias: float = 0.0, cells: np.ndarray | None = None) -> np.ndarray:
     """Multilinear blend of the 2**n corner entries of each query, (N, m) float64.
@@ -476,8 +507,7 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
         offsets = _corner_offsets(n, table.shape[0])[:, None]
         flat = np.ascontiguousarray(table).reshape(-1, m)
         if word is not None:
-            # one table row per machine word: a 1-D gather instead of a row gather
-            flat = flat.view(word).reshape(-1)
+            flat = flat.view(word)      # one machine word per table row
     narrow = _float32_axes(table, frac.dtype)
     corner_bias, blend_bias = bias, 0.0
     if bias and narrow and 8 * table.itemsize + _table_q(table) * n <= 53:
@@ -493,12 +523,10 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
             gathered = (gathered.reshape(stop - start, 1 << n, m) if word is None
                         else gathered.view(word))
             gathered = np.ascontiguousarray(gathered.swapaxes(0, 1)).view(table.dtype)
-        elif word is None:
-            # a 2-D row gather: np.take moves whole rows, fancy indexing
-            # about 6x slower on 2**16 rows
-            gathered = np.take(flat, offsets + rows[start:stop], axis=0)
         else:
-            gathered = np.take(flat, offsets + rows[start:stop]).view(table.dtype)
+            # np.take moves whole rows; fancy indexing is about 6x slower
+            # on 2**16 rows
+            gathered = np.take(flat, offsets + rows[start:stop], axis=0).view(table.dtype)
         acc = gathered.reshape(1 << n, -1).astype(np.float32 if narrow else np.float64)
         if corner_bias:
             acc -= corner_bias
@@ -552,9 +580,57 @@ def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray,
                          np.ascontiguousarray(frac.T), bias)
 
 
+def _read(lut, cells, fracs, corners=None) -> np.ndarray:
+    """Outputs (N, m) float64 of ``lut`` at N queries given axis by axis.
+
+    ``cells`` and ``fracs`` hold one array per table input axis, all of
+    one shape with N elements: the queries' lattice cells (uint8) and
+    in-cell fractions along that axis, such as the shifted views of a
+    stage's decomposed planes or the rows of a decomposed patch batch.
+    Float32 fractions mark integral queries.
+
+    Without ``corners`` the corner fold (:func:`_fold_corners`) reads the
+    table in its stored dtype and removes its bias.  The base rows count
+    the table's own radix (:func:`_row_radix`): cells for a table read
+    through its cell table, lattice points otherwise.  The fractions are
+    stacked axis-major in :func:`_fold_dtype`: integral queries keep
+    float32 where the table's first fold axis is exact in it.
+
+    With ``corners``, a C-contiguous (2**n, N) pair of index and weight
+    arrays (a training tape; the table is a real one, read from its
+    lattice rows in float64), :func:`corner_weights` writes the corners
+    there for the gradient scatter and :func:`_blend` sums the weighted
+    rows.
+    """
+    if corners is None:
+        radix, dtype = _row_radix(lut), _fold_dtype(lut, fracs[0].dtype == np.float32)
+    else:
+        radix, dtype = lut.lattice_points, np.float64
+    rows = _flat_rows(cells, radix).reshape(-1)
+    frac = np.asarray(fracs, dtype=dtype).reshape(len(fracs), -1)
+    if corners is None:
+        return _fold_corners(lut.entries, rows, frac, lut.bias, _cell_table(lut))
+    corner_weights(rows, frac, lut.lattice_points, out=corners)
+    return _blend(lut.entries.reshape(-1, lut.m), *corners)
+
+
+def _check_pixels(values, what: str) -> None:
+    """Raise ValueError unless ``values`` are real numbers in [0, 255].
+
+    Only unsigned, signed and floating dtypes pass: complex, boolean,
+    string and object arrays are rejected rather than converted.  NaN
+    fails the range check, for which every comparison is false.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind not in "uif":
+        raise ValueError(f"{what} pixels must be real numbers, not {a.dtype}")
+    if a.size and not (a.min() >= 0 and a.max() <= 255):
+        raise ValueError(f"{what} pixels must be finite and lie in [0, 255]")
+
+
 def query(lut, patch) -> np.ndarray:
     """Interpolated m-vector for one n-pixel patch (values in [0, 255])."""
-    patch = np.asarray(patch, dtype=np.float64)
+    patch = np.asarray(patch)
     if patch.shape != (lut.n,):
         raise ValueError(f"patch must have shape ({lut.n},), got {patch.shape}")
     return query_batch(lut, patch[None, :])[0]
@@ -563,21 +639,19 @@ def query(lut, patch) -> np.ndarray:
 def query_batch(lut, patches) -> np.ndarray:
     """Interpolated outputs (N, m) for a (N, n) batch of patches.
 
-    Patches are range-checked here.  The corner fold accumulates in
-    float32 when :func:`_fold_dtype` allows it for this table and the
-    patches are integer-valued, in float64 otherwise.
+    Patches are checked here (:func:`_check_pixels`) and read through
+    :func:`_read`; integer-valued ones are decomposed into float32
+    fractions.
     """
-    patches = np.asarray(patches, dtype=np.float64)
+    patches = np.asarray(patches)
     if patches.ndim != 2 or patches.shape[1] != lut.n:
         raise ValueError(f"patch batch must have shape (N, {lut.n})")
-    # written so that NaN (for which every comparison is false) fails too
-    if patches.size and not (patches.min() >= 0.0 and patches.max() <= 255.0):
-        raise ValueError("patch values must lie in [0, 255]")
+    _check_pixels(patches, "patch")
+    patches = patches.astype(np.float64, copy=False)
     integral = bool(np.all(patches == np.floor(patches)))
     cells, frac = _decompose_arrays(np.ascontiguousarray(patches.T), lut.q,
-                                    _fold_dtype(lut, integral))
-    return _fold_corners(lut.entries, _flat_rows(cells, _row_radix(lut)), frac,
-                         lut.bias, _cell_table(lut))
+                                    np.float32 if integral else np.float64)
+    return _read(lut, cells, frac)
 
 
 def lattice_values(q: int) -> np.ndarray:
@@ -634,8 +708,7 @@ class QuantizeReport:
     clipped: int
 
 
-def quantize(real: RealLut, bit_depth: int = 8, signed: bool = False,
-             coeff: bool = False):
+def quantize(real: RealLut, bit_depth: int = 8, signed: bool = False):
     """Round a real table into integer storage.
 
     Returns ``(lut, report)``; the report carries the largest absolute
@@ -665,8 +738,7 @@ def quantize(real: RealLut, bit_depth: int = 8, signed: bool = False,
         max_err = float("inf")          # every entry was clipped
     stored = stored.reshape(real.entries.shape)
     stored.setflags(write=False)       # handed to the table without a copy
-    cls = CoeffLut if coeff else QuantizedLut
-    lut = cls(real.q, real.n, real.m, stored, bit_depth=bit_depth, signed=signed)
+    lut = QuantizedLut(real.q, real.n, real.m, stored, bit_depth=bit_depth, signed=signed)
     return lut, QuantizeReport(max_err, clipped)
 
 

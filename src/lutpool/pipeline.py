@@ -19,16 +19,8 @@ the input image is read as it is (an integer-typed one is widened band
 by band), the last stage writes uint8 rows, and fusion weights are kept
 whole only when a later stage shares them.  Each band decomposes each
 pixel once per table spacing q, into a lattice-cell plane and a
-fraction plane; every oriented query reads shifted views of those
-planes rather than gathering and decomposing its own patches.  A
-quantized table reads each query as one row of its cached cell table
-(see :func:`lutpool.lut._pack_cells`), so its base rows count cells;
-real tables and quantized tables past the cell-table cap gather 2**n
-lattice rows, counted over lattice points.  Queries of integer-valued bands
-fold the leading axes of their table corners in float32 for as long as
-that is exact and the rest in float64 (see
-:func:`lutpool.lut._float32_axes`), so the result is the same in every
-bit.
+fraction plane; every oriented query hands shifted views of those
+planes to :func:`lutpool.lut._read`, which owns how a table is read.
 
 Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
@@ -54,9 +46,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import lut as _lut
-from .lut import (QuantizedLut, RealLut, round_half_away, _cell_table,
-                  _decompose_arrays, _flat_rows, _fold_dtype, _row_radix)
+from .lut import (QuantizedLut, RealLut, round_half_away, _check_pixels,
+                  _decompose_arrays, _read, _scratch_array)
 # Kept as module attributes although the stage kernel calls neither:
 # perfbench/tracing.py wraps ``pipeline.real_table`` and
 # ``pipeline.interpolate`` by name.
@@ -292,73 +283,10 @@ def _to_blocks(raster: np.ndarray, rs: int) -> np.ndarray:
             .reshape(b * h * w, rs * rs))
 
 
-def _query(planes, offsets, pad: int, shape, lattice: int, dtype):
-    """Flat base rows (N,) and axis-major fractions (n, N) of one query.
-
-    ``planes`` is the (cells, fractions) decomposition of the padded
-    stack; each of the n pattern offsets selects one shifted (B, h, w)
-    view of both planes.  ``lattice`` is the per-axis count of the flat
-    rows (:func:`~lutpool.lut._row_radix`): the table's cells when it is
-    read through its cell table, its lattice points otherwise.
-    """
-    cells, fracs = planes
-    b, h, w = shape
-    views = [(slice(None), slice(pad + dr, pad + dr + h), slice(pad + dc, pad + dc + w))
-             for dr, dc in offsets]
-    rows = _flat_rows([cells[v] for v in views], lattice)
-    frac = np.empty((len(views), b, h, w), dtype=dtype)
-    for d, v in enumerate(views):
-        frac[d] = fracs[v]
-    return rows.reshape(-1), frac.reshape(len(views), -1)
-
-
-def _blend(flat: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Corner-weighted sum of table rows: sum_c wts[c] * flat[idx[c]].
-
-    idx/wts are corner-major (2**n, N).  One gather brings in every
-    corner, into this thread's reused (2**n, N, m) scratch; the products
-    are then added corner by corner onto zeros.  ``g.sum(axis=0)`` would
-    add in the same order except when N * m is 1, where numpy sums the
-    lone column pairwise.  The gather runs with ``mode="clip"``, which
-    writes straight into the scratch (the default mode buffers its output
-    and takes twice as long), so the index range is checked first: an
-    index outside the table raises ``IndexError``.
-    """
-    if idx.size and (idx.min() < 0 or idx.max() >= flat.shape[0]):
-        raise IndexError(f"corner index outside a table of {flat.shape[0]} rows")
-    g = _lut._scratch_array("blend", np.float64, idx.shape + flat.shape[1:])
-    np.take(flat, idx, axis=0, out=g, mode="clip")
-    g *= wts[:, :, None]
-    out = np.zeros(g.shape[1:])
-    for gc in g:
-        out += gc
-    return out
-
-
 def _tape_arrays(slot: str, shape):
     """Corner index (int64) and weight (float64) arrays of a tape, from thread scratch."""
-    return (_lut._scratch_array(slot, np.int64, shape),
-            _lut._scratch_array(slot, np.float64, shape))
-
-
-def _lookup(table, query, corners=None) -> np.ndarray:
-    """Outputs (N, m) of ``table`` at a query (flat base rows, fractions).
-
-    Without ``corners`` the corner fold reads the table in its stored
-    dtype, from its cell table where it has one, accumulating in the
-    fractions' dtype.  With a preallocated (2**n, N) pair of index and
-    weight arrays (a real-valued table only), the corner weights are
-    written there for the gradient scatter and the rows are blended
-    with them.
-    """
-    rows, frac = query
-    # both kernels are called through the module, so that a wrap of the
-    # lutpool.lut attribute (perfbench's tracer) sees every call
-    if corners is None:
-        return _lut._fold_corners(table.entries, rows, frac, table.bias,
-                                  _cell_table(table))
-    _lut.corner_weights(rows, frac, table.lattice_points, out=corners)
-    return _blend(table.entries.reshape(-1, table.m), *corners)
+    return (_scratch_array(slot, np.int64, shape),
+            _scratch_array(slot, np.float64, shape))
 
 
 def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
@@ -381,33 +309,29 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     decomposed once per distinct sampling exponent q among the stage
     tables (and the oap coefficient table) into two planes, uint8 lattice
     cells and in-cell fractions, and the padded copy is dropped.  Every
-    (rotation, pattern) query then takes its flat base rows and axis-major
-    fractions from shifted views of the planes and is read from its
-    table; each rotation's pattern outputs are averaged and unrotated into
-    the (k, N, rs*rs) ensemble.  The planes are dropped before the
+    (rotation, pattern) query reads its table through
+    :func:`~lutpool.lut._read` at the pattern's shifted views of the
+    planes; each rotation's pattern outputs are averaged and unrotated
+    into the (k, N, rs*rs) ensemble.  The planes are dropped before the
     ensemble is fused by the configured pooling and the residual baseline
     of the rows is added.
 
     The stack may be integer-typed (an image as it was given): its rows
     are then widened to float64 as they are decomposed, and are integral
-    without a scan.  Fractions are float32 when the input rows are
-    integer-valued (they are then exact multiples of 2**-q).  A table
-    whose first fold axis is provably exact in float32
-    (:func:`~lutpool.lut._fold_dtype`) keeps them and folds in float32 up
-    to the exactness bound, in float64 beyond it, with its bias removed
-    once; every other query is widened to float64.  Both give the same
-    bits, so bands may differ in this.
+    without a scan.  Integer-valued rows decompose into float32 fractions,
+    which mark integral queries; the read gives the same bits either way,
+    so bands may differ in this.
 
-    Training passes a dict as ``tape`` over the whole stack: queries then
-    stay float64, every table, the oap coefficient table included, is
-    queried through :func:`~lutpool.lut.corner_weights`, and the tape
-    receives what the backward pass needs -- ``"xs"`` (the ensemble),
-    ``"corners"`` (per pattern, (k, 2**n, N) indices and weights) and,
-    when the stage computed oap weights, ``"coeff"``.  The corner arrays
-    live in this thread's scratch (:func:`~lutpool.lut._scratch_array`),
-    reused from step to step, so a tape is valid only until the next
-    taped pass on the same thread: consume it first, as
-    ``forward_backward`` does.
+    Training passes a dict as ``tape`` over the whole stack: fractions
+    then stay float64 and every table, the oap coefficient table
+    included, is read with a pair of corner arrays, which receive its
+    corner indices and weights.  The tape holds what the backward pass
+    needs -- ``"xs"`` (the ensemble), ``"corners"`` (per pattern, (k,
+    2**n, N) indices and weights) and, when the stage computed oap
+    weights, ``"coeff"``.  The corner arrays live in this thread's
+    scratch (:func:`~lutpool.lut._scratch_array`), reused from step to
+    step, so a tape is valid only until the next taped pass on the same
+    thread: consume it first, as ``forward_backward`` does.
     """
     b, h, w = stack.shape
     if y1 is None:
@@ -433,9 +357,12 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
               for q in qs}
     del padded
 
-    def query(table, offsets):
-        return _query(planes[table.q], offsets, pad, shape, _row_radix(table),
-                      _fold_dtype(table, integral))
+    def read(table, offsets, corners=None):
+        # the (B, y1 - y0, w) view of both planes at each pattern offset
+        cells, fracs = planes[table.q]
+        views = [np.s_[:, pad + dr:pad + dr + y1 - y0, pad + dc:pad + dc + w]
+                 for dr, dc in offsets]
+        return _read(table, [cells[v] for v in views], [fracs[v] for v in views], corners)
 
     if need_alpha:
         cp, coeff = config.coeff_pattern, pool.coeff_lut
@@ -444,8 +371,7 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
             corners = tape["coeff"] = _tape_arrays("coeff", (1 << cp.n, count))
         if counters is not None:
             counters.coeff_queries += count
-        alpha = oap_weights(query(coeff, cp.offsets), coeff,
-                            query=partial(_lookup, corners=corners))
+        alpha = oap_weights(cp.offsets, coeff, query=partial(read, corners=corners))
 
     xs = np.empty((k, count, m))
     if tape is not None:
@@ -464,7 +390,7 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
             if tape is not None:
                 idx, wts = tape["corners"][pi]
                 corners = (idx[ri], wts[ri])
-            out = _lookup(table, query(table, pattern.rotated(r)), corners)
+            out = read(table, pattern.rotated(r), corners)
             if counters is not None:
                 counters.lut_queries += count
             out /= npat
@@ -550,14 +476,13 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
     """
     config.validate()
     x = np.asarray(image)
-    if x.dtype.kind not in "ui":
-        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a 2-D grayscale image")
     if x.size == 0:
         raise ValueError("empty image")
-    if not (x.min() >= 0 and x.max() <= 255):   # NaN fails this too
-        raise ValueError("pixel values must lie in [0, 255]")
+    _check_pixels(x, "image")
+    if x.dtype.kind == "f":
+        x = x.astype(np.float64, copy=False)
 
     k = config.orientations.k
     alpha = None

@@ -149,8 +149,8 @@ def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
 
     ``query(coeff, patches)`` reads the coefficient table; it defaults to
     :func:`query_batch`, which also range-checks the patches.  The
-    pipeline passes its own query, and as ``patches`` the flat base rows
-    and fractions it has already taken from its decomposed planes.
+    pipeline passes its own query, and as ``patches`` the coefficient
+    pattern's offsets into the planes it has already decomposed.
     """
     raw = (query or query_batch)(coeff, patches)
     if isinstance(coeff, RealLut):

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lut import (CoeffLut, RealLut, lattice_size, quantize, round_half_away,
-                  _scratch_array)
+                  _check_pixels, _scratch_array)
 # Kept as a module attribute although the stage kernel calls it through
 # lutpool.lut: perfbench/tracing.py wraps ``train.corner_weights`` by name.
 from .lut import corner_weights  # noqa: F401
@@ -338,13 +338,6 @@ def _scatter(flat_grad: np.ndarray, idx: np.ndarray, wts: np.ndarray,
     for j in range(m):
         np.multiply(wts, cols[j], out=vals)
         flat_grad[:, j] = np.bincount(flat_idx, vals.ravel(), minlength=rows)
-
-
-def _check_pixels(image, what: str) -> None:
-    a = np.asarray(image)
-    # written so that NaN (for which every comparison is false) fails too
-    if a.size and not (a.min() >= 0 and a.max() <= 255):
-        raise ValueError(f"{what} pixels must be finite and lie in [0, 255]")
 
 
 def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):

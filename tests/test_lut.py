@@ -845,12 +845,6 @@ class TestQuantize:
         _, report = quantize(RealLut(6, 1, 1, np.full((5, 1), 1e6)))
         assert (report.max_error, report.clipped) == (float("inf"), 5)
 
-    def test_coeff_flag_builds_coeff_lut(self):
-        real = RealLut(6, 1, 4, np.tile([1.0, 2.0, 3.0, 4.0], (5, 1)))
-        lut, _ = quantize(real, coeff=True)
-        assert isinstance(lut, CoeffLut)
-        assert lut.k == 4
-
 
 class TestContainer:
     def test_header_is_32_bytes(self):

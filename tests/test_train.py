@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -39,15 +40,16 @@ from lutpool import (
     make_synthetic_corpus,
     oap_weights,
     psnr,
+    query_batch,
     restore_image,
     round_half_away,
     sample_batch,
     train,
 )
-from lutpool.lut import _CELL_TABLE_BYTES, corner_weights
+from lutpool.lut import _CELL_TABLE_BYTES, _blend, corner_weights
 from lutpool.orientation import (DIAGONAL_PATTERN, SQUARE_PATTERN, WYE_PATTERN,
                                  block_permutation)
-from lutpool.pipeline import _blend, _resize_axis, _run_real, pixel_shuffle, stage_pass
+from lutpool.pipeline import _resize_axis, _run_real, pixel_shuffle, stage_pass
 from lutpool.pooling import softmax
 from lutpool.train import _loss_and_grad, _to_blocks
 
@@ -791,6 +793,29 @@ class TestTrainingLoop:
         tp = TrainablePipeline.zero_init("sr", 2, q=4)
         with pytest.raises(ValueError, match=f"batch {member} pixels must be finite"):
             step(tp, batch, self.run_config())
+
+    @pytest.mark.parametrize("dtype", [np.complex128, object, np.str_, np.bool_])
+    @pytest.mark.parametrize("entry", ["restore_image", "query_batch", "train",
+                                       "forward_backward"])
+    def test_non_real_pixel_dtypes_rejected(self, entry, dtype):
+        """A complex, object, string or bool array of 7s is refused, not converted."""
+        def bad(shape):
+            return np.full(shape, 7).astype(dtype)
+
+        tp = TrainablePipeline.zero_init("sr", 2, q=4)
+        pairs = sr_pairs(4)
+        calls = {
+            "restore_image": lambda: restore_image(bad((8, 8)), tp.to_config()),
+            "query_batch": lambda: query_batch(tp.luts[0].lut, bad((3, 4))),
+            "train": lambda: train(tp, [(bad((24, 24)), pairs[0][1])] + pairs[1:2],
+                                   pairs[2:], self.run_config()),
+            "forward_backward": lambda: forward_backward(
+                tp, Batch(bad((2, 8, 8)), np.zeros((2, 16, 16))), self.run_config()),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")     # no ComplexWarning on the way
+            with pytest.raises(ValueError, match="pixels must be real numbers"):
+                calls[entry]()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_detected(self):
