@@ -129,7 +129,7 @@ def _pooling_from_args(args) -> PoolingSpec:
     kind = _pooling_kind(args.pooling)
     coeff = None
     if kind == "oap":
-        if not getattr(args, "coeff_lut", None):
+        if not args.coeff_lut:
             raise ValueError("oap pooling needs --coeff-lut")
         coeff = load_lut(args.coeff_lut)
     return PoolingSpec(kind=kind, tau=args.tau, norm=args.norm, coeff_lut=coeff)
@@ -236,7 +236,7 @@ def _config_from_json(path, prefer_real: bool = False) -> PipelineConfig:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return _config_from_json(args.config)
     if not args.lut:
         raise UsageError("give --config or at least one --lut")

@@ -29,12 +29,9 @@ quantized tables and real tables, which training writes in place,
 gather their ``2**n`` corners from the lattice rows, and base rows
 count the ``2**(8-q) + 1`` lattice points.
 
-Every table read -- the image pipeline's stage pass, the training
-tape and :func:`query_batch` -- goes through :func:`_read`, which takes
-a query's cells and fractions axis by axis and makes these choices in
-one place: cell table or lattice rows, the row radix, the fractions'
-dtype, and the corner fold or, for a training tape, the corner weights
-and their blend (:func:`_blend`).
+The stage pass, the training tape and :func:`query_batch` all read a
+table through :func:`_read`, which makes these choices in one place,
+and for a tape writes corner weights and blends with them instead.
 
 Two in-memory forms exist:
 
@@ -583,24 +580,19 @@ def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray,
 def _read(lut, cells, fracs, corners=None) -> np.ndarray:
     """Outputs (N, m) float64 of ``lut`` at N queries given axis by axis.
 
-    ``cells`` and ``fracs`` hold one array per table input axis, all of
-    one shape with N elements: the queries' lattice cells (uint8) and
-    in-cell fractions along that axis, such as the shifted views of a
-    stage's decomposed planes or the rows of a decomposed patch batch.
+    ``cells`` and ``fracs`` hold one equally shaped array of N uint8
+    lattice cells and in-cell fractions per table input axis: shifted
+    views of a stage's planes, or the rows of a decomposed patch batch.
     Float32 fractions mark integral queries.
 
     Without ``corners`` the corner fold (:func:`_fold_corners`) reads the
-    table in its stored dtype and removes its bias.  The base rows count
-    the table's own radix (:func:`_row_radix`): cells for a table read
-    through its cell table, lattice points otherwise.  The fractions are
-    stacked axis-major in :func:`_fold_dtype`: integral queries keep
-    float32 where the table's first fold axis is exact in it.
-
-    With ``corners``, a C-contiguous (2**n, N) pair of index and weight
-    arrays (a training tape; the table is a real one, read from its
-    lattice rows in float64), :func:`corner_weights` writes the corners
-    there for the gradient scatter and :func:`_blend` sums the weighted
-    rows.
+    stored entries and removes the bias.  Base rows count the table's
+    :func:`_row_radix`, cells where it keeps a cell table, lattice points
+    otherwise; the fractions are stacked in :func:`_fold_dtype`.  With a
+    training tape's C-contiguous (2**n, N) index and weight arrays as
+    ``corners`` (a real table, read from its lattice rows in float64),
+    :func:`corner_weights` fills them for the gradient scatter and
+    :func:`_blend` sums the weighted rows.
     """
     if corners is None:
         radix, dtype = _row_radix(lut), _fold_dtype(lut, fracs[0].dtype == np.float32)

@@ -185,7 +185,7 @@ def fuse_gmp(xs, tau: float, norm: str = "l2") -> FusionResult:
 def fuse_oap(xs, patch, coeff) -> FusionResult:
     """Blend with weights looked up from the coefficient table at ``patch``."""
     xs = _check_xs(xs)
-    patch = np.asarray(patch, dtype=np.float64)
+    patch = np.asarray(patch)
     w = oap_weights(patch[None, :], coeff)
     if w.shape[0] != xs.shape[0]:
         raise ValueError(

@@ -35,11 +35,13 @@ from lutpool import (
     export_pipeline,
     finetune,
     forward_backward,
+    fuse_oap,
     lattice_size,
     loss_only,
     make_synthetic_corpus,
     oap_weights,
     psnr,
+    query,
     query_batch,
     restore_image,
     round_half_away,
@@ -795,8 +797,8 @@ class TestTrainingLoop:
             step(tp, batch, self.run_config())
 
     @pytest.mark.parametrize("dtype", [np.complex128, object, np.str_, np.bool_])
-    @pytest.mark.parametrize("entry", ["restore_image", "query_batch", "train",
-                                       "forward_backward"])
+    @pytest.mark.parametrize("entry", ["restore_image", "query_batch", "query", "fuse_oap",
+                                       "train", "forward_backward"])
     def test_non_real_pixel_dtypes_rejected(self, entry, dtype):
         """A complex, object, string or bool array of 7s is refused, not converted."""
         def bad(shape):
@@ -807,6 +809,8 @@ class TestTrainingLoop:
         calls = {
             "restore_image": lambda: restore_image(bad((8, 8)), tp.to_config()),
             "query_batch": lambda: query_batch(tp.luts[0].lut, bad((3, 4))),
+            "query": lambda: query(tp.luts[0].lut, bad(4)),
+            "fuse_oap": lambda: fuse_oap(np.zeros((4, 1)), bad(4), tp.luts[0].lut),
             "train": lambda: train(tp, [(bad((24, 24)), pairs[0][1])] + pairs[1:2],
                                    pairs[2:], self.run_config()),
             "forward_backward": lambda: forward_backward(
