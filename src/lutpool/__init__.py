@@ -24,7 +24,6 @@ from .lut import (
     inspect_file,
     interpolate,
     lattice_size,
-    lattice_values,
     load_lut,
     quantize,
     query,
@@ -90,7 +89,6 @@ from .train import (
     TrainablePipeline,
     TrainingDivergedError,
     adam_step,
-    charbonnier,
     cosine_lr,
     entropy_regularizer,
     evaluate_pairs,

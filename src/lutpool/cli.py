@@ -5,7 +5,8 @@ train and fine-tune on a manifest, restore single images, evaluate and
 benchmark pipelines, and inspect table containers.
 
 Exit codes: 0 success, 1 usage error, 2 I/O error (missing or corrupt
-files), 3 validation error (geometry or configuration mismatches).
+files), 3 validation error (geometry or configuration mismatches, a
+number out of range, a training run that diverged).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .orientation import PATTERNS, OrientationSet
 from .pipeline import (PipelineConfig, QueryCounter, bicubic_resize,
                        query_cost_model, restore_image)
 from .pooling import PoolingSpec
-from .train import (TrainConfig, TrainablePipeline, evaluate_pairs,
-                    export_pipeline, finetune, train)
+from .train import (TrainConfig, TrainablePipeline, TrainingDivergedError,
+                    evaluate_pairs, export_pipeline, finetune, train)
 
 
 class UsageError(Exception):
@@ -275,17 +276,25 @@ def _add_pipeline_flags(sub):
                      help="tables store residuals on top of the baseline")
 
 
+def integer(text: str):
+    """An integer literal as int; any other number as float, which TrainConfig refuses."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _add_training_flags(sub, steps: int, val_interval: int):
     """The data, optimization and output flags of the train and finetune commands."""
     sub.add_argument("--data", required=True)
-    sub.add_argument("--steps", type=int, default=steps)
-    sub.add_argument("--batch", type=int, default=16)
-    sub.add_argument("--crop", type=int, default=16)
+    sub.add_argument("--steps", type=integer, default=steps)
+    sub.add_argument("--batch", type=integer, default=16)
+    sub.add_argument("--crop", type=integer, default=16)
     sub.add_argument("--lr", type=float, default=1e-4)
     sub.add_argument("--loss", choices=("charbonnier", "l1", "l2"),
                      default="charbonnier")
     sub.add_argument("--reg-weight", type=float, default=1e-3)
-    sub.add_argument("--val-interval", type=int, default=val_interval)
+    sub.add_argument("--val-interval", type=integer, default=val_interval)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out-dir", required=True)
 
@@ -663,6 +672,9 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
+        return 3
+    except TrainingDivergedError as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
         return 3
 
 

@@ -190,12 +190,17 @@ def make_synthetic_corpus(count: int = 64, size: int = 48, seed: int = 0) -> lis
     return images
 
 
+_VAL_COUNT = 8   # the last images of a written corpus, its validation split
+
+
 def write_synthetic_dataset(directory, count: int = 64, size: int = 48,
-                            seed: int = 0, scale: int = 2,
-                            val_count: int = 8) -> str:
+                            seed: int = 0, scale: int = 2) -> str:
     """Write corpus PGMs plus a train/val manifest; returns manifest path."""
     from .netpbm import write_pnm
 
+    if count <= _VAL_COUNT:
+        raise ValueError(f"count {count} leaves no training images: the last "
+                         f"{_VAL_COUNT} are the validation split")
     os.makedirs(directory, exist_ok=True)
     images = make_synthetic_corpus(count, size, seed)
     recipe = DegradationRecipe("bicubic_down", scale=scale)
@@ -204,6 +209,6 @@ def write_synthetic_dataset(directory, count: int = 64, size: int = 48,
         for i, img in enumerate(images):
             name = f"img_{i:03d}.pgm"
             write_pnm(os.path.join(directory, name), img)
-            split = "val" if i >= count - val_count else "train"
+            split = "val" if i >= count - _VAL_COUNT else "train"
             fh.write(f"{split}\t{name}\t{recipe.to_string()}\n")
     return manifest_path

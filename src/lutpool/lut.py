@@ -406,24 +406,20 @@ def _row_radix(lut) -> int:
     return lut.lattice_points - 1
 
 
-def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out=None):
+def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out):
     """Flat corner indices and multilinear weights for a batch of queries.
 
     rows: (N,) flat base rows; frac: (n, N) axis-major fractions.
-    Returns (idx, w), both corner-major of shape (2**n, N); idx indexes
-    the table flattened to (lattice**n, m) rows.  Corner c takes the
-    upper neighbour along axis d when bit ``n-1-d`` of c is set.  Each
-    weight is the product ``1.0 * f_0 * ... * f_{n-1}`` taken in axis
-    order, with f_d the fraction or its complement.  ``out`` may pass a
-    preallocated C-contiguous (idx, w) pair of that shape to fill.
-    Inference does not need the weights (the corner fold lerps the
-    corners directly); training does, to scatter output gradients back
-    onto the corner entries.
+    Fills and returns ``out``, a C-contiguous (idx, w) pair, both
+    corner-major of shape (2**n, N); idx indexes the table flattened to
+    (lattice**n, m) rows.  Corner c takes the upper neighbour along axis
+    d when bit ``n-1-d`` of c is set.  Each weight is the product
+    ``1.0 * f_0 * ... * f_{n-1}`` taken in axis order, with f_d the
+    fraction or its complement.  Inference does not need the weights
+    (the corner fold lerps the corners directly); training does, to
+    scatter output gradients back onto the corner entries.
     """
     n, npts = frac.shape
-    if out is None:
-        out = (np.empty((1 << n, npts), dtype=np.int64),
-               np.empty((1 << n, npts), dtype=np.float64))
     idx, w = out
     if not w.flags.c_contiguous:
         raise ValueError("corner weights must be written to a C-contiguous array")
@@ -646,34 +642,29 @@ def query_batch(lut, patches) -> np.ndarray:
     return _read(lut, cells, frac)
 
 
-def lattice_values(q: int) -> np.ndarray:
-    """Nominal pixel value of each lattice point along one axis.
-
-    The top point sits at 256: it is only ever blended into queries for
-    values above ``255 - 2**q`` and quantization clamps baked entries
-    back into the representable range.
-    """
-    return np.arange(lattice_size(q), dtype=np.float64) * float(2 ** q)
+_BAKE_POINTS = 4096   # lattice points per oracle call of bake_real
 
 
-def bake_real(oracle, q: int, n: int, m: int, chunk: int = 4096) -> RealLut:
+def bake_real(oracle, q: int, n: int, m: int) -> RealLut:
     """Evaluate ``oracle`` on every lattice point into a float table.
 
-    ``oracle(points)`` receives an (P, n) array of pixel values and must
-    return (P, m) outputs.  Failures are re-raised with the offending
-    lattice coordinate attached; non-finite outputs are rejected.
+    ``oracle(points)`` receives a (P, n) array of pixel values and must
+    return (P, m) outputs.  Lattice point i sits at ``i * 2**q``, the top
+    one at 256.  Failures are re-raised with the offending lattice
+    coordinate attached; non-finite outputs are rejected.
     """
     _check_geometry(q, n, m)
     lattice = lattice_size(q)
     # per axis, the uint8 lattice index of every point in C order; each
-    # block scales its slice to pixel values (lattice_values), so no
-    # float array of every lattice point is made
+    # block scales its slice to pixel values, so no float array of every
+    # lattice point is made
     cells = [g.reshape(-1) for g in
              np.meshgrid(*([np.arange(lattice, dtype=np.uint8)] * n), indexing="ij")]
     total = cells[0].size
     out = np.empty((total, m), dtype=np.float64)
-    for start in range(0, total, chunk):
-        block = np.stack([c[start:start + chunk] for c in cells], axis=-1) * float(2 ** q)
+    for start in range(0, total, _BAKE_POINTS):
+        block = np.stack([c[start:start + _BAKE_POINTS] for c in cells],
+                         axis=-1) * float(2 ** q)
         try:
             vals = np.asarray(oracle(block), dtype=np.float64)
         except Exception as exc:
@@ -690,7 +681,7 @@ def bake_real(oracle, q: int, n: int, m: int, chunk: int = 4096) -> RealLut:
             where = start + int(np.argwhere(bad.any(axis=1))[0, 0])
             coord = np.unravel_index(where, (lattice,) * n)
             raise ValueError(f"oracle produced non-finite value at lattice point {coord}")
-        out[start:start + chunk] = vals
+        out[start:start + _BAKE_POINTS] = vals
     return RealLut(q, n, m, out.reshape((lattice,) * n + (m,)))
 
 

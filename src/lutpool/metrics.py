@@ -5,7 +5,7 @@ peak 255.  PSNR of identical images is capped at 100 dB rather than
 infinity so aggregates stay finite.
 
 PSNR-B augments the mean squared error with a blocking-effect factor
-(BEF) measured on the reconstructed image: with block size B, let D_b
+(BEF) measured on the reconstructed image: with block size B = 8, let D_b
 be the mean squared difference across neighbour pairs that straddle a
 block boundary (columns B-1|B, 2B-1|2B, ... and same for rows) and
 D_nb the mean squared difference over all other neighbour pairs.  When
@@ -25,6 +25,10 @@ import numpy as np
 
 PEAK = 255.0
 PSNR_CAP = 100.0
+# SSIM's Gaussian window: 11 taps, standard deviation 1.5 pixels.
+_SSIM_WINDOW = np.exp(-np.arange(-5.0, 6.0) ** 2 / (2.0 * 1.5 * 1.5))
+_SSIM_WINDOW /= _SSIM_WINDOW.sum()
+_BEF_BLOCK = 8   # PSNR-B's block side B (see the module doc)
 
 
 def _as_float_pair(a, b):
@@ -51,13 +55,6 @@ def psnr(a, b) -> float:
     return min(PSNR_CAP, 10.0 * math.log10(PEAK * PEAK / err))
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    half = (size - 1) / 2.0
-    x = np.arange(size, dtype=np.float64) - half
-    w = np.exp(-(x * x) / (2.0 * sigma * sigma))
-    return w / w.sum()
-
-
 def _filter_valid(img: np.ndarray, window: np.ndarray) -> np.ndarray:
     """Separable valid-mode correlation with a 1-D window on both axes."""
     taps = window.shape[0]
@@ -70,7 +67,7 @@ def _filter_valid(img: np.ndarray, window: np.ndarray) -> np.ndarray:
     return out2
 
 
-def ssim(a, b, window_size: int = 11, sigma: float = 1.5) -> float:
+def ssim(a, b) -> float:
     """Mean structural similarity with an 11x11 Gaussian window (sigma 1.5).
 
     Stabilizers C1 = (0.01 * 255)**2 and C2 = (0.03 * 255)**2; the map is
@@ -79,11 +76,11 @@ def ssim(a, b, window_size: int = 11, sigma: float = 1.5) -> float:
     x, y = _as_float_pair(a, b)
     if x.ndim != 2:
         raise ValueError("ssim expects 2-D grayscale images")
-    if min(x.shape) < window_size:
-        raise ValueError(f"images must be at least {window_size} pixels per side")
+    if min(x.shape) < _SSIM_WINDOW.size:
+        raise ValueError(f"images must be at least {_SSIM_WINDOW.size} pixels per side")
     c1 = (0.01 * PEAK) ** 2
     c2 = (0.03 * PEAK) ** 2
-    win = _gaussian_window(window_size, sigma)
+    win = _SSIM_WINDOW
     mu_x = _filter_valid(x, win)
     mu_y = _filter_valid(y, win)
     xx = _filter_valid(x * x, win) - mu_x * mu_x
@@ -94,21 +91,21 @@ def ssim(a, b, window_size: int = 11, sigma: float = 1.5) -> float:
     return float(np.mean(num / den))
 
 
-def blocking_effect_factor(img, block: int = 8) -> float:
-    """Excess squared discontinuity across block boundaries (see module doc)."""
+def blocking_effect_factor(img) -> float:
+    """Excess squared discontinuity across 8-pixel block boundaries (see module doc)."""
     y = np.asarray(img, dtype=np.float64)
     if y.ndim != 2:
         raise ValueError("expected a 2-D image")
     h, w = y.shape
-    if min(h, w) < 2 * block:
+    if min(h, w) < 2 * _BEF_BLOCK:
         raise ValueError("image too small for the block size")
 
     dh = y[:, 1:] - y[:, :-1]          # horizontal neighbour pairs
     dv = y[1:, :] - y[:-1, :]          # vertical neighbour pairs
     hcols = np.arange(w - 1)
     vrows = np.arange(h - 1)
-    h_boundary = (hcols % block) == block - 1
-    v_boundary = (vrows % block) == block - 1
+    h_boundary = (hcols % _BEF_BLOCK) == _BEF_BLOCK - 1
+    v_boundary = (vrows % _BEF_BLOCK) == _BEF_BLOCK - 1
 
     sq_b = float(np.sum(dh[:, h_boundary] ** 2) + np.sum(dv[v_boundary, :] ** 2))
     n_b = dh[:, h_boundary].size + dv[v_boundary, :].size
@@ -120,14 +117,14 @@ def blocking_effect_factor(img, block: int = 8) -> float:
     d_nb = sq_nb / n_nb
     if d_b <= d_nb:
         return 0.0
-    eta = np.log2(block) / np.log2(min(h, w))
+    eta = np.log2(_BEF_BLOCK) / np.log2(min(h, w))
     return float(eta * (d_b - d_nb))
 
 
-def psnr_b(reference, reconstruction, block: int = 8) -> float:
-    """Blocking-sensitive PSNR; equals plain PSNR when BEF is zero."""
+def psnr_b(reference, reconstruction) -> float:
+    """Blocking-sensitive PSNR (block side 8); equals plain PSNR when BEF is zero."""
     err = mse(reference, reconstruction)
-    bef = blocking_effect_factor(reconstruction, block)
+    bef = blocking_effect_factor(reconstruction)
     denom = err + bef
     if denom == 0.0:
         return PSNR_CAP

@@ -238,10 +238,11 @@ def _phase_taps(in_len: int, rs: int):
     return tuple(phases)
 
 
-def bicubic_resize(image, scale: float, out_shape=None) -> np.ndarray:
+def bicubic_resize(image, scale: float) -> np.ndarray:
     """Separable cubic-convolution resampling (a = -0.5, replicate edges).
 
-    Sample positions follow the pixel-center convention
+    Each side becomes ``round(side * scale)``, at least 1.  Sample
+    positions follow the pixel-center convention
     ``src = (dst + 0.5) / scale - 0.5``; minification widens the kernel
     by 1/scale for antialiasing.  Output is float64 and unclamped.
     """
@@ -250,14 +251,8 @@ def bicubic_resize(image, scale: float, out_shape=None) -> np.ndarray:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim not in (2, 3):
         raise ValueError("expected a 2-D image (or H x W x C array)")
-    if out_shape is None:
-        out_h = max(1, int(round(img.shape[0] * scale)))
-        out_w = max(1, int(round(img.shape[1] * scale)))
-    else:
-        out_h, out_w = out_shape
-    out = _resize_axis(img, out_h, scale, 0)
-    out = _resize_axis(out, out_w, scale, 1)
-    return out
+    out = _resize_axis(img, max(1, int(round(img.shape[0] * scale))), scale, 0)
+    return _resize_axis(out, max(1, int(round(img.shape[1] * scale))), scale, 1)
 
 
 def apply_residual(base, residual) -> np.ndarray:

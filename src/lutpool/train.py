@@ -39,6 +39,7 @@ order, so a (seed, config) pair reproduces training bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,6 +68,8 @@ _FINETUNE_LR_FACTOR = 0.1
 # step of a fine-tune at lr 2e-3 is about 0.1, which the bound leaves alone.
 _TAU_LR_FACTOR = 50.0
 _LOG_TAU_STEP = 0.25
+# The Charbonnier loss is mean sqrt(diff**2 + _CHARBONNIER_EPS**2).
+_CHARBONNIER_EPS = 1e-3
 
 
 @dataclass
@@ -76,28 +79,22 @@ class TrainConfig:
     crop: int = 16                 # crop side on the input grid
     lr: float = 1e-4
     loss: str = "charbonnier"      # charbonnier | l1 | l2
-    epsilon: float = 1e-3          # charbonnier knee
-    regularizer: str = "entropy"   # entropy | none
-    reg_weight: float = 1e-3
+    reg_weight: float = 1e-3       # weight of entropy_regularizer; 0 turns it off
     seed: int = 0
-    augment: bool = True
     val_interval: int = 100
 
     def __post_init__(self):
         if self.loss not in ("charbonnier", "l1", "l2"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.regularizer not in ("entropy", "none"):
-            raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        if self.iterations < 1:
-            raise ValueError("need at least one iteration")
-        if self.batch_size < 1 or self.crop < 1:
-            raise ValueError("a batch needs at least one crop of at least one pixel")
-
-
-def charbonnier(pred, target, epsilon: float = 1e-3) -> float:
-    """Smooth L1: mean sqrt(diff**2 + epsilon**2)."""
-    d = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
-    return float(np.mean(np.sqrt(d * d + epsilon * epsilon)))
+        for name in ("iterations", "batch_size", "crop", "val_interval"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        if not (math.isfinite(self.reg_weight) and self.reg_weight >= 0.0):
+            raise ValueError(
+                f"reg_weight must be finite and nonnegative, got {self.reg_weight!r}")
 
 
 def entropy_regularizer(weights) -> float:
@@ -135,19 +132,20 @@ class AdamState:
 # Elements per adam_step slice: four operand slices and two scratch
 # buffers of this size stay in a core's L2 cache across the update.
 _ADAM_CHUNK = 1 << 15
+# Adam's moment decay rates and the stabilizer of its denominator.
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
-              step_index: int, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
+              step_index: int, lr: float) -> None:
     """One in-place Adam update; step_index counts completed steps (0-based)."""
     if values.shape != grad.shape:
         raise ValueError("gradient shape does not match parameters")
     if step_index < 0:
         raise ValueError("step_index must be nonnegative")
     t = step_index + 1
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - _BETA1 ** t
+    c2 = 1.0 - _BETA2 ** t
     arrays = [np.atleast_1d(x) for x in
               (values, grad, state.exp_avg, state.exp_avg_sq)]
     # The textbook out-of-place update, operation for operation, run
@@ -161,16 +159,16 @@ def adam_step(values: np.ndarray, grad: np.ndarray, state: AdamState,
     for start in range(0, len(arrays[0]), rows):
         v, g, m1, m2 = (x[start:start + rows] for x in arrays)
         a, b = scratch_a[:len(v)], scratch_b[:len(v)]
-        np.multiply(g, 1.0 - beta1, out=a)
-        m1 *= beta1
+        np.multiply(g, 1.0 - _BETA1, out=a)
+        m1 *= _BETA1
         m1 += a
-        np.multiply(g, 1.0 - beta2, out=a)
+        np.multiply(g, 1.0 - _BETA2, out=a)
         a *= g
-        m2 *= beta2
+        m2 *= _BETA2
         m2 += a
         np.divide(m2, c2, out=a)           # v_hat
         np.sqrt(a, out=a)
-        a += eps
+        a += _ADAM_EPS
         np.divide(m1, c1, out=b)           # m_hat
         b *= lr
         b /= a
@@ -273,8 +271,8 @@ class Batch:
 
 
 def sample_batch(rng: np.random.Generator, pairs, crop: int, rs: int,
-                 batch_size: int, augment: bool = True) -> Batch:
-    """Random aligned crop pairs with optional rotation/flip augmentation.
+                 batch_size: int) -> Batch:
+    """Random aligned crop pairs, each under a random quarter turn and flip.
 
     Each crop is written, as a rotated and flipped view, straight into
     its slot of the batch's float64 arrays.
@@ -290,23 +288,21 @@ def sample_batch(rng: np.random.Generator, pairs, crop: int, rs: int,
         j = int(rng.integers(w - crop + 1))
         ci = inp[i:i + crop, j:j + crop]
         ct = tgt[rs * i: rs * (i + crop), rs * j: rs * (j + crop)]
-        if augment:
-            r = int(rng.integers(4))
-            f = int(rng.integers(2))
-            ci = np.rot90(ci, r)
-            ct = np.rot90(ct, r)
-            if f:
-                ci = ci[:, ::-1]
-                ct = ct[:, ::-1]
+        r = int(rng.integers(4))
+        ci = np.rot90(ci, r)
+        ct = np.rot90(ct, r)
+        if rng.integers(2):
+            ci = ci[:, ::-1]
+            ct = ct[:, ::-1]
         ins[n] = ci
         tgts[n] = ct
     return Batch(ins, tgts)
 
 
-def _loss_and_grad(diff: np.ndarray, kind: str, epsilon: float):
+def _loss_and_grad(diff: np.ndarray, kind: str):
     count = diff.size
     if kind == "charbonnier":
-        root = np.sqrt(diff * diff + epsilon * epsilon)
+        root = np.sqrt(diff * diff + _CHARBONNIER_EPS * _CHARBONNIER_EPS)
         return float(np.mean(root)), diff / root / count
     if kind == "l1":
         return float(np.mean(np.abs(diff))), np.sign(diff) / count
@@ -353,10 +349,10 @@ def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):
     pred, alpha = stage_pass(batch.inputs, config.stages[0], config, config.scale,
                              tape=tape)
     diff = pred - _to_blocks(batch.targets, config.scale)
-    fid, dfid = _loss_and_grad(diff, cfg.loss, cfg.epsilon)
+    fid, dfid = _loss_and_grad(diff, cfg.loss)
 
     reg = 0.0
-    if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
+    if cfg.reg_weight != 0.0:
         reg = entropy_regularizer(alpha.T)
     total = fid + cfg.reg_weight * reg
     losses = {"total": total, "fidelity": fid, "regularizer": reg}
@@ -389,7 +385,7 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
 
     if pool.kind in ("gmp", "oap"):
         c = np.einsum("nm,knm->kn", g, xs)      # dL/dalpha
-        if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
+        if cfg.reg_weight != 0.0:
             c = c + cfg.reg_weight * (
                 np.log(np.maximum(alpha, 1e-300)) + 1.0) / count
     if pool.kind == "gmp":
@@ -449,11 +445,14 @@ def evaluate_pairs(config: PipelineConfig, pairs, border: int = 0) -> float:
     return float(np.mean(scores))
 
 
-def _check_pairs(pairs, split: str) -> None:
-    """Reject pairs holding NaN, infinite or out-of-range pixels."""
-    for i, pair in enumerate(pairs):
-        for name, image in zip(("input", "target"), pair):
+def _check_pairs(pairs, split: str, rs: int) -> None:
+    """Reject bad pixels, non-2-D inputs and targets that are not rs times their input."""
+    for i, (inp, tgt) in enumerate(pairs):
+        for name, image in (("input", inp), ("target", tgt)):
             _check_pixels(image, f"{split} pair {i}: {name}")
+        if np.ndim(inp) != 2 or np.shape(tgt) != tuple(rs * s for s in np.shape(inp)):
+            raise ValueError(f"{split} pair {i}: target shape {np.shape(tgt)} is not "
+                             f"x{rs} of a 2-D input; input shape {np.shape(inp)}")
 
 
 def train(tp: TrainablePipeline, train_pairs, val_pairs,
@@ -466,13 +465,14 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
     fine-tune can never end worse than it started.  A trainable
     soft-median temperature changes ``log_tau`` by at most
     ``_LOG_TAU_STEP`` per step.  Every pair is checked
-    once up front: a NaN, infinite or out-of-range pixel raises
+    once up front: a NaN, infinite or out-of-range pixel, or a target
+    that is not the pipeline's scale times its input, raises
     ``ValueError`` naming the split and the pair index.
     """
-    _check_pairs(train_pairs, "training")
-    _check_pairs(val_pairs, "validation")
-    rng = np.random.default_rng(cfg.seed)
     config = tp.config
+    _check_pairs(train_pairs, "training", config.scale)
+    _check_pairs(val_pairs, "validation", config.scale)
+    rng = np.random.default_rng(cfg.seed)
     border = config.scale if config.task == "sr" else 0
     history, val_history = [], []
 
@@ -484,8 +484,9 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
     for step in range(cfg.iterations):
         lr = cosine_lr(step, cfg.iterations, cfg.lr)
         batch = sample_batch(rng, train_pairs, cfg.crop, config.scale,
-                             cfg.batch_size, cfg.augment)
-        losses = forward_backward(tp, batch, cfg)
+                             cfg.batch_size)
+        with np.errstate(over="ignore", invalid="ignore"):   # seen as the loss below
+            losses = forward_backward(tp, batch, cfg)
         if not math.isfinite(losses["total"]):
             raise TrainingDivergedError(
                 f"non-finite loss at step {step}: {losses}")
@@ -541,8 +542,8 @@ def finetune(tp: TrainablePipeline, train_pairs, val_pairs, cfg: TrainConfig,
     return ft, report
 
 
-def export_pipeline(tp: TrainablePipeline, bit_depth: int = 8):
-    """Quantize a trained pipeline for deployment.
+def export_pipeline(tp: TrainablePipeline):
+    """Quantize a trained pipeline into 8-bit tables for deployment.
 
     Residual tables go to signed (bias-128) storage, plain tables to
     unsigned.  Coefficient logits become 8-bit weights by scaling the
@@ -552,8 +553,7 @@ def export_pipeline(tp: TrainablePipeline, bit_depth: int = 8):
     config = tp.to_config()
     stage, reports = [], {}
     for i, lut in enumerate(config.stages[0]):
-        qlut, reports[f"stage0_pattern{i}"] = quantize(lut, bit_depth=bit_depth,
-                                                       signed=config.residual)
+        qlut, reports[f"stage0_pattern{i}"] = quantize(lut, signed=config.residual)
         stage.append(qlut)
     coeff = None
     if tp.coeff is not None:

@@ -250,6 +250,12 @@ class TestDataset:
         img = read_pnm(dataset_dir / "img_000.pgm")
         assert img.shape == (24, 24)
 
+    @pytest.mark.parametrize("count", ["8", "6"])
+    def test_no_training_images_is_validation_error(self, tmp_path, count):
+        # the last 8 images always go to the validation split
+        assert run("dataset", "--out-dir", str(tmp_path / "d"), "--count", count) == 3
+        assert not (tmp_path / "d").exists()
+
 
 class TestEval:
     def test_scores_split_with_baseline(self, dataset_dir, tmp_path):
@@ -474,6 +480,25 @@ class TestFuzz:
         assert code in (0, 2, 3), (argv, code, err)
         assert "Traceback" not in err
         return code
+
+    @pytest.mark.parametrize("flag", ["--val-interval", "--lr", "--reg-weight",
+                                      "--steps", "--batch", "--crop"])
+    def test_train_flags(self, dataset_dir, tmp_path, capsys, flag):
+        """Out-of-range numbers exit 3 with one line; the rest train (exit 0)."""
+        short = {"--steps": "2", "--batch": "2", "--crop": "8", "--val-interval": "1"}
+        for value in ("0", "-1", "nan", "inf", "1e300"):
+            flags = dict(short, **{flag: value})
+            argv = ["train", "--data", str(dataset_dir / "manifest.tsv"),
+                    "--out-dir", str(tmp_path / "run")]
+            argv += [part for item in flags.items() for part in item]
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except BaseException as exc:    # noqa: BLE001 -- the failure under test
+                pytest.fail(f"{flag} {value}: {exc!r} escaped main")
+            err = capsys.readouterr().err
+            assert code in (0, 3), (flag, value, code, err)
+            assert len(err.splitlines()) == (code == 3), (flag, value, err)
 
     def restore(self, capsys, files, *argv):
         return self.lutpool(capsys, "restore", "--input", str(files / "in.pgm"),

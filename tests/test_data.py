@@ -266,14 +266,21 @@ class TestManifest:
 class TestWriteSyntheticDataset:
     def test_writes_images_and_manifest(self, tmp_path):
         manifest = write_synthetic_dataset(tmp_path / "data", count=12, size=24,
-                                           seed=0, scale=2, val_count=4)
+                                           seed=0, scale=2)
         items = load_manifest(manifest)
         assert len(items) == 12
-        assert sum(1 for it in items if it.split == "train") == 8
-        assert sum(1 for it in items if it.split == "val") == 4
+        assert sum(1 for it in items if it.split == "train") == 4
+        assert sum(1 for it in items if it.split == "val") == 8
         # val entries are the tail of the corpus
-        assert all(it.split == "val" for it in items[-4:])
+        assert all(it.split == "val" for it in items[-8:])
         for it in items:
             img = read_pnm(it.clean)
             assert img.shape == (24, 24)
             assert it.recipe == DegradationRecipe("bicubic_down", scale=2)
+
+    @pytest.mark.parametrize("count", [8, 6, 0, -1])
+    def test_count_must_leave_training_images(self, tmp_path, count):
+        # the last 8 images are the validation split
+        with pytest.raises(ValueError, match="leaves no training images"):
+            write_synthetic_dataset(tmp_path / "data", count=count, size=24)
+        assert not (tmp_path / "data").exists()

@@ -26,7 +26,6 @@ from lutpool import (
     inspect_file,
     interpolate,
     lattice_size,
-    lattice_values,
     load_lut,
     quantize,
     query,
@@ -184,7 +183,7 @@ class TestInterpolation:
     def test_lattice_points_return_entries(self):
         rng = np.random.default_rng(1)
         lut = random_real_lut(rng, 5, 2, 2)
-        vals = lattice_values(5)[:-1]  # 256 itself is out of query range
+        vals = np.arange(8) * 32.0  # lattice points below 256, which is out of query range
         for i in (0, 3, 7):
             for j in (0, 4, 8):
                 got = query(lut, np.array([vals[i % 8], vals[j % 8]]))
@@ -782,6 +781,16 @@ class TestBake:
     def test_real_bake_keeps_top_point(self):
         real = bake_real(lambda p: p[:, :1].copy(), q=4, n=1, m=1)
         assert real.entries[16, 0] == 256.0
+
+    @pytest.mark.parametrize("q, n", [(5, 2), (4, 4)])
+    def test_oracle_sees_every_lattice_point(self, q, n):
+        # point i of an axis sits at i * 2**q, the top one at 256; the
+        # 17**4 points of (4, 4) reach the oracle over several calls
+        real = bake_real(lambda p: p.copy(), q=q, n=n, m=n)
+        axis = np.arange(lattice_size(q)) * 2.0 ** q
+        assert axis[-1] == 256.0
+        want = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1)
+        np.testing.assert_array_equal(real.entries, want)
 
     def test_oracle_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -70,14 +70,11 @@ def naive_resize_1d(vec, out_len, scale):
     return out
 
 
-def naive_resize(img, scale, out_shape=None):
+def naive_resize(img, scale):
     """Per-pixel loop reference for the separable resampler."""
     h, w = img.shape
-    if out_shape is None:
-        oh = max(1, int(round(h * scale)))
-        ow = max(1, int(round(w * scale)))
-    else:
-        oh, ow = out_shape
+    oh = max(1, int(round(h * scale)))
+    ow = max(1, int(round(w * scale)))
     tmp = np.stack([naive_resize_1d(img[:, j], oh, scale) for j in range(w)], axis=1)
     return np.stack([naive_resize_1d(tmp[i, :], ow, scale) for i in range(oh)], axis=0)
 
@@ -112,10 +109,10 @@ class TestBicubicResize:
         np.testing.assert_allclose(back[8:-8, 8:-8], img[8:-8, 8:-8],
                                    rtol=0, atol=1e-10)
 
-    def test_out_shape_override(self):
-        img = np.zeros((9, 9))
-        out = bicubic_resize(img, 0.5, out_shape=(5, 4))
-        assert out.shape == (5, 4)
+    def test_output_sides_round(self):
+        # each side is round(side * scale), at least 1
+        assert bicubic_resize(np.zeros((9, 11)), 0.5).shape == (4, 6)
+        assert bicubic_resize(np.zeros((3, 1)), 0.25).shape == (1, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

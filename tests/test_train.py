@@ -27,7 +27,6 @@ from lutpool import (
     TrainingDivergedError,
     adam_step,
     bicubic_resize,
-    charbonnier,
     cosine_lr,
     degrade,
     entropy_regularizer,
@@ -66,14 +65,29 @@ def sr_pairs(count=8, size=24, seed=0):
     return [(degrade(img, recipe, i), img) for i, img in enumerate(imgs)]
 
 
+def charbonnier_loss(entry, target):
+    """loss_only's Charbonnier loss where every prediction is ``entry``.
+
+    A one-pixel, one-rotation, non-residual table whose entries all hold
+    ``entry`` predicts it for every pixel, so the loss reads one
+    difference; the entropy term is off.
+    """
+    tp = TrainablePipeline.zero_init("restore", 1, q=4, patterns=[SINGLE],
+                                     orientations=OrientationSet((0,)),
+                                     residual=False)
+    tp.luts[0].lut.entries[...] = entry
+    batch = Batch(np.full((2, 3, 3), 64.0), np.full((2, 3, 3), target))
+    return loss_only(tp, batch, TrainConfig(iterations=1, reg_weight=0.0))
+
+
 class TestLosses:
     def test_charbonnier_at_zero_error(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert charbonnier(x, x, epsilon=1e-3) == pytest.approx(1e-3, rel=1e-12)
+        # the knee: sqrt(0 + 1e-3**2)
+        assert charbonnier_loss(42.0, 42.0) == pytest.approx(1e-3, rel=1e-12)
 
     def test_charbonnier_pythagorean(self):
-        assert charbonnier(np.array([3.0]), np.array([0.0]), epsilon=4.0) \
-            == pytest.approx(5.0, rel=1e-12)
+        # sqrt(0.75e-3**2 + 1e-3**2) = 1.25e-3
+        assert charbonnier_loss(0.75e-3, 0.0) == pytest.approx(1.25e-3, rel=1e-12)
 
     def test_entropy_uniform_and_onehot(self):
         assert entropy_regularizer(np.full(4, 0.25)) \
@@ -185,18 +199,25 @@ class TestTrainConfig:
     def test_defaults(self):
         cfg = TrainConfig()
         assert cfg.loss == "charbonnier"
-        assert cfg.regularizer == "entropy"
+        assert cfg.reg_weight == 1e-3          # the entropy term is on
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(loss="huber")
         with pytest.raises(ValueError):
-            TrainConfig(regularizer="l2")
-        with pytest.raises(ValueError):
             TrainConfig(iterations=0)
         for empty in (dict(batch_size=0), dict(crop=0)):
             with pytest.raises(ValueError):
                 TrainConfig(**empty)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("val_interval", 0), ("val_interval", -1), ("iterations", 2.0),
+        ("batch_size", math.nan), ("crop", 1e300), ("val_interval", math.inf),
+        ("lr", 0.0), ("lr", -1e-3), ("lr", math.nan), ("lr", math.inf),
+        ("reg_weight", -1e-3), ("reg_weight", math.nan), ("reg_weight", math.inf)])
+    def test_out_of_range_numbers_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: bad})
 
 
 class TestTrainablePipeline:
@@ -248,17 +269,25 @@ class TestSampleBatch:
         assert batch.inputs.shape == (5, 8, 8)
         assert batch.targets.shape == (5, 16, 16)
 
-    def test_crops_subsample_source_without_augment(self):
+    def test_targets_align_with_inputs_under_every_augmentation(self):
+        # every pixel value is distinct, so each input crop names its source
+        # window and its rotation/flip; the target crop must be the
+        # nearest-neighbour x2 of the input crop, whichever of the 8 was drawn
         img = np.arange(144, dtype=np.uint8).reshape(12, 12)
         pairs = [(img, np.repeat(np.repeat(img, 2, 0), 2, 1))]
-        rng = np.random.default_rng(1)
-        batch = sample_batch(rng, pairs, crop=4, rs=2, batch_size=8, augment=False)
+        batch = sample_batch(np.random.default_rng(1), pairs, crop=4, rs=2,
+                             batch_size=64)
+        seen = set()
         for crop_in, crop_tgt in zip(batch.inputs, batch.targets):
-            v = int(crop_in[0, 0])
-            i, j = divmod(v, 12)
-            np.testing.assert_array_equal(crop_in, img[i:i + 4, j:j + 4])
             np.testing.assert_array_equal(
-                crop_tgt, pairs[0][1][2 * i:2 * i + 8, 2 * j:2 * j + 8])
+                crop_tgt, np.repeat(np.repeat(crop_in, 2, 0), 2, 1))
+            i, j = divmod(int(crop_in.min()), 12)      # the window's top-left value
+            window = img[i:i + 4, j:j + 4]
+            views = [(r, f) for r in range(4) for f in range(2)
+                     if np.array_equal(crop_in, np.rot90(window, r)[:, ::-1 if f else 1])]
+            assert len(views) == 1
+            seen.add(views[0])
+        assert seen == {(r, f) for r in range(4) for f in range(2)}
 
     def test_deterministic(self):
         pairs = sr_pairs(4)
@@ -281,8 +310,7 @@ class TestExactGradient:
                                          orientations=OrientationSet((0,)),
                                          residual=False)
         batch = Batch(np.full((2, 3, 3), 32.0), np.full((2, 3, 3), 10.0))
-        cfg = TrainConfig(iterations=1, loss="l2", regularizer="none",
-                          augment=False)
+        cfg = TrainConfig(iterations=1, loss="l2", reg_weight=0.0)
         losses = forward_backward(tp, batch, cfg)
         assert losses["total"] == pytest.approx(100.0, rel=1e-12)
         grad = tp.luts[0].grad.reshape(-1)
@@ -396,10 +424,9 @@ def add_at_forward_backward(tp, batch, cfg):
             pred = pred + _to_blocks(up, rs)
         else:
             pred = pred + batch.inputs.reshape(count, 1)
-    fid, g = _loss_and_grad(pred - _to_blocks(batch.targets, rs),
-                            cfg.loss, cfg.epsilon)
+    fid, g = _loss_and_grad(pred - _to_blocks(batch.targets, rs), cfg.loss)
     reg = 0.0
-    if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
+    if cfg.reg_weight != 0.0:
         reg = entropy_regularizer(alpha.T)
     losses = {"total": fid + cfg.reg_weight * reg, "fidelity": fid,
               "regularizer": reg}
@@ -407,7 +434,7 @@ def add_at_forward_backward(tp, batch, cfg):
     grad_xs = alpha[:, :, None] * g[None]
     if pool.kind in ("gmp", "oap"):
         c = np.einsum("nm,knm->kn", g, xs)
-        if cfg.regularizer == "entropy" and cfg.reg_weight != 0.0:
+        if cfg.reg_weight != 0.0:
             c = c + cfg.reg_weight * (
                 np.log(np.maximum(alpha, 1e-300)) + 1.0) / count
     if pool.kind == "gmp":
@@ -471,8 +498,7 @@ def oracle_pipeline(rng, task, fusion, patterns):
     if spec["pooling"] == "gmp":
         tp.tau_trainable = True
         tp.log_tau[...] = math.log(30.0)
-    cfg = TrainConfig(iterations=1, loss=spec["loss"], regularizer="entropy",
-                      reg_weight=1e-3, augment=False)
+    cfg = TrainConfig(iterations=1, loss=spec["loss"], reg_weight=1e-3)
     return tp, cfg
 
 
@@ -549,15 +575,12 @@ class TestVectorizedStep:
         frac[::7] = 0.0
         frac[1::11] = np.nextafter(1.0, 0.0)
         rows = base @ lattice ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        idx, w = corner_weights(rows, frac.T, lattice)
+        out = (np.empty((1 << n, 500), np.int64), np.empty((1 << n, 500)))
+        idx, w = corner_weights(rows, frac.T, lattice, out=out)
+        assert idx is out[0] and w is out[1]
         want_idx, want_w = loop_corner_weights(base, frac, lattice)
-        assert idx.shape == w.shape == (1 << n, 500)
         assert idx.tobytes() == np.ascontiguousarray(want_idx.T).tobytes()
         assert w.tobytes() == np.ascontiguousarray(want_w.T).tobytes()
-        out = (np.empty_like(idx), np.empty_like(w))
-        got = corner_weights(rows, frac.T, lattice, out=out)
-        assert got[0] is out[0] and got[1] is out[1]
-        assert w.tobytes() == out[1].tobytes()
         with pytest.raises(ValueError):
             corner_weights(rows, frac.T, lattice,
                            out=(idx, np.empty((500, 1 << n)).T))
@@ -682,8 +705,7 @@ class TestFiniteDifferenceGradients:
                      rng.uniform(0, 255, (2, 16, 16)))
 
     def make_cfg(self):
-        return TrainConfig(iterations=1, loss="charbonnier", epsilon=1e-3,
-                           regularizer="entropy", reg_weight=1e-3, augment=False)
+        return TrainConfig(iterations=1, loss="charbonnier", reg_weight=1e-3)
 
     def test_average_pooling(self):
         rng = np.random.default_rng(10)
@@ -785,6 +807,23 @@ class TestTrainingLoop:
             train(tp, train_pairs, val_pairs, self.run_config())
         np.testing.assert_array_equal(tp.luts[0].lut.entries, before)
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    @pytest.mark.parametrize("pair", [
+        (np.zeros((12, 12)), np.zeros((36, 36))),      # an x3 target
+        (np.zeros((16, 16)), np.zeros((31, 32))),
+        (np.zeros((12, 12)), np.zeros((12, 12))),
+        (np.zeros((12, 12, 1)), np.zeros((24, 24, 1)))])
+    def test_target_shape_checked_by_pair(self, split, pair):
+        """An x2 pipeline refuses, before its first step, a target that is not x2 its input."""
+        pairs = sr_pairs(6)
+        train_pairs, val_pairs = pairs[:4], pairs[4:]
+        (train_pairs if split == "training" else val_pairs)[1] = pair
+        tp = TrainablePipeline.zero_init("sr", 2, q=4)
+        before = tp.luts[0].lut.entries.copy()
+        with pytest.raises(ValueError, match=f"{split} pair 1: target shape"):
+            train(tp, train_pairs, val_pairs, self.run_config())
+        np.testing.assert_array_equal(tp.luts[0].lut.entries, before)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 256.0])
     @pytest.mark.parametrize("member", ["input", "target"])
     @pytest.mark.parametrize("step", [forward_backward, loss_only])
@@ -827,7 +866,7 @@ class TestTrainingLoop:
         tp = TrainablePipeline.zero_init("sr", 2, q=4)
         tp.luts[0].lut.entries[...] = 1e308
         cfg = TrainConfig(iterations=5, batch_size=2, crop=8, loss="l2",
-                          regularizer="none", seed=0)
+                          reg_weight=0.0, seed=0)
         with pytest.raises(TrainingDivergedError):
             train(tp, pairs[:3], pairs[3:], cfg)
 
