@@ -619,6 +619,8 @@ def _cmd_train(args) -> int:
     kind = _pooling_kind(args.pooling)
     if kind == "oap":
         raise ValueError("train weight tables with the finetune command")
+    if kind == "gmp" and not (np.isfinite(args.tau) and args.tau > 0):
+        raise ValueError(f"--tau must be finite and positive, got {args.tau}")
     train_pairs, val_pairs = _train_val_pairs(args.data)
     tp = TrainablePipeline.zero_init(
         task=args.task, scale=args.scale if args.task == "sr" else 1,
@@ -675,6 +677,9 @@ def main(argv=None) -> int:
         return 3
     except TrainingDivergedError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

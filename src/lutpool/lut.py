@@ -11,11 +11,11 @@ A query is a flat base row (the cell of its lower corner, flattened)
 and its in-cell fractions, laid out axis-major, (n, N).  The corner
 fold gathers the ``2**n`` corner rows of a chunk of queries into a
 (2**n, rows * m) accumulator and folds axis 0..n-1 with one lerp per
-axis, each over contiguous memory.  Float32 fractions (integral
-queries, see :func:`_fold_dtype`) let the fold run its leading axes in
-float32 for as long as :func:`_float32_axes` proves every intermediate
-exact and widen only the half-folded rest to float64; the bias of such
-queries is removed once from the blend.  Both give the bits of an
+axis, each over contiguous memory.  :func:`_decompose_arrays` alone
+decides whether queries are integral, and marks them by float32
+fractions; :func:`_fold_corners` alone decides how many leading axes
+(:func:`_float32_axes`) of their fold run in float32, and removes
+their bias once from the blend.  Both give the bits of an
 all-float64 fold with the bias removed from every corner.
 
 The gather comes in two kinds; the fold after it is shared.  A
@@ -135,24 +135,27 @@ def round_half_away(x: np.ndarray | float) -> np.ndarray:
     return np.trunc(x + np.copysign(0.5, x))
 
 
-def _decompose_arrays(values, q: int, frac_dtype=np.float64):
+def _decompose_arrays(values, q: int):
     """Split pixel values in [0, 255] into lattice cell indices and in-cell fractions.
 
     The cell width is ``2**q``; a value v maps to cell floor(v / 2**q)
     and fraction (v mod 2**q) / 2**q.  255 therefore falls in the top
     cell ``2**(8-q) - 1`` with fraction ``(2**q - 1) / 2**q``.  Cells
-    come back as uint8 (at most 127), fractions as ``frac_dtype``;
-    float32 holds the fraction of an integer value exactly.  Callers
+    come back as uint8 (at most 127), fractions as float32 (exact for
+    integers) when every value is an integer, else float64.  Callers
     check the range: :func:`query_batch` here, the pipeline once per
     image and the training step once per batch.  Works on any shape:
-    the pipeline decomposes a whole padded stack into two planes.
+    the pipeline decomposes a band's padded rows into two planes.
     """
+    values = np.asarray(values)
+    integral = values.dtype.kind in "ui" or bool(np.all(values == np.floor(values)))
     # 2**q is a power of two, so the scaling below is exact in float64
     # and the fractions stay exact dyadic rationals.
     scaled = np.asarray(values, dtype=np.float64) / float(2 ** q)
     cells = np.floor(scaled)
     scaled -= cells
-    return cells.astype(np.uint8), scaled.astype(frac_dtype, copy=False)
+    return cells.astype(np.uint8), scaled.astype(np.float32 if integral else np.float64,
+                                                 copy=False)
 
 
 def _flat_rows(cells, lattice: int) -> np.ndarray:
@@ -186,22 +189,6 @@ def _float32_axes(table: np.ndarray, frac_dtype) -> int:
     if np.dtype(frac_dtype) != np.float32 or table.dtype.kind != "u":
         return 0
     return min(table.ndim - 1, max(0, (24 - 8 * table.itemsize) // _table_q(table)))
-
-
-def _fold_dtype(lut, integral: bool) -> np.dtype:
-    """Dtype of the fractions handed to the corner fold for queries of ``lut``.
-
-    float32 when the queried values are integers (``integral``) and at
-    least the first axis of the fold is exact in float32 (see
-    :func:`_float32_axes`): unsigned entries of b bits with
-    ``b + q <= 24``.  The fold then runs as many leading axes in
-    float32 as that bound allows and the rest in float64, so it gives
-    the bits of an all-float64 fold.  Real tables and non-integer
-    inputs take float64.
-    """
-    if integral and _float32_axes(lut.entries, np.float32):
-        return np.dtype(np.float32)
-    return np.dtype(np.float64)
 
 
 # Per-thread scratch arrays of the corner fold and the training step,
@@ -395,17 +382,6 @@ def _cell_table(lut) -> np.ndarray | None:
     return lut._cells if isinstance(lut, QuantizedLut) else None
 
 
-def _row_radix(lut) -> int:
-    """Per-axis count of the flat base rows of ``lut``'s queries.
-
-    ``2**(8-q)`` cells for a table read through its cell table,
-    ``2**(8-q) + 1`` lattice points otherwise.
-    """
-    if _cell_table(lut) is None:
-        return lut.lattice_points
-    return lut.lattice_points - 1
-
-
 def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out):
     """Flat corner indices and multilinear weights for a batch of queries.
 
@@ -470,7 +446,7 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
     stored dtype and never modified; ``bias`` is subtracted from the
     blend.  rows: (N,) flat base rows; frac: (n, N) axis-major
     fractions.  Float32 fractions mark integral queries (see
-    :func:`_fold_dtype`).  ``cells`` passes the table's cell table
+    :func:`_decompose_arrays`).  ``cells`` passes the table's cell table
     (:func:`_pack_cells`); ``rows`` then count its ``L - 1`` cells per
     axis, otherwise the ``L`` lattice points.
 
@@ -487,7 +463,8 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
     scaling contiguous memory by a contiguous fraction vector (the
     axis' fractions, each repeated for the m entries of its row).  The
     leading axes that :func:`_float32_axes` proves exact fold in
-    float32 and the half-folded rest in float64.  Integral queries on
+    float32 and the half-folded rest in float64 (with no such axis,
+    float32 fractions widen as they are repeated).  Integral queries on
     unsigned entries with ``b + q*n <= 53`` are exact throughout, so
     their bias is subtracted once from the blend; otherwise it is
     subtracted from every gathered corner.  The repeated fractions and
@@ -524,10 +501,10 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
         if corner_bias:
             acc -= corner_bias
         f = frac[:, start:stop]
-        if m > 1:
-            # each fraction repeated for the m entries of its row; m
-            # strided column writes beat np.repeat here
-            fm = _scratch_array("frac", f.dtype, f.shape + (m,))
+        if m > 1 or f.dtype != acc.dtype:
+            # each fraction repeated for the m entries of its row, in the
+            # accumulator's dtype; m strided column writes beat np.repeat here
+            fm = _scratch_array("frac", acc.dtype, f.shape + (m,))
             for j in range(m):
                 fm[:, :, j] = f
             f = fm.reshape(n, -1)
@@ -579,26 +556,22 @@ def _read(lut, cells, fracs, corners=None) -> np.ndarray:
     ``cells`` and ``fracs`` hold one equally shaped array of N uint8
     lattice cells and in-cell fractions per table input axis: shifted
     views of a stage's planes, or the rows of a decomposed patch batch.
-    Float32 fractions mark integral queries.
 
     Without ``corners`` the corner fold (:func:`_fold_corners`) reads the
-    stored entries and removes the bias.  Base rows count the table's
-    :func:`_row_radix`, cells where it keeps a cell table, lattice points
-    otherwise; the fractions are stacked in :func:`_fold_dtype`.  With a
-    training tape's C-contiguous (2**n, N) index and weight arrays as
-    ``corners`` (a real table, read from its lattice rows in float64),
+    stored entries and removes the bias.  Base rows count the cells of
+    the table's cell table (:func:`_cell_table`) where it keeps one,
+    lattice points otherwise.  With a training tape's C-contiguous
+    (2**n, N) index and weight arrays as ``corners`` (a real table, read
+    from its lattice rows, fractions widened to float64),
     :func:`corner_weights` fills them for the gradient scatter and
     :func:`_blend` sums the weighted rows.
     """
+    packed = None if corners is not None else _cell_table(lut)
+    rows = _flat_rows(cells, lut.lattice_points - (packed is not None)).reshape(-1)
+    frac = np.asarray(fracs).reshape(len(fracs), -1)
     if corners is None:
-        radix, dtype = _row_radix(lut), _fold_dtype(lut, fracs[0].dtype == np.float32)
-    else:
-        radix, dtype = lut.lattice_points, np.float64
-    rows = _flat_rows(cells, radix).reshape(-1)
-    frac = np.asarray(fracs, dtype=dtype).reshape(len(fracs), -1)
-    if corners is None:
-        return _fold_corners(lut.entries, rows, frac, lut.bias, _cell_table(lut))
-    corner_weights(rows, frac, lut.lattice_points, out=corners)
+        return _fold_corners(lut.entries, rows, frac, lut.bias, packed)
+    corner_weights(rows, frac.astype(np.float64, copy=False), lut.lattice_points, out=corners)
     return _blend(lut.entries.reshape(-1, lut.m), *corners)
 
 
@@ -627,19 +600,14 @@ def query(lut, patch) -> np.ndarray:
 def query_batch(lut, patches) -> np.ndarray:
     """Interpolated outputs (N, m) for a (N, n) batch of patches.
 
-    Patches are checked here (:func:`_check_pixels`) and read through
-    :func:`_read`; integer-valued ones are decomposed into float32
-    fractions.
+    Patches are checked here (:func:`_check_pixels`), decomposed and
+    read through :func:`_read`.
     """
     patches = np.asarray(patches)
     if patches.ndim != 2 or patches.shape[1] != lut.n:
         raise ValueError(f"patch batch must have shape (N, {lut.n})")
     _check_pixels(patches, "patch")
-    patches = patches.astype(np.float64, copy=False)
-    integral = bool(np.all(patches == np.floor(patches)))
-    cells, frac = _decompose_arrays(np.ascontiguousarray(patches.T), lut.q,
-                                    np.float32 if integral else np.float64)
-    return _read(lut, cells, frac)
+    return _read(lut, *_decompose_arrays(np.ascontiguousarray(patches.T), lut.q))
 
 
 _BAKE_POINTS = 4096   # lattice points per oracle call of bake_real

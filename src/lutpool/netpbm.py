@@ -12,9 +12,12 @@ class PnmError(Exception):
     """Malformed or unsupported netpbm file."""
 
 
+_MAX_TOKEN = 16   # longest header field; a dimension has at most 10 digits
+
+
 def _read_token(fh) -> bytes:
     # skip whitespace and '#' comment lines between header fields
-    tok = b""
+    tok = bytearray()
     while True:
         c = fh.read(1)
         if not c:
@@ -25,8 +28,10 @@ def _read_token(fh) -> bytes:
             continue
         if c.isspace():
             if tok:
-                return tok
+                return bytes(tok)
             continue
+        if len(tok) == _MAX_TOKEN:
+            raise PnmError("header field too long")
         tok += c
 
 

@@ -20,7 +20,8 @@ by band), the last stage writes uint8 rows, and fusion weights are kept
 whole only when a later stage shares them.  Each band decomposes each
 pixel once per table spacing q, into a lattice-cell plane and a
 fraction plane; every oriented query hands shifted views of those
-planes to :func:`lutpool.lut._read`, which owns how a table is read.
+planes to :func:`lutpool.lut._read`, which owns how a table is read
+and at what precision.
 
 Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
@@ -296,37 +297,30 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     stage into bands of whole rows of at most ``_BAND_ANCHORS`` anchors
     and runs this once per band.
 
-    The rows take the stack's rows [y0 - pad, y1 + pad), clamped to the
-    frame, and edge-pad only the rows missing at the frame's top and
-    bottom, plus the columns: exactly those rows of the whole stack's
-    padding.  An output pixel depends only on its receptive field, so
-    bands give the bits of one whole-stack pass.  The padded rows are
-    decomposed once per distinct sampling exponent q among the stage
-    tables (and the oap coefficient table) into two planes, uint8 lattice
-    cells and in-cell fractions, and the padded copy is dropped.  Every
-    (rotation, pattern) query reads its table through
+    The rows are edge-padded by :func:`_padded_rows`, exactly as in the
+    whole stack's padding.  An output pixel depends only on its
+    receptive field, so bands give the bits of one whole-stack pass.
+    The padded rows, which may be integer-typed (an image as it was
+    given), are decomposed once per distinct sampling exponent q among
+    the stage tables (and the oap coefficient table) into two planes,
+    uint8 lattice cells and in-cell fractions, and the padded copy is
+    dropped.  Every (rotation, pattern) query reads its table through
     :func:`~lutpool.lut._read` at the pattern's shifted views of the
     planes; each rotation's pattern outputs are averaged and unrotated
     into the (k, N, rs*rs) ensemble.  The planes are dropped before the
     ensemble is fused by the configured pooling and the residual baseline
     of the rows is added.
 
-    The stack may be integer-typed (an image as it was given): its rows
-    are then widened to float64 as they are decomposed, and are integral
-    without a scan.  Integer-valued rows decompose into float32 fractions,
-    which mark integral queries; the read gives the same bits either way,
-    so bands may differ in this.
-
-    Training passes a dict as ``tape`` over the whole stack: fractions
-    then stay float64 and every table, the oap coefficient table
-    included, is read with a pair of corner arrays, which receive its
-    corner indices and weights.  The tape holds what the backward pass
-    needs -- ``"xs"`` (the ensemble), ``"corners"`` (per pattern, (k,
-    2**n, N) indices and weights) and, when the stage computed oap
-    weights, ``"coeff"``.  The corner arrays live in this thread's
-    scratch (:func:`~lutpool.lut._scratch_array`), reused from step to
-    step, so a tape is valid only until the next taped pass on the same
-    thread: consume it first, as ``forward_backward`` does.
+    Training passes a dict as ``tape`` over the whole stack: every
+    table, the oap coefficient table included, is read with a pair of
+    corner arrays, which receive its corner indices and weights.  The
+    tape holds what the backward pass needs -- ``"xs"`` (the ensemble),
+    ``"corners"`` (per pattern, (k, 2**n, N) indices and weights) and,
+    when the stage computed oap weights, ``"coeff"``.  The corner arrays
+    live in this thread's scratch (:func:`~lutpool.lut._scratch_array`),
+    reused from step to step, so a tape is valid only until the next
+    taped pass on the same thread: consume it first, as
+    ``forward_backward`` does.
     """
     b, h, w = stack.shape
     if y1 is None:
@@ -341,15 +335,9 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     need_alpha = pool.kind == "oap" and alpha is None
     # one padding serves the stage patterns and the coefficient pattern
     pad = max(p.reach for p in (*config.patterns, config.coeff_pattern))
-    lo, hi = max(0, y0 - pad), min(h, y1 + pad)
-    src = stack[:, lo:hi]
-    padded = np.pad(src, ((0, 0), (pad - (y0 - lo), pad - (hi - y1)), (pad, pad)),
-                    mode="edge")
-    # an integer-typed stack is integral; its rows widen as they decompose
-    integral = tape is None and (src.dtype.kind in "ui" or bool(np.all(src == np.floor(src))))
+    padded = _padded_rows(stack, y0, y1, pad, pad)
     qs = {table.q for table in stage_luts} | ({pool.coeff_lut.q} if need_alpha else set())
-    planes = {q: _decompose_arrays(padded, q, np.float32 if integral else np.float64)
-              for q in qs}
+    planes = {q: _decompose_arrays(padded, q) for q in qs}
     del padded
 
     def read(table, offsets, corners=None):
@@ -416,6 +404,19 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     return pred, weights
 
 
+def _padded_rows(stack: np.ndarray, y0: int, y1: int, before: int, after: int):
+    """Rows [y0 - before, y1 + after), columns [-before, w + after) of a (B, h, w) stack.
+
+    Those past the frame repeat its edge, as in the whole stack padded by
+    ``before`` and ``after`` on both axes; the stack's dtype is kept.
+    """
+    h = stack.shape[1]
+    top, bottom = max(0, y0 - before), min(h, y1 + after)
+    return np.pad(stack[:, top:bottom],
+                  ((0, 0), (top - (y0 - before), y1 + after - bottom), (before, after)),
+                  mode="edge")
+
+
 def _add_upsample(pred, stack, y0: int, y1: int, rs: int) -> None:
     """Add rows [y0, y1) of the stack's ``rs``-fold bicubic upsample to ``pred``.
 
@@ -425,19 +426,18 @@ def _add_upsample(pred, stack, y0: int, y1: int, rs: int) -> None:
     each column phase pc then a column pass over that, as in
     :func:`bicubic_resize`: products of the phase's taps
     (:func:`_phase_taps`) with shifted slices of the band, edge-padded
-    once, are added in tap order onto +0.0.  So every plane has the bits
-    of those pixels of :func:`bicubic_resize` and is added straight into
-    its column of ``pred``.
+    once (:func:`_padded_rows`) and then widened to float64, are added
+    in tap order onto +0.0.  So every plane has the bits of those pixels
+    of :func:`bicubic_resize` and is added straight into its column of
+    ``pred``.
     """
     b, h, w = stack.shape
     rows = y1 - y0
     row_taps, col_taps = _phase_taps(h, rs), _phase_taps(w, rs)
     offsets = [o for phase in row_taps + col_taps for o, _ in phase]
     lo, hi = min(offsets), max(offsets)
-    top, bottom = max(0, y0 + lo), min(h, y1 + hi)
     # padded row i and column c are the stack's row y0 + lo + i and column c + lo, clamped
-    src = np.pad(np.asarray(stack[:, top:bottom], dtype=np.float64),
-                 ((0, 0), (top - (y0 + lo), y1 + hi - bottom), (-lo, hi)), mode="edge")
+    src = _padded_rows(stack, y0, y1, -lo, hi).astype(np.float64, copy=False)
     across = np.empty((b, rows, src.shape[2]))
     plane = np.empty((b, rows, w))
     term, plane_term = np.empty_like(across), np.empty_like(plane)

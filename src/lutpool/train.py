@@ -445,14 +445,17 @@ def evaluate_pairs(config: PipelineConfig, pairs, border: int = 0) -> float:
     return float(np.mean(scores))
 
 
-def _check_pairs(pairs, split: str, rs: int) -> None:
-    """Reject bad pixels, non-2-D inputs and targets that are not rs times their input."""
+def _check_pairs(pairs, split: str, rs: int, crop: int = 0) -> None:
+    """Reject bad pixels, non-2-D inputs, targets not rs times their input, crops past an input."""
     for i, (inp, tgt) in enumerate(pairs):
         for name, image in (("input", inp), ("target", tgt)):
             _check_pixels(image, f"{split} pair {i}: {name}")
         if np.ndim(inp) != 2 or np.shape(tgt) != tuple(rs * s for s in np.shape(inp)):
             raise ValueError(f"{split} pair {i}: target shape {np.shape(tgt)} is not "
                              f"x{rs} of a 2-D input; input shape {np.shape(inp)}")
+        if min(np.shape(inp)) < crop:
+            raise ValueError(f"{split} pair {i}: input shape {np.shape(inp)} is "
+                             f"smaller than crop {crop}")
 
 
 def train(tp: TrainablePipeline, train_pairs, val_pairs,
@@ -465,12 +468,13 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
     fine-tune can never end worse than it started.  A trainable
     soft-median temperature changes ``log_tau`` by at most
     ``_LOG_TAU_STEP`` per step.  Every pair is checked
-    once up front: a NaN, infinite or out-of-range pixel, or a target
-    that is not the pipeline's scale times its input, raises
-    ``ValueError`` naming the split and the pair index.
+    once up front: a NaN, infinite or out-of-range pixel, a target
+    that is not the pipeline's scale times its input, or a training
+    input smaller than the crop raises ``ValueError`` naming the split
+    and the pair index.
     """
     config = tp.config
-    _check_pairs(train_pairs, "training", config.scale)
+    _check_pairs(train_pairs, "training", config.scale, cfg.crop)
     _check_pairs(val_pairs, "validation", config.scale)
     rng = np.random.default_rng(cfg.seed)
     border = config.scale if config.task == "sr" else 0

@@ -3,7 +3,9 @@
 import csv
 import json
 import os
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -482,23 +484,62 @@ class TestFuzz:
         return code
 
     @pytest.mark.parametrize("flag", ["--val-interval", "--lr", "--reg-weight",
-                                      "--steps", "--batch", "--crop"])
+                                      "--steps", "--batch", "--crop", "--tau"])
     def test_train_flags(self, dataset_dir, tmp_path, capsys, flag):
-        """Out-of-range numbers exit 3 with one line; the rest train (exit 0)."""
+        """Out-of-range numbers exit 3 with one line; the rest train (exit 0).
+
+        Warnings are errors here: printed by the command line tool, a
+        numpy warning would be more lines on stderr.  A run that trains
+        writes a pipeline.json that is strict JSON.
+        """
         short = {"--steps": "2", "--batch": "2", "--crop": "8", "--val-interval": "1"}
+        if flag == "--tau":
+            short["--pooling"] = "gmp"
         for value in ("0", "-1", "nan", "inf", "1e300"):
             flags = dict(short, **{flag: value})
+            out_dir = tmp_path / f"run{value}"
             argv = ["train", "--data", str(dataset_dir / "manifest.tsv"),
-                    "--out-dir", str(tmp_path / "run")]
+                    "--out-dir", str(out_dir)]
             argv += [part for item in flags.items() for part in item]
             capsys.readouterr()
             try:
-                code = main(argv)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    code = main(argv)
             except BaseException as exc:    # noqa: BLE001 -- the failure under test
                 pytest.fail(f"{flag} {value}: {exc!r} escaped main")
             err = capsys.readouterr().err
             assert code in (0, 3), (flag, value, code, err)
             assert len(err.splitlines()) == (code == 3), (flag, value, err)
+            if code == 0:
+                json.loads((out_dir / "pipeline.json").read_text(),
+                           parse_constant=lambda name: pytest.fail(f"{flag} {value}: {name}"))
+
+    @pytest.mark.parametrize("argv", [["--crop", "100000", "--batch", "2"],
+                                      ["--crop", "13"]])
+    def test_crop_past_the_images_is_validation_error(self, dataset_dir, tmp_path, capsys,
+                                                      monkeypatch, argv):
+        # the 12 x 12 training inputs are checked before a batch is allocated
+        monkeypatch.setattr(sys.modules["lutpool.train"], "sample_batch",
+                            lambda *args: pytest.fail("sample_batch called"))
+        capsys.readouterr()
+        code = main(["train", "--data", str(dataset_dir / "manifest.tsv"),
+                     "--out-dir", str(tmp_path / "run"), "--steps", "2", *argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("validation error: training pair 0: input shape (12, 12) "
+                              "is smaller than crop")
+        assert len(err.splitlines()) == 1
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate 149. GiB for an array")
+
+        monkeypatch.setattr(cli, "_cmd_dataset", exhausted)
+        capsys.readouterr()
+        assert main(["dataset", "--out-dir", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "out of memory: Unable to allocate 149. GiB for an array\n")
 
     def restore(self, capsys, files, *argv):
         return self.lutpool(capsys, "restore", "--input", str(files / "in.pgm"),

@@ -203,6 +203,16 @@ class TestNetpbm:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_header_field_length_capped(self, tmp_path):
+        # a 1 MB field is refused after 16 bytes, not grown byte by byte
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n" + b"7" * (1 << 20) + b" 2\n255\n" + bytes(8))
+        with pytest.raises(PnmError, match="header field too long"):
+            read_pnm(path)
+        # 16 characters still parse
+        path.write_bytes(b"P5\n" + b"0" * 15 + b"4 2\n255\n" + bytes(8))
+        assert read_pnm(path).shape == (2, 4)
+
     def test_write_errors(self, tmp_path):
         with pytest.raises(PnmError):
             write_pnm(tmp_path / "f.pgm", np.zeros((2, 2), dtype=np.float64))

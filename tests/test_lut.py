@@ -39,8 +39,8 @@ from lutpool import (
 import lutpool.lut as lut_module
 from lutpool.lut import (FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MAGIC,
                          _CELL_TABLE_BYTES, _CHUNK_ROWS, _cell_table, _decompose_arrays,
-                         _flat_rows, _float32_axes, _fold_corners, _fold_dtype,
-                         _pack_cells, _pack_container, _row_radix, real_table)
+                         _flat_rows, _float32_axes, _fold_corners, _pack_cells,
+                         _pack_container, real_table)
 from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN
 
 
@@ -160,6 +160,22 @@ class TestDecompose:
             base, frac = _decompose_arrays(vals, q)
             recon = (base + frac) * (2 ** q)
             np.testing.assert_array_equal(recon, vals)
+
+    def test_integral_values_give_float32_fractions(self):
+        # integer dtypes and floats without a fractional part are integral
+        values = np.array([[0, 7, 128], [255, 16, 31]])
+        for arr in (values.astype(np.uint8), values.astype(np.int64),
+                    values.astype(np.float32), values.astype(np.float64)):
+            cells, frac = _decompose_arrays(arr, 4)
+            assert cells.dtype == np.uint8 and frac.dtype == np.float32, arr.dtype
+            np.testing.assert_array_equal(cells * 16 + frac * 16, values)
+        # one value off the integers makes every fraction float64
+        for dtype in (np.float32, np.float64):
+            arr = values.astype(dtype)
+            arr[1, 2] = 30.5
+            cells, frac = _decompose_arrays(arr, 4)
+            assert frac.dtype == np.float64, dtype
+            np.testing.assert_array_equal(cells * 16 + frac * 16, arr)
 
     def test_out_of_range_rejected(self):
         lut = bake(lambda p: p[:, :1].copy(), q=4, n=1, m=1)
@@ -462,7 +478,7 @@ class TestFloat32Bound:
         # in float64 but past float32's 24 bits on an 8-bit q4 n4 table
         q, n = 4, 4
         lut = checkerboard_lut(q, n, 8, signed)
-        assert _fold_dtype(lut, integral=True) == np.float32
+        assert _float32_axes(lut.entries, np.float32) == n
         patches = top_fraction_patches(np.random.default_rng(7), q, n, 400) - 0.25
         seen = fold_dtypes(monkeypatch)
         got = query_batch(lut, patches)
@@ -475,9 +491,7 @@ class TestFloat32Bound:
         for q, bit_depth, narrow in SPLITS:
             lut = random_int_lut(rng, q, 4, 1, bit_depth=bit_depth)
             assert _float32_axes(lut.entries, np.float32) == narrow, (q, bit_depth)
-            assert _fold_dtype(lut, True) == np.float32
             assert _float32_axes(lut.entries, np.float64) == 0
-            assert _fold_dtype(lut, False) == np.float64
         # never more axes than the table has
         assert _float32_axes(random_int_lut(rng, 6, 1, 4).entries, np.float32) == 1
         # 16-bit q7: only the first axis fits (16 + 7 <= 24 < 16 + 14)
@@ -486,10 +500,8 @@ class TestFloat32Bound:
         # real tables and 32-bit entries never fold in float32
         real = random_real_lut(rng, 6, 2, 1)
         assert _float32_axes(real.entries, np.float32) == 0
-        assert _fold_dtype(real, True) == np.float64
         word = QuantizedLut(4, 2, 1, np.zeros((17, 17, 1), np.uint32), bit_depth=32)
         assert _float32_axes(word.entries, np.float32) == 0
-        assert _fold_dtype(word, True) == np.float64
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("q, bit_depth, narrow", SPLITS)
@@ -511,10 +523,31 @@ class TestFloat32Bound:
         for signed in (False, True):
             lut = random_int_lut(rng, q, n, m, bit_depth, signed)
             cells, frac = _decompose_arrays(integer_patches(rng, 3000, n).T.copy(), q)
+            assert frac.dtype == np.float32
             rows = _flat_rows(cells, lut.lattice_points)
-            got = _fold_corners(lut.entries, rows, frac.astype(np.float32), lut.bias)
-            want = _fold_corners(lut.entries, rows, frac, lut.bias)
+            got = _fold_corners(lut.entries, rows, frac, lut.bias)
+            want = _fold_corners(lut.entries, rows, frac.astype(np.float64), lut.bias)
             np.testing.assert_array_equal(got, want, err_msg=f"signed={signed}")
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_no_float32_axis_widens_the_fractions(self, monkeypatch, m):
+        # real tables and 32-bit entries fold no axis in float32: float32
+        # fractions are widened in the fold and give float64's bits
+        rng = np.random.default_rng(m)
+        word = QuantizedLut(4, 4, m, rng.integers(0, 2 ** 32, (17,) * 4 + (m,)),
+                            bit_depth=32, signed=True)
+        for lut in (random_real_lut(rng, 4, 4, m), word):
+            assert _float32_axes(lut.entries, np.float32) == 0
+            patches = integer_patches(rng, 3000, 4)
+            cells, frac = _decompose_arrays(patches.T.copy(), 4)
+            rows = _flat_rows(cells, lut.lattice_points)
+            got = _fold_corners(lut.entries, rows, frac, lut.bias)
+            want = _fold_corners(lut.entries, rows, frac.astype(np.float64), lut.bias)
+            assert got.tobytes() == want.tobytes()
+            seen = fold_dtypes(monkeypatch)
+            assert query_batch(lut, patches).tobytes() == want.tobytes()
+            assert seen == [np.float32]
+            monkeypatch.undo()
 
 
 def packed_bytes(q, n, m, bit_depth):
@@ -524,8 +557,7 @@ def packed_bytes(q, n, m, bit_depth):
 
 def both_gathers(lut, patches):
     """The fold of ``patches`` through the cell table and through the lattice rows."""
-    cells, frac = _decompose_arrays(np.ascontiguousarray(patches.T), lut.q,
-                                    _fold_dtype(lut, bool(np.all(patches % 1 == 0))))
+    cells, frac = _decompose_arrays(np.ascontiguousarray(patches.T), lut.q)
     packed = _cell_table(lut)
     by_cell = _fold_corners(lut.entries, _flat_rows(cells, lut.lattice_points - 1), frac,
                             lut.bias, packed)
@@ -566,7 +598,8 @@ class TestCellTable:
                     or lattice_size(q) ** n * m > 2_000_000):
                 continue
             lut = random_int_lut(rng, q, n, m, bit_depth, signed)
-            assert _cell_table(lut) is not None and _row_radix(lut) == 2 ** (8 - q)
+            # one packed row per cell: base rows count 2**(8-q) cells per axis
+            assert _cell_table(lut).shape == ((2 ** (8 - q)) ** n, 2 ** n * m)
             integral = integer_patches(rng, 300, n)
             quarter = np.minimum(rng.integers(0, 1021, (300, n)) / 4.0, 255.0)
             uniform = rng.uniform(0.0, 255.0, (300, n))
@@ -602,7 +635,7 @@ class TestCellTable:
                             lambda entries: pytest.fail("cell table built"))
         rng = np.random.default_rng(142)
         lut = random_int_lut(rng, 3, 4, 4, signed=True)
-        assert _cell_table(lut) is None and _row_radix(lut) == lattice_size(3)
+        assert _cell_table(lut) is None
         for patches in (integer_patches(rng, 500, 4),
                         rng.integers(0, 1021, (500, 4)) / 4.0):
             np.testing.assert_array_equal(query_batch(lut, patches),
@@ -645,7 +678,7 @@ class TestCellTable:
 
     def test_real_tables_gather_lattice_rows(self):
         real = random_real_lut(np.random.default_rng(143), 5, 4, 1)
-        assert _cell_table(real) is None and _row_radix(real) == lattice_size(5)
+        assert _cell_table(real) is None
 
 
 class FancyRowTake:
@@ -682,9 +715,7 @@ class TestLatticeGather:
         integral = integer_patches(rng, 3 * _CHUNK_ROWS // lut.m + 5, n)
         uniform = rng.uniform(0.0, 255.0, (700, n))
         for patches in (integral, uniform):
-            cells, frac = _decompose_arrays(
-                np.ascontiguousarray(patches.T), lut.q,
-                _fold_dtype(lut, bool(np.all(patches % 1 == 0))))
+            cells, frac = _decompose_arrays(np.ascontiguousarray(patches.T), lut.q)
             rows = _flat_rows(cells, lut.lattice_points)
             got = _fold_corners(lut.entries, rows, frac, lut.bias)
             fancy = FancyRowTake()
@@ -739,7 +770,7 @@ def fold_peak(lut, count):
     """
     rng = np.random.default_rng(count)
     values = rng.integers(0, 256, (lut.n, count)).astype(np.float64)
-    cells, frac = _decompose_arrays(values, lut.q, _fold_dtype(lut, True))
+    cells, frac = _decompose_arrays(values, lut.q)
     rows = _flat_rows(cells, lut.lattice_points)
     out = []
     worker = threading.Thread(

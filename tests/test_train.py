@@ -824,6 +824,23 @@ class TestTrainingLoop:
             train(tp, train_pairs, val_pairs, self.run_config())
         np.testing.assert_array_equal(tp.luts[0].lut.entries, before)
 
+    @pytest.mark.parametrize("crop", [8, 100000])
+    def test_crop_checked_before_any_batch(self, monkeypatch, crop):
+        """A crop larger than a training input is refused before a batch is allocated."""
+        pairs = sr_pairs(6)                     # 12 x 12 inputs
+        train_pairs, val_pairs = pairs[:4], pairs[4:]
+        inp, tgt = train_pairs[2]
+        train_pairs[2] = (inp[:, :7], tgt[:, :14])
+        monkeypatch.setattr(importlib.import_module("lutpool.train"), "sample_batch",
+                            lambda *args: pytest.fail("sample_batch called"))
+        tp = TrainablePipeline.zero_init("sr", 2, q=4)
+        cfg = TrainConfig(iterations=2, batch_size=2, crop=crop, seed=0)
+        first = 2 if crop == 8 else 0
+        with pytest.raises(ValueError, match=f"training pair {first}: input shape "
+                                             rf"\(12, {7 if first else 12}\) is smaller "
+                                             f"than crop {crop}"):
+            train(tp, train_pairs, val_pairs, cfg)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, 256.0])
     @pytest.mark.parametrize("member", ["input", "target"])
     @pytest.mark.parametrize("step", [forward_backward, loss_only])
