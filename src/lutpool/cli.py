@@ -238,6 +238,10 @@ def _config_from_json(path, prefer_real: bool = False) -> PipelineConfig:
 
 def _config_from_args(args) -> PipelineConfig:
     if args.config:
+        given = ", ".join(f"--{dest.replace('_', '-')}" for dest, value
+                          in _PIPELINE_DEFAULTS.items() if getattr(args, dest) != value)
+        if given:
+            raise UsageError(f"--config describes the whole pipeline; drop {given}")
         return _config_from_json(args.config)
     if not args.lut:
         raise UsageError("give --config or at least one --lut")
@@ -258,22 +262,26 @@ def _config_from_args(args) -> PipelineConfig:
     )
 
 
+# The defaults of the flags that --config replaces, by destination.
+_PIPELINE_DEFAULTS = {"lut": [], "task": "restore", "scale": 1, "patterns": "S",
+                      "pooling": "avg", "tau": 1.0, "norm": "l2", "coeff_lut": None,
+                      "residual": False}
+
+
 def _add_pipeline_flags(sub):
     sub.add_argument("--config", help="pipeline description JSON")
-    sub.add_argument("--lut", action="append", default=[],
+    sub.add_argument("--lut", action="append",
                      help="table container; repeat per pattern, then per stage")
-    sub.add_argument("--task", choices=("restore", "sr"), default="restore")
-    sub.add_argument("--scale", type=int, default=1, help="upscale factor for sr")
-    sub.add_argument("--patterns", default="S",
-                     help="comma-separated kernel patterns (S, D, Y)")
-    sub.add_argument("--pooling", default="avg",
-                     help="fusion: avg | gmp | oap")
-    sub.add_argument("--tau", type=float, default=1.0,
-                     help="soft-median temperature")
-    sub.add_argument("--norm", choices=("l1", "l2"), default="l2")
+    sub.add_argument("--task", choices=("restore", "sr"))
+    sub.add_argument("--scale", type=int, help="upscale factor for sr")
+    sub.add_argument("--patterns", help="comma-separated kernel patterns (S, D, Y)")
+    sub.add_argument("--pooling", help="fusion: avg | gmp | oap")
+    sub.add_argument("--tau", type=float, help="soft-median temperature")
+    sub.add_argument("--norm", choices=("l1", "l2"))
     sub.add_argument("--coeff-lut", help="weight table for oap pooling")
     sub.add_argument("--residual", action="store_true",
                      help="tables store residuals on top of the baseline")
+    sub.set_defaults(**_PIPELINE_DEFAULTS)
 
 
 def integer(text: str):
@@ -623,8 +631,8 @@ def _cmd_train(args) -> int:
         raise ValueError(f"--tau must be finite and positive, got {args.tau}")
     train_pairs, val_pairs = _train_val_pairs(args.data)
     tp = TrainablePipeline.zero_init(
-        task=args.task, scale=args.scale if args.task == "sr" else 1,
-        q=args.q, patterns=_parse_patterns(args.patterns), pooling=kind,
+        task=args.task, scale=args.scale, q=args.q,
+        patterns=_parse_patterns(args.patterns), pooling=kind,
         residual=not args.no_residual, norm=args.norm)
     if kind == "gmp":
         tp.log_tau[...] = np.log(args.tau)

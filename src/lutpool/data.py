@@ -164,6 +164,8 @@ def make_synthetic_corpus(count: int = 64, size: int = 48, seed: int = 0) -> lis
     orientation, frequency, phase, amplitude and offset; the rest are
     linear ramps with a random gradient direction.
     """
+    if size < 1:
+        raise ValueError(f"image size must be at least 1, got {size}")
     rng = np.random.default_rng(seed)
     rows, cols = np.mgrid[0:size, 0:size].astype(np.float64)
     images = []
@@ -201,9 +203,11 @@ def write_synthetic_dataset(directory, count: int = 64, size: int = 48,
     if count <= _VAL_COUNT:
         raise ValueError(f"count {count} leaves no training images: the last "
                          f"{_VAL_COUNT} are the validation split")
+    recipe = DegradationRecipe("bicubic_down", scale=scale)
+    if size < 1 or size % scale:
+        raise ValueError(f"size {size} must be a positive multiple of scale {scale}")
     os.makedirs(directory, exist_ok=True)
     images = make_synthetic_corpus(count, size, seed)
-    recipe = DegradationRecipe("bicubic_down", scale=scale)
     manifest_path = os.path.join(directory, "manifest.tsv")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         for i, img in enumerate(images):

@@ -18,19 +18,19 @@ fractions; :func:`_fold_corners` alone decides how many leading axes
 their bias once from the blend.  Both give the bits of an
 all-float64 fold with the bias removed from every corner.
 
-The gather comes in two kinds; the fold after it is shared.  A
-quantized table keeps a cell table (:func:`_pack_cells`), built on its
-first query: row r holds the ``2**n * m`` corner entries of cell r, so
-a query is one row gather, and base rows count the ``2**(8-q)`` cells
-per axis.  It costs about 12.6x the entries at q4 n4 (1 MiB for an
-8-bit m = 1 table, 4 MiB at m = 4) and is kept only up to
-``_CELL_TABLE_BYTES`` (8 MiB), which bounds that cost.  Larger
-quantized tables and real tables, which training writes in place,
-gather their ``2**n`` corners from the lattice rows, and base rows
-count the ``2**(8-q) + 1`` lattice points.
+The gather comes in two kinds; the fold after it is shared.  A table's
+``_cells`` is its cell table (:func:`_pack_cells`) or None.  Row r of a
+cell table holds the ``2**n * m`` corner entries of cell r, so a query
+is one row gather and base rows count the ``2**(8-q)`` cells per axis.
+A quantized table builds it on its first query, at about 12.6x the
+entries at q4 n4 (1 MiB for an 8-bit m = 1 table, 4 MiB at m = 4), and
+keeps it only up to ``_CELL_TABLE_BYTES`` (8 MiB).  Larger quantized
+tables and real tables, which training writes in place, gather their
+``2**n`` corners from the lattice rows, whose base rows count the
+``2**(8-q) + 1`` lattice points.
 
 The stage pass, the training tape and :func:`query_batch` all read a
-table through :func:`_read`, which makes these choices in one place,
+table through :func:`_read`, which acts on these choices in one place,
 and for a tape writes corner weights and blends with them instead.
 
 Two in-memory forms exist:
@@ -296,6 +296,8 @@ class RealLut:
     m: int
     entries: np.ndarray
 
+    _cells = None       # no cell table: training writes the entries in place
+
     def __post_init__(self):
         _check_geometry(self.q, self.n, self.m)
         want = (lattice_size(self.q),) * self.n + (self.m,)
@@ -369,17 +371,6 @@ def _pack_cells(entries: np.ndarray) -> np.ndarray:
     packed = packed.view(entries.dtype).reshape(cells ** n, (1 << n) * m)
     packed.setflags(write=False)
     return packed
-
-
-def _cell_table(lut) -> np.ndarray | None:
-    """The cell table that queries of ``lut`` gather from, or None.
-
-    Quantized tables read one packed row per query when their cell
-    table fits ``_CELL_TABLE_BYTES``.  Real tables, which training
-    writes in place, and larger quantized tables gather their 2**n
-    corners from the lattice rows.
-    """
-    return lut._cells if isinstance(lut, QuantizedLut) else None
 
 
 def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out):
@@ -559,14 +550,14 @@ def _read(lut, cells, fracs, corners=None) -> np.ndarray:
 
     Without ``corners`` the corner fold (:func:`_fold_corners`) reads the
     stored entries and removes the bias.  Base rows count the cells of
-    the table's cell table (:func:`_cell_table`) where it keeps one,
+    the table's own cell table (its ``_cells``) where it keeps one,
     lattice points otherwise.  With a training tape's C-contiguous
     (2**n, N) index and weight arrays as ``corners`` (a real table, read
     from its lattice rows, fractions widened to float64),
     :func:`corner_weights` fills them for the gradient scatter and
-    :func:`_blend` sums the weighted rows.
+    :func:`_blend` sums the weighted rows; a tape never reads a cell table.
     """
-    packed = None if corners is not None else _cell_table(lut)
+    packed = None if corners is not None else lut._cells
     rows = _flat_rows(cells, lut.lattice_points - (packed is not None)).reshape(-1)
     frac = np.asarray(fracs).reshape(len(fracs), -1)
     if corners is None:
@@ -790,11 +781,9 @@ def _unpack_container(data: bytes):
 
 def serialize(lut) -> bytes:
     """Container bytes for a quantized table (or raw logits, flagged real)."""
-    if isinstance(lut, CoeffLut):
-        return _pack_container(lut.entries, lut.q, lut.n, lut.m, lut.m,
-                               FLAG_SIGNED if lut.signed else 0, lut.bit_depth)
     if isinstance(lut, QuantizedLut):
-        return _pack_container(lut.entries, lut.q, lut.n, lut.m, 0,
+        k = lut.m if isinstance(lut, CoeffLut) else 0
+        return _pack_container(lut.entries, lut.q, lut.n, lut.m, k,
                                FLAG_SIGNED if lut.signed else 0, lut.bit_depth)
     if isinstance(lut, RealLut):
         entries = lut.entries.astype("<f8")

@@ -285,17 +285,17 @@ def _tape_arrays(slot: str, shape):
             _scratch_array(slot, np.float64, shape))
 
 
-def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
+def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
                y0: int = 0, y1: int | None = None, alpha=None,
                counters: QueryCounter | None = None, tape=None):
-    """One stage on the anchors of rows [y0, y1) of a (B, h, w) stack of in-range images.
+    """Stage ``t`` of ``config`` on rows [y0, y1) of a (B, h, w) stack of in-range images.
 
-    Rows default to the whole stack.  Returns the rows' unclamped
-    per-anchor blocks (N, rs*rs) and fusion weights (k, N), N = B *
-    (y1 - y0) * w; ``alpha`` holds the rows' precomputed oap weights (k, N)
-    and ``counters`` add up the queries.  :func:`_run_real` cuts each
-    stage into bands of whole rows of at most ``_BAND_ANCHORS`` anchors
-    and runs this once per band.
+    The stage reads ``config.stages[t]`` with block side rs =
+    ``config.stage_scale(t)``; rows default to the whole stack.  Returns
+    the rows' unclamped per-anchor blocks (N, rs*rs) and fusion weights
+    (k, N), N = B * (y1 - y0) * w; ``alpha`` holds the rows' precomputed
+    oap weights (k, N), ``counters`` add up the queries.  :func:`_run_real`
+    runs this once per band of whole rows of at most ``_BAND_ANCHORS`` anchors.
 
     The rows are edge-padded by :func:`_padded_rows`, exactly as in the
     whole stack's padding.  An output pixel depends only on its
@@ -325,8 +325,8 @@ def stage_pass(stack: np.ndarray, stage_luts, config: PipelineConfig, rs: int,
     b, h, w = stack.shape
     if y1 is None:
         y1 = h
-    shape = (b, y1 - y0, w)
-    count = math.prod(shape)
+    stage_luts, rs = config.stages[t], config.stage_scale(t)
+    count = b * (y1 - y0) * w
     m = rs * rs
     pool = config.pooling
     rotations = config.orientations.rotations
@@ -481,7 +481,7 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
 
     k = config.orientations.k
     alpha = None
-    for t, stage_luts in enumerate(config.stages):
+    for t in range(config.num_stages):
         last = t + 1 == config.num_stages
         rs = config.stage_scale(t)
         h, w = x.shape
@@ -493,8 +493,7 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
         for y0 in range(0, h, step):
             y1 = min(h, y0 + step)
             band_alpha = None if alpha is None else alpha[:, y0 * w:y1 * w]
-            blocks, wts = stage_pass(x[None], stage_luts, config, rs, y0, y1, band_alpha,
-                                     counters)
+            blocks, wts = stage_pass(x[None], config, t, y0, y1, band_alpha, counters)
             if weights is not None:
                 weights[:, y0 * w:y1 * w] = wts
             np.clip(blocks, 0.0, 255.0, out=blocks)

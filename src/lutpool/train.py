@@ -346,8 +346,7 @@ def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):
     _check_pixels(batch.targets, "batch target")
     config = tp.to_config()
     tape = {}
-    pred, alpha = stage_pass(batch.inputs, config.stages[0], config, config.scale,
-                             tape=tape)
+    pred, alpha = stage_pass(batch.inputs, config, tape=tape)
     diff = pred - _to_blocks(batch.targets, config.scale)
     fid, dfid = _loss_and_grad(diff, cfg.loss)
 
@@ -388,15 +387,15 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
         if cfg.reg_weight != 0.0:
             c = c + cfg.reg_weight * (
                 np.log(np.maximum(alpha, 1e-300)) + 1.0) / count
+        # dL/du of alpha = softmax(u) over orientations, (k, N)
+        s = alpha * (c - np.sum(alpha * c, axis=0, keepdims=True))
     if pool.kind == "gmp":
         dist, dev, _ = gmp_distances(xs, pool.norm)
     del xs
 
     if pool.kind == "gmp":
         tau = pool.tau
-        # softmax over orientations: u_i = -dist_i / tau
-        s = alpha * (c - np.sum(alpha * c, axis=0, keepdims=True))
-        ddist = -s / tau
+        ddist = -s / tau                         # u_i = -dist_i / tau
         if tp.tau_trainable:
             tp.tau_grad[0] = float(np.sum(s * dist) / tau)
         if pool.norm == "l2":
@@ -406,11 +405,8 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
         del dev
         t = ddist[:, :, None] * unit
         grad_xs += t - t.sum(axis=0, keepdims=True) / k
-    elif pool.kind == "oap":
-        arow = alpha.T                           # (N, k)
-        crow = c.T
-        srow = arow * (crow - np.sum(arow * crow, axis=1, keepdims=True))
-        _scatter(tp.coeff.grad.reshape(-1, k), *tape.pop("coeff"), srow[None])
+    elif pool.kind == "oap":                     # u: the coefficient table's logits
+        _scatter(tp.coeff.grad.reshape(-1, k), *tape.pop("coeff"), s.T[None])
 
     # per-rotation output gradient, block permutation undone
     graw = grad_xs / npat
@@ -522,11 +518,13 @@ def finetune(tp: TrainablePipeline, train_pairs, val_pairs, cfg: TrainConfig,
     The restoration tables move at ``_FINETUNE_LR_FACTOR`` of the
     base learning rate.  OAP starts from all-zero logits (exactly plain
     averaging); the soft-median starts at a large temperature (also the
-    averaging limit) unless ``tau_init`` says otherwise.  Returns the
-    fine-tuned pipeline and its training report.
+    averaging limit) unless ``tau_init``, finite and positive, says
+    otherwise.  Returns the fine-tuned pipeline and its training report.
     """
     if pooling not in ("oap", "gmp"):
         raise ValueError("finetune targets oap or gmp pooling")
+    if tau_init is not None and not (math.isfinite(tau_init) and tau_init > 0.0):
+        raise ValueError(f"tau_init must be finite and positive, got {tau_init!r}")
     base = tp.to_config()
     coeff = None
     if pooling == "oap":

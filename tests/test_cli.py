@@ -221,6 +221,41 @@ class TestRestore:
         assert read_pnm(dst).shape == (16, 16)
 
 
+class TestConfigConflicts:
+    """--config describes the whole pipeline: another pipeline flag is a usage error."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        assert run("bake", "--rule", "identity", "--q", "6",
+                   "--out", str(tmp_path / "ident.lut")) == 0
+        (tmp_path / "p.json").write_text(json.dumps({"stages": [["ident.lut"]]}))
+        write_test_image(tmp_path / "in.pgm", size=8)
+        return tmp_path
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--lut", "ident.lut"], "--lut"),
+        (["--pooling", "gmp"], "--pooling"),
+        (["--lut", "ident.lut", "--pooling", "gmp", "--tau", "0.5"], "--lut, --pooling, --tau"),
+    ])
+    def test_restore(self, files, capsys, extra, named):
+        extra = [str(files / a) if a.endswith(".lut") else a for a in extra]
+        capsys.readouterr()
+        code = run("restore", "--input", str(files / "in.pgm"), "--out", str(files / "o.pgm"),
+                   "--config", str(files / "p.json"), *extra)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --config describes the whole pipeline; drop {named}\n")
+        assert not (files / "o.pgm").exists()
+
+    def test_bench(self, files):
+        assert run("bench", "--size", "8", "--runs", "1", "--config", str(files / "p.json"),
+                   "--pooling", "gmp") == 1
+
+    def test_flags_at_their_defaults_pass(self, files):
+        assert run("restore", "--input", str(files / "in.pgm"), "--out", str(files / "o.pgm"),
+                   "--config", str(files / "p.json"), "--pooling", "avg", "--tau", "1") == 0
+
+
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
     """Small synthetic corpus shared by the eval/train CLI tests."""
@@ -256,6 +291,15 @@ class TestDataset:
     def test_no_training_images_is_validation_error(self, tmp_path, count):
         # the last 8 images always go to the validation split
         assert run("dataset", "--out-dir", str(tmp_path / "d"), "--count", count) == 3
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("size", ["0", "-4", "47"])
+    def test_size_not_a_positive_multiple_of_the_scale(self, tmp_path, capsys, size):
+        capsys.readouterr()
+        assert run("dataset", "--out-dir", str(tmp_path / "d"), "--count", "12",
+                   "--size", size, "--scale", "2") == 3
+        assert capsys.readouterr().err == (
+            f"validation error: size {size} must be a positive multiple of scale 2\n")
         assert not (tmp_path / "d").exists()
 
 
@@ -420,6 +464,22 @@ class TestFinetuneCommand:
         doc = json.loads((out_dir / "pipeline.json").read_text())
         assert doc["pooling"]["kind"] == "gmp"
         assert doc["pooling"]["norm"] == "l1"
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_tau_init_is_validation_error(self, dataset_dir, train_run_dir, tmp_path,
+                                              capsys, value):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("finetune", "--data", str(dataset_dir / "manifest.tsv"),
+                       "--from-dir", str(train_run_dir), "--pooling", "gmp",
+                       "--tau-init", value, "--steps", "2", "--batch", "2", "--crop", "8",
+                       "--val-interval", "1", "--out-dir", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("validation error: tau_init must be finite and positive")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "x").exists()
 
     def test_pooling_required_to_be_fusion(self, dataset_dir, train_run_dir,
                                            tmp_path):

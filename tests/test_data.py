@@ -151,6 +151,11 @@ class TestSyntheticCorpus:
         b = make_synthetic_corpus(4, 24, seed=1)
         assert any(np.any(x != y) for x, y in zip(a, b))
 
+    @pytest.mark.parametrize("size", [0, -4])
+    def test_size_must_be_positive(self, size):
+        with pytest.raises(ValueError, match="at least 1"):
+            make_synthetic_corpus(4, size)
+
 
 class TestNetpbm:
     def test_gray_round_trip(self, tmp_path):
@@ -293,4 +298,15 @@ class TestWriteSyntheticDataset:
         # the last 8 images are the validation split
         with pytest.raises(ValueError, match="leaves no training images"):
             write_synthetic_dataset(tmp_path / "data", count=count, size=24)
+        assert not (tmp_path / "data").exists()
+
+    @pytest.mark.parametrize("size, scale", [(0, 2), (-4, 2), (47, 2), (24, 5)])
+    def test_size_must_be_a_positive_multiple_of_the_scale(self, tmp_path, size, scale):
+        with pytest.raises(ValueError, match=f"size {size} .* scale {scale}"):
+            write_synthetic_dataset(tmp_path / "data", count=12, size=size, scale=scale)
+        assert not (tmp_path / "data").exists()
+
+    def test_scale_is_checked_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="scale >= 2"):
+            write_synthetic_dataset(tmp_path / "data", count=12, size=24, scale=1)
         assert not (tmp_path / "data").exists()

@@ -38,7 +38,7 @@ from lutpool import (
 )
 import lutpool.lut as lut_module
 from lutpool.lut import (FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MAGIC,
-                         _CELL_TABLE_BYTES, _CHUNK_ROWS, _cell_table, _decompose_arrays,
+                         _CELL_TABLE_BYTES, _CHUNK_ROWS, _decompose_arrays,
                          _flat_rows, _float32_axes, _fold_corners, _pack_cells,
                          _pack_container, real_table)
 from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN
@@ -558,7 +558,7 @@ def packed_bytes(q, n, m, bit_depth):
 def both_gathers(lut, patches):
     """The fold of ``patches`` through the cell table and through the lattice rows."""
     cells, frac = _decompose_arrays(np.ascontiguousarray(patches.T), lut.q)
-    packed = _cell_table(lut)
+    packed = lut._cells
     by_cell = _fold_corners(lut.entries, _flat_rows(cells, lut.lattice_points - 1), frac,
                             lut.bias, packed)
     by_lattice = _fold_corners(lut.entries, _flat_rows(cells, lut.lattice_points), frac,
@@ -599,7 +599,7 @@ class TestCellTable:
                 continue
             lut = random_int_lut(rng, q, n, m, bit_depth, signed)
             # one packed row per cell: base rows count 2**(8-q) cells per axis
-            assert _cell_table(lut).shape == ((2 ** (8 - q)) ** n, 2 ** n * m)
+            assert lut._cells.shape == ((2 ** (8 - q)) ** n, 2 ** n * m)
             integral = integer_patches(rng, 300, n)
             quarter = np.minimum(rng.integers(0, 1021, (300, n)) / 4.0, 255.0)
             uniform = rng.uniform(0.0, 255.0, (300, n))
@@ -625,7 +625,7 @@ class TestCellTable:
         first = query_batch(lut, patches)
         np.testing.assert_array_equal(query_batch(lut, patches), first)
         assert built == [1]
-        assert _cell_table(lut) is _cell_table(lut)
+        assert lut._cells is lut._cells
 
     def test_over_the_cap_gathers_lattice_rows(self, monkeypatch):
         # q3 n4 m4 would pack into 64 MiB: it is never built and the
@@ -635,7 +635,7 @@ class TestCellTable:
                             lambda entries: pytest.fail("cell table built"))
         rng = np.random.default_rng(142)
         lut = random_int_lut(rng, 3, 4, 4, signed=True)
-        assert _cell_table(lut) is None
+        assert lut._cells is None
         for patches in (integer_patches(rng, 500, 4),
                         rng.integers(0, 1021, (500, 4)) / 4.0):
             np.testing.assert_array_equal(query_batch(lut, patches),
@@ -678,7 +678,7 @@ class TestCellTable:
 
     def test_real_tables_gather_lattice_rows(self):
         real = random_real_lut(np.random.default_rng(143), 5, 4, 1)
-        assert _cell_table(real) is None
+        assert real._cells is None
 
 
 class FancyRowTake:
@@ -710,7 +710,7 @@ class TestLatticeGather:
         rng = np.random.default_rng(160 + q * n * m)
         lut = (random_real_lut(rng, q, n, m) if kind == "real"
                else random_int_lut(rng, q, n, m, signed=kind == "signed"))
-        assert _cell_table(lut) is None
+        assert lut._cells is None
         assert lut.m * lut.entries.itemsize not in (1, 2, 4, 8)
         integral = integer_patches(rng, 3 * _CHUNK_ROWS // lut.m + 5, n)
         uniform = rng.uniform(0.0, 255.0, (700, n))

@@ -567,11 +567,10 @@ class TestBands:
         calls = []
         band = pipeline.stage_pass
 
-        def spy(stack, stage_luts, config, rs, y0=0, y1=None, alpha=None, counters=None,
-                tape=None):
+        def spy(stack, config, t=0, y0=0, y1=None, alpha=None, counters=None, tape=None):
             calls.append((stack.shape, y0, stack.shape[1] if y1 is None else y1,
                           None if alpha is None else alpha.copy()))
-            return band(stack, stage_luts, config, rs, y0, y1, alpha, counters, tape)
+            return band(stack, config, t, y0, y1, alpha, counters, tape)
 
         monkeypatch.setattr(pipeline, "stage_pass", spy)
         return calls
@@ -652,7 +651,7 @@ class TestBands:
         h, w = 23, 9
         image = rng.integers(0, 256, (h, w)).astype(np.uint8)
         want = _run_real(image, config, None)
-        want_alpha = stage_pass(image[None].astype(np.float64), config.stages[0], config, 1)[1]
+        want_alpha = stage_pass(image[None].astype(np.float64), config)[1]
         monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 2 * w)   # two rows
         calls = self.count_bands(monkeypatch)
         counters = QueryCounter()
@@ -680,15 +679,27 @@ class TestBands:
                                 pooling=PoolingSpec(kind="gmp", tau=8.0))
         stack = rng.integers(0, 256, (3, 9, 11)).astype(np.float64)
         want_tape = {}
-        want = stage_pass(stack, stage, config, 2, tape=want_tape)
+        want = stage_pass(stack, config, tape=want_tape)
         monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 1)
         tape = {}
-        got = stage_pass(stack, stage, config, 2, tape=tape)
+        got = stage_pass(stack, config, tape=tape)
         assert got[0].shape == (stack.size, 4)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(tape["xs"], want_tape["xs"])
         assert tape["corners"][0][0].shape == (4, 16, stack.size)
+
+    def test_stage_index_sets_tables_and_block_side(self):
+        # restore then x2: stage 1 reads its own table and emits 2x2 blocks
+        rng = np.random.default_rng(59)
+        first, second = random_real_stage(rng, m=1), random_real_stage(rng, m=4)
+        config = PipelineConfig(task="sr", scale=2, stages=[[first], [second]])
+        stack = rng.integers(0, 256, (2, 5, 6)).astype(np.float64)
+        blocks, _ = stage_pass(stack, config, 1)
+        assert blocks.shape == (stack.size, 4)
+        alone = PipelineConfig(task="sr", scale=2, stages=[[second]])
+        assert blocks.tobytes() == stage_pass(stack, alone)[0].tobytes()
+        assert stage_pass(stack, config)[0].shape == (stack.size, 1)
 
     @pytest.mark.parametrize("name", ["sdy-x2-gmp", "s-x3-gmp"])
     def test_a_band_runs_without_the_previous_bands_arrays(self, monkeypatch, name):
@@ -723,7 +734,7 @@ class TestBands:
         rng = np.random.default_rng(53)
         image = rng.integers(0, 256, (11, 6)).astype(np.float64)
         want = _run_real(image, config, None)
-        alpha = stage_pass(image[None], config.stages[0], config, 1)[1]
+        alpha = stage_pass(image[None], config)[1]
         monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 6 * 4)   # four rows
         calls = self.count_bands(monkeypatch)
         counters = QueryCounter()

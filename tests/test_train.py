@@ -596,8 +596,7 @@ class TestStepBuffers:
         tapes = []
         for _ in range(2):
             tapes.append({})
-            stage_pass(rng.uniform(0, 255, (2, 5, 7)), config.stages[0], config,
-                       config.scale, tape=tapes[-1])
+            stage_pass(rng.uniform(0, 255, (2, 5, 7)), config, tape=tapes[-1])
         for a, b in zip(tapes[0]["corners"] + [tapes[0]["coeff"]],
                         tapes[1]["corners"] + [tapes[1]["coeff"]]):
             assert np.shares_memory(a[0], b[0]) and np.shares_memory(a[1], b[1])
@@ -664,7 +663,7 @@ class TestTrainInferParity:
         config = tp.to_config()
         rs = config.scale
         tape = {}
-        blocks, _ = stage_pass(image[None], config.stages[0], config, rs, tape=tape)
+        blocks, _ = stage_pass(image[None], config, tape=tape)
         assert set(tape) == {"xs", "corners"} | ({"coeff"} if fusion == "oap" else set())
         got = np.clip(pixel_shuffle(blocks.reshape(9, 11, rs, rs)), 0.0, 255.0)
         np.testing.assert_allclose(got, _run_real(image, config, None),
@@ -973,6 +972,14 @@ class TestFinetune:
         tp = TrainablePipeline.zero_init("sr", 2, q=4)
         with pytest.raises(ValueError):
             finetune(tp, [], [], TrainConfig(iterations=1), pooling="average")
+
+    @pytest.mark.parametrize("pooling", ["gmp", "oap"])
+    def test_rejects_a_bad_tau_init_before_copying(self, monkeypatch, pooling):
+        tp = TrainablePipeline.zero_init("sr", 2, q=4)
+        monkeypatch.setattr(RealLut, "copy", lambda self: pytest.fail("table copied"))
+        for tau in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau_init"):
+                finetune(tp, [], [], TrainConfig(iterations=1), pooling, tau_init=tau)
 
 
 class TestExport:
