@@ -64,9 +64,11 @@ from .pipeline import (
     QueryCounter,
     apply_residual,
     bicubic_resize,
+    load_pipeline,
     pixel_shuffle,
     query_cost_model,
     restore_image,
+    save_pipeline,
 )
 from .metrics import blocking_effect_factor, mse, psnr, psnr_b, rgb_to_y, ssim
 from .netpbm import PnmError, read_pnm, write_pnm

@@ -27,9 +27,9 @@ from .lut import (LutFileError, RealLut, bake_real, dequantize, inspect_file,
                   storage_bytes)
 from .metrics import psnr, psnr_b, rgb_to_y, ssim
 from .netpbm import PnmError, read_pnm, write_pnm
-from .orientation import PATTERNS, OrientationSet
-from .pipeline import (PipelineConfig, QueryCounter, bicubic_resize,
-                       query_cost_model, restore_image)
+from .orientation import PATTERNS, _pattern
+from .pipeline import (PipelineConfig, QueryCounter, bicubic_resize, load_pipeline,
+                       query_cost_model, restore_image, save_pipeline)
 from .pooling import PoolingSpec
 from .train import (TrainConfig, TrainablePipeline, TrainingDivergedError,
                     evaluate_pairs, export_pipeline, finetune, train)
@@ -52,10 +52,9 @@ def _parse_patterns(text: str):
     if not names:
         raise UsageError("no kernel patterns given")
     try:
-        return [PATTERNS[n] for n in names]
-    except KeyError as exc:
-        raise UsageError(
-            f"unknown pattern {exc.args[0]!r}; choices: {', '.join(PATTERNS)}")
+        return [_pattern(n) for n in names]
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 # Pixels per band of the color-to-luma conversion in _load_gray.
@@ -136,113 +135,13 @@ def _pooling_from_args(args) -> PoolingSpec:
     return PoolingSpec(kind=kind, tau=args.tau, norm=args.norm, coeff_lut=coeff)
 
 
-_REQUIRED = object()
-
-
-def _json_check(value, kinds, name: str):
-    """Raise ValueError naming ``name`` unless ``value`` is one of ``kinds``.
-
-    Booleans pass only where ``bool`` is one of ``kinds``: JSON true is
-    not a number here.
-    """
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        wanted = " or ".join(k.__name__ for k in kinds)
-        raise ValueError(f"pipeline.json: {name!r} must be {wanted}, "
-                         f"not {type(value).__name__}")
-
-
-def _json_value(doc: dict, key: str, kinds, default=_REQUIRED, items=None,
-                prefix: str = ""):
-    """``doc[key]`` of one of ``kinds``, every element of ``items`` for a list.
-
-    A missing key (or JSON null) gives ``default``, or raises ValueError
-    naming the key when there is none.
-    """
-    name = prefix + key
-    value = doc.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ValueError(f"pipeline.json: missing key {name!r}")
-        return default
-    _json_check(value, kinds, name)
-    if items is not None:
-        for item in value:
-            _json_check(item, items, name)
-    return value
-
-
-def _json_pattern(name, key: str):
-    if name not in PATTERNS:
-        raise ValueError(f"pipeline.json: unknown pattern {name!r} in {key!r}; "
-                         f"choices: {', '.join(PATTERNS)}")
-    return PATTERNS[name]
-
-
-def _config_from_json(path, prefer_real: bool = False) -> PipelineConfig:
-    """Build a pipeline from a JSON description with table file references.
-
-    The document is checked as it is read: a top level that is not an
-    object, a missing ``stages``, a value of the wrong type or an unknown
-    pattern name raises ``ValueError`` naming the key (exit 3).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"pipeline.json must hold an object, not {type(doc).__name__}")
-    root = os.path.dirname(os.path.abspath(path))
-
-    def _resolve(rel):
-        return rel if os.path.isabs(rel) else os.path.join(root, rel)
-
-    def _stages(key, default=_REQUIRED):
-        stages = _json_value(doc, key, (list,), default, items=(list,))
-        for stage in stages:
-            for name in stage:
-                _json_check(name, (str,), key)
-        return stages
-
-    stage_key = "stages"
-    if prefer_real and _stages("real_stages", []):
-        stage_key = "real_stages"
-    stages = [[load_lut(_resolve(p)) for p in stage] for stage in _stages(stage_key)]
-    pool_doc = _json_value(doc, "pooling", (dict,), {})
-
-    def _pool(key, kinds, default):
-        return _json_value(pool_doc, key, kinds, default, prefix="pooling.")
-
-    coeff = None
-    coeff_key = "real_coeff" if (prefer_real and _pool("real_coeff", (str,), "")) else "coeff"
-    if _pool(coeff_key, (str,), ""):
-        coeff = load_lut(_resolve(pool_doc[coeff_key]))
-    pooling = PoolingSpec(
-        kind=_pool("kind", (str,), "average"),
-        tau=float(_pool("tau", (int, float), 1.0)),
-        norm=_pool("norm", (str,), "l2"),
-        coeff_lut=coeff,
-    )
-    patterns = [_json_pattern(n, "patterns")
-                for n in _json_value(doc, "patterns", (list,), ["S"], items=(str,))]
-    orientations = _json_value(doc, "orientations", (list,), [0, 1, 2, 3], items=(int,))
-    return PipelineConfig(
-        task=_json_value(doc, "task", (str,), "restore"),
-        scale=_json_value(doc, "scale", (int,), 1),
-        patterns=patterns,
-        orientations=OrientationSet(tuple(orientations)),
-        pooling=pooling,
-        residual=_json_value(doc, "residual", (bool,), False),
-        stages=stages,
-        coeff_pattern=_json_pattern(_json_value(doc, "coeff_pattern", (str,), "S"),
-                                    "coeff_pattern"),
-    )
-
-
 def _config_from_args(args) -> PipelineConfig:
     if args.config:
         given = ", ".join(f"--{dest.replace('_', '-')}" for dest, value
                           in _PIPELINE_DEFAULTS.items() if getattr(args, dest) != value)
         if given:
             raise UsageError(f"--config describes the whole pipeline; drop {given}")
-        return _config_from_json(args.config)
+        return load_pipeline(args.config)
     if not args.lut:
         raise UsageError("give --config or at least one --lut")
     patterns = _parse_patterns(args.patterns)
@@ -548,37 +447,7 @@ def _train_val_pairs(manifest_path):
     return train_pairs, val_pairs
 
 
-def _write_run_dir(out_dir, config, exported, report, val_real, val_exported,
-                   quant_reports):
-    os.makedirs(out_dir, exist_ok=True)
-    stage_names, real_names = [], []
-    for i, (lut, qlut) in enumerate(zip(config.stages[0], exported.stages[0])):
-        rname = f"stage0_p{i}.real.lut"
-        qname = f"stage0_p{i}.lut"
-        save_lut(lut, os.path.join(out_dir, rname))
-        save_lut(qlut, os.path.join(out_dir, qname))
-        real_names.append(rname)
-        stage_names.append(qname)
-    pool = config.pooling
-    pool_doc = {"kind": pool.kind, "tau": pool.tau, "norm": pool.norm,
-                "coeff": None, "real_coeff": None}
-    if pool.kind == "oap":
-        save_lut(pool.coeff_lut, os.path.join(out_dir, "coeff.real.lut"))
-        save_lut(exported.pooling.coeff_lut, os.path.join(out_dir, "coeff.lut"))
-        pool_doc["coeff"] = "coeff.lut"
-        pool_doc["real_coeff"] = "coeff.real.lut"
-    doc = {
-        "task": config.task, "scale": config.scale,
-        "patterns": [p.name for p in config.patterns],
-        "orientations": list(config.orientations.rotations),
-        "pooling": pool_doc,
-        "residual": config.residual,
-        "stages": [stage_names],
-        "real_stages": [real_names],
-        "coeff_pattern": config.coeff_pattern.name,
-    }
-    with open(os.path.join(out_dir, "pipeline.json"), "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+def _write_run_dir(out_dir, report, val_real, val_exported, quant_reports):
     with open(os.path.join(out_dir, "train_log.csv"), "w", encoding="utf-8",
               newline="") as fh:
         writer = csv.DictWriter(
@@ -606,8 +475,8 @@ def _finish_run(out_dir, tp, report, val_pairs):
     val_real = evaluate_pairs(config, val_pairs, border)
     exported, quant_reports = export_pipeline(tp)
     val_exported = evaluate_pairs(exported, val_pairs, border)
-    summary = _write_run_dir(out_dir, config, exported, report,
-                             val_real, val_exported, quant_reports)
+    save_pipeline(exported, out_dir, real=config)
+    summary = _write_run_dir(out_dir, report, val_real, val_exported, quant_reports)
     print(f"best step {report.best_step}: val PSNR {report.best_val_psnr:.3f} dB")
     print(f"exported tables: {val_exported:.3f} dB "
           f"(drop {summary['export_psnr_drop']:.3f} dB)")
@@ -627,29 +496,24 @@ def _cmd_train(args) -> int:
     kind = _pooling_kind(args.pooling)
     if kind == "oap":
         raise ValueError("train weight tables with the finetune command")
-    if kind == "gmp" and not (np.isfinite(args.tau) and args.tau > 0):
-        raise ValueError(f"--tau must be finite and positive, got {args.tau}")
-    train_pairs, val_pairs = _train_val_pairs(args.data)
     tp = TrainablePipeline.zero_init(
         task=args.task, scale=args.scale, q=args.q,
-        patterns=_parse_patterns(args.patterns), pooling=kind,
+        patterns=_parse_patterns(args.patterns), pooling=kind, tau=args.tau,
         residual=not args.no_residual, norm=args.norm)
-    if kind == "gmp":
-        tp.log_tau[...] = np.log(args.tau)
+    train_pairs, val_pairs = _train_val_pairs(args.data)
     report = train(tp, train_pairs, val_pairs, _train_config(args))
     return _finish_run(args.out_dir, tp, report, val_pairs)
 
 
 def _cmd_finetune(args) -> int:
     kind = _pooling_kind(args.pooling, ("oap", "gmp"))
-    train_pairs, val_pairs = _train_val_pairs(args.data)
-    base_json = os.path.join(args.from_dir, "pipeline.json")
-    base = _config_from_json(base_json, prefer_real=True)
-    tables = [lut if isinstance(lut, RealLut) else dequantize(lut)
-              for lut in base.stages[0]]
+    base = load_pipeline(os.path.join(args.from_dir, "pipeline.json"), prefer_real=True)
+    stages = [[lut if isinstance(lut, RealLut) else dequantize(lut) for lut in stage]
+              for stage in base.stages]
     tp = TrainablePipeline(dataclasses.replace(
-        base, stages=[tables],
+        base, stages=stages,
         pooling=dataclasses.replace(base.pooling, kind="average", coeff_lut=None)))
+    train_pairs, val_pairs = _train_val_pairs(args.data)
     ft, report = finetune(tp, train_pairs, val_pairs, _train_config(args), kind,
                           coeff_q=args.coeff_q, tau_init=args.tau_init)
     return _finish_run(args.out_dir, ft, report, val_pairs)

@@ -73,6 +73,12 @@ WYE_PATTERN = KernelPattern("Y", ((0, 0), (1, 1), (1, -1), (2, 0)))
 PATTERNS = {p.name: p for p in (SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN)}
 
 
+def _pattern(name: str) -> KernelPattern:
+    if name not in PATTERNS:
+        raise ValueError(f"unknown pattern {name!r}; choices: {', '.join(PATTERNS)}")
+    return PATTERNS[name]
+
+
 @dataclass(frozen=True)
 class OrientationSet:
     """The quarter-turn rotations an ensemble runs (distinct, in 0..3)."""

@@ -36,25 +36,31 @@ the blocks (see :func:`_add_upsample`); it has the bits of those pixels
 of :func:`bicubic_resize`.  Block unrotation, fusion and the final pixel
 shuffle likewise work column by column, without permutation copies or
 ensemble-sized temporaries.
+
+A pipeline is stored as a ``pipeline.json`` document beside its table
+files, every stage of a cascade included: :func:`save_pipeline` writes
+it and :func:`load_pipeline` reads it, both from one table of keys.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from typing import ClassVar
 
 import numpy as np
 
-from .lut import (QuantizedLut, RealLut, round_half_away, _check_pixels,
-                  _decompose_arrays, _read, _scratch_array)
+from .lut import (QuantizedLut, RealLut, load_lut, round_half_away, save_lut,
+                  _check_pixels, _decompose_arrays, _read, _scratch_array)
 # Kept as module attributes although the stage kernel calls neither:
 # perfbench/tracing.py wraps ``pipeline.real_table`` and
 # ``pipeline.interpolate`` by name.
 from .lut import interpolate, real_table  # noqa: F401
 from .orientation import (KernelPattern, OrientationSet, SQUARE_PATTERN,
-                          block_permutation)
+                          block_permutation, _pattern)
 from .pooling import (PoolingSpec, average_weights, combine, gmp_weights,
                       oap_weights)
 
@@ -96,16 +102,9 @@ class PipelineConfig:
         if not self.patterns:
             raise ValueError("at least one kernel pattern is required")
         # accept a single table, a flat stage list, or per-stage pattern lists
-        stages = self.stages
-        if isinstance(stages, (QuantizedLut, RealLut)):
-            stages = [stages]
-        normalized = []
-        for stage in stages:
-            if isinstance(stage, (QuantizedLut, RealLut)):
-                normalized.append([stage])
-            else:
-                normalized.append(list(stage))
-        self.stages = normalized
+        table = (QuantizedLut, RealLut)
+        stages = [self.stages] if isinstance(self.stages, table) else self.stages
+        self.stages = [[s] if isinstance(s, table) else list(s) for s in stages]
 
     @property
     def num_stages(self) -> int:
@@ -520,3 +519,129 @@ def restore_image(image, config: PipelineConfig,
     uint8 rows straight into the result (see :func:`_run_real`).
     """
     return _run_real(image, config, counters, np.uint8)
+
+
+# The keys of a pipeline.json document in the order save_pipeline writes
+# them ("pooling.tau" is "tau" in the "pooling" object): JSON type ([t] is
+# a list of t), default, and how the JSON value becomes the config
+# attribute of that path, None for the four keys that name table files.
+_KEYS = {
+    "task": (str, "restore", str),
+    "scale": (int, 1, int),
+    "patterns": ([str], ["S"], lambda names: [_pattern(n) for n in names]),
+    "orientations": ([int], [0, 1, 2, 3], lambda turns: OrientationSet(tuple(turns))),
+    "pooling.kind": (str, "average", str),
+    "pooling.tau": ((int, float), 1.0, float),
+    "pooling.norm": (str, "l2", str),
+    "pooling.coeff": (str, None, None),
+    "pooling.real_coeff": (str, None, None),
+    "residual": (bool, False, bool),
+    "stages": ([[str]], None, None),
+    "real_stages": ([[str]], None, None),
+    "coeff_pattern": (str, "S", _pattern),
+}
+
+
+def _is(value, kind) -> bool:
+    """Whether ``value`` has the JSON type ``kind``; a boolean is not a number."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is(v, kind[0]) for v in value)
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _type_name(kind) -> str:
+    if isinstance(kind, list):
+        return f"list of {_type_name(kind[0])}"
+    return "number" if isinstance(kind, tuple) else kind.__name__
+
+
+def save_pipeline(config: PipelineConfig, directory, real: PipelineConfig | None = None) -> str:
+    """Write ``config``'s tables and its ``pipeline.json`` into ``directory``.
+
+    Stage t's table for pattern i is saved as ``stage{t}_p{i}.lut`` and
+    an oap coefficient table as ``coeff.lut``, named under ``stages`` and
+    ``pooling.coeff``.  ``real``, the real-valued tables that ``config``
+    quantizes (as a training run has them), adds ``.real.lut`` twins named
+    under ``real_stages`` and ``pooling.real_coeff``.  Every key of
+    ``_KEYS`` is written, null for a table key with no table.  Returns
+    the document's path.
+    """
+    config.validate()
+    os.makedirs(directory, exist_ok=True)
+
+    def save(table, name):
+        save_lut(table, os.path.join(directory, name))
+        return name
+
+    files = {}
+    for source, prefix, suffix in ((config, "", ".lut"), (real, "real_", ".real.lut")):
+        if source is None:
+            continue
+        files[prefix + "stages"] = [[save(table, f"stage{t}_p{i}{suffix}")
+                                     for i, table in enumerate(stage)]
+                                    for t, stage in enumerate(source.stages)]
+        if source.pooling.kind == "oap":
+            files[f"pooling.{prefix}coeff"] = save(source.pooling.coeff_lut, "coeff" + suffix)
+    doc = {}
+    for key, (_, _, decode) in _KEYS.items():
+        value = files.get(key) if decode is None else reduce(getattr, key.split("."), config)
+        head, _, name = key.rpartition(".")
+        (doc.setdefault(head, {}) if head else doc)[name] = value
+    path = os.path.join(directory, "pipeline.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        # patterns by name, an orientation set by its rotations
+        json.dump(doc, fh, indent=2, default=lambda v: (
+            v.name if isinstance(v, KernelPattern) else v.rotations))
+    return path
+
+
+def load_pipeline(path, prefer_real: bool = False) -> PipelineConfig:
+    """The pipeline a ``pipeline.json`` document describes, its tables loaded.
+
+    Table paths resolve from the document's directory; ``prefer_real``
+    loads the real-valued twins where the document names them, as a
+    fine-tune does.  The tables are loaded first, so a missing or corrupt
+    one raises ``OSError`` or ``LutFileError`` whatever else the document
+    holds.  Then a top level that is not an object, a missing ``stages``,
+    a value of the wrong type or an unknown pattern raises ``ValueError``
+    naming the key.  Restoring the config checks it against its tables.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"pipeline.json must hold an object, not {type(doc).__name__}")
+    root = os.path.dirname(os.path.abspath(path))
+
+    def get(key, kind, default):
+        # the value of key, its default when it is missing or null
+        head, _, name = key.rpartition(".")
+        value = (get(head, dict, {}) if head else doc).get(name)
+        if value is None:
+            return default
+        if not _is(value, kind):
+            raise ValueError(f"pipeline.json: {key!r} must be {_type_name(kind)}, "
+                             f"not {type(value).__name__}")
+        return value
+
+    def tables(key, real_key):
+        key = real_key if prefer_real and get(real_key, *_KEYS[real_key][:2]) else key
+        return get(key, *_KEYS[key][:2])
+
+    names = tables("stages", "real_stages")
+    if names is None:
+        raise ValueError("pipeline.json: missing key 'stages'")
+    stages = [[load_lut(os.path.join(root, name)) for name in stage] for stage in names]
+    coeff = tables("pooling.coeff", "pooling.real_coeff")
+    fields = {"stages": stages,
+              "pooling": {"coeff_lut": load_lut(os.path.join(root, coeff)) if coeff else None}}
+    for key, (kind, default, decode) in _KEYS.items():
+        if decode is not None:
+            value = get(key, kind, default)
+            try:
+                value = decode(value)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"pipeline.json: {key!r}: {exc}") from None
+            head, _, name = key.rpartition(".")
+            (fields[head] if head else fields)[name] = value
+    fields["pooling"] = PoolingSpec(**fields["pooling"])
+    return PipelineConfig(**fields)

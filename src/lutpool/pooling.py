@@ -41,8 +41,8 @@ class PoolingSpec:
     def __post_init__(self):
         if self.kind not in ("average", "gmp", "oap"):
             raise ValueError(f"unknown pooling kind {self.kind!r}")
-        if self.kind == "gmp" and not self.tau > 0.0:
-            raise ValueError("gmp temperature must be positive")
+        if self.kind == "gmp" and not 0.0 < self.tau < np.inf:
+            raise ValueError(f"gmp temperature must be finite and positive, got {self.tau!r}")
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"unknown distance norm {self.norm!r}")
         if self.kind == "oap" and self.coeff_lut is None:

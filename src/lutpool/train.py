@@ -218,9 +218,10 @@ class TrainablePipeline:
         self.log_tau = np.asarray(self.log_tau, dtype=np.float64).reshape(1)
         self.tau_grad = np.zeros(1)
         self.tau_adam = AdamState.like(self.log_tau)
-        self.to_config().validate()
         if self.config.num_stages != 1:
-            raise ValueError("training runs single-stage pipelines")
+            raise ValueError(f"training runs single-stage pipelines; this one has "
+                             f"{self.config.num_stages} stages")
+        self.to_config().validate()
         self.luts = [TrainableLut(lut) for lut in self.config.stages[0]]
         pool = self.config.pooling
         self.coeff = TrainableLut(pool.coeff_lut) if pool.kind == "oap" else None
@@ -228,20 +229,22 @@ class TrainablePipeline:
     @classmethod
     def zero_init(cls, task: str, scale: int, q: int, patterns=None,
                   pooling: str = "average", residual: bool = True,
-                  norm: str = "l2", coeff: TrainableLut = None,
+                  norm: str = "l2", coeff: TrainableLut = None, tau: float = 1.0,
                   **kw) -> "TrainablePipeline":
         """All-zero tables, one per pattern; ``kw`` goes to :class:`PipelineConfig`.
 
-        An oap pipeline trains ``coeff.lut`` with ``coeff``'s optimizer state.
+        An oap pipeline trains ``coeff.lut`` with ``coeff``'s optimizer
+        state; a gmp pipeline starts at temperature ``tau``.
         """
         patterns = list(patterns) if patterns else [SQUARE_PATTERN]
         m = scale * scale if task == "sr" else 1
         luts = [RealLut(q, p.n, m, np.zeros((lattice_size(q),) * p.n + (m,)))
                 for p in patterns]
-        pool = PoolingSpec(kind=pooling, norm=norm,
+        pool = PoolingSpec(kind=pooling, tau=tau, norm=norm,
                            coeff_lut=coeff.lut if coeff is not None else None)
         tp = cls(PipelineConfig(task=task, scale=scale, patterns=patterns,
-                                pooling=pool, residual=residual, stages=[luts], **kw))
+                                pooling=pool, residual=residual, stages=[luts], **kw),
+                 log_tau=np.log(tau) if pooling == "gmp" else None)
         if tp.coeff is not None:
             tp.coeff = coeff   # the caller's optimizer state for its table
         return tp

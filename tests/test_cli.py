@@ -383,6 +383,15 @@ class TestTrainCommand:
         with open(train_run_dir / "train_log.csv", newline="") as fh:
             assert len(list(csv.DictReader(fh))) == 20
 
+    def test_pipeline_document(self, train_run_dir):
+        doc = json.loads((train_run_dir / "pipeline.json").read_text())
+        assert doc == {
+            "task": "sr", "scale": 2, "patterns": ["S"], "orientations": [0, 1, 2, 3],
+            "pooling": {"kind": "average", "tau": 1.0, "norm": "l2",
+                        "coeff": None, "real_coeff": None},
+            "residual": True, "stages": [["stage0_p0.lut"]],
+            "real_stages": [["stage0_p0.real.lut"]], "coeff_pattern": "S"}
+
     def test_restore_from_config(self, train_run_dir, tmp_path):
         src = tmp_path / "in.pgm"
         write_test_image(src, size=12)
@@ -481,6 +490,38 @@ class TestFinetuneCommand:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("task", ["restore", "sr"])
+    def test_cascade_base_is_refused(self, dataset_dir, tmp_path, capsys, task):
+        """Training runs single-stage pipelines: a two-stage base is not cut to one."""
+        base = tmp_path / "base"
+        base.mkdir()
+        assert run("bake", "--rule", "identity", "--q", "4", "--out", str(base / "id.lut")) == 0
+        last = "id.lut"
+        manifest = dataset_dir / "manifest.tsv"
+        if task == "sr":
+            last = "zr.lut"
+            assert run("bake", "--rule", "zero-residual", "--q", "4", "--scale", "2",
+                       "--out", str(base / last)) == 0
+        else:
+            # the same clean images, degraded by noise at their own size
+            manifest = tmp_path / "restore.tsv"
+            rows = [line.split("\t")[:2] for line in
+                    (dataset_dir / "manifest.tsv").read_text().splitlines() if line.strip()]
+            manifest.write_text("".join(f"{split}\t{dataset_dir / clean}\trecipe:awgn:15:0\n"
+                                        for split, clean in rows))
+        (base / "pipeline.json").write_text(json.dumps(
+            {"task": task, "scale": 2, "residual": True,
+             "stages": [["id.lut"], [last]]}))
+        capsys.readouterr()
+        code = run("finetune", "--data", str(manifest), "--from-dir", str(base),
+                   "--pooling", "gmp", "--steps", "2", "--batch", "2", "--crop", "8",
+                   "--val-interval", "1", "--out-dir", str(tmp_path / "x"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == ("validation error: training runs single-stage pipelines; "
+                       "this one has 2 stages\n")
+        assert not (tmp_path / "x").exists()
+
     def test_pooling_required_to_be_fusion(self, dataset_dir, train_run_dir,
                                            tmp_path):
         assert run("finetune", "--data", str(dataset_dir / "manifest.tsv"),
@@ -491,6 +532,50 @@ class TestFinetuneCommand:
         assert run("finetune", "--data", str(dataset_dir / "manifest.tsv"),
                    "--from-dir", str(tmp_path / "nothing"), "--pooling", "oap",
                    "--out-dir", str(tmp_path / "x")) == 2
+
+
+class TestGmpTemperature:
+    """A gmp temperature must be finite and positive wherever a pipeline is given."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        assert run("bake", "--rule", "zero-residual", "--q", "4", "--scale", "2",
+                   "--out", str(tmp_path / "zr.lut")) == 0
+        write_test_image(tmp_path / "in.pgm", size=8)
+        return tmp_path
+
+    REFUSAL = "validation error: gmp temperature must be finite and positive"
+
+    @staticmethod
+    def refused(capsys, message, *argv):
+        capsys.readouterr()
+        code = run(*argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith(message)
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["restore", "eval", "bench"])
+    @pytest.mark.parametrize("tau", ["inf", "nan", "0"])
+    def test_flag(self, files, dataset_dir, capsys, command, tau):
+        argv = {"restore": ["--input", str(files / "in.pgm"), "--out", str(files / "o.pgm")],
+                "eval": ["--data", str(dataset_dir / "manifest.tsv")],
+                "bench": ["--size", "8", "--runs", "1"]}[command]
+        self.refused(capsys, self.REFUSAL, command, *argv, "--lut", str(files / "zr.lut"), "--task", "sr",
+                     "--scale", "2", "--residual", "--pooling", "gmp", "--tau", tau)
+        assert not (files / "o.pgm").exists()
+
+    @pytest.mark.parametrize("tau, message", [
+        ("Infinity", REFUSAL), ("1e999", REFUSAL),
+        ("1" + "0" * 400, "validation error: pipeline.json: 'pooling.tau': int too large"),
+    ], ids=["Infinity", "1e999", "1e400-integer"])
+    def test_pipeline_document(self, files, capsys, tau, message):
+        (files / "p.json").write_text(
+            '{"task": "sr", "scale": 2, "residual": true, "stages": [["zr.lut"]], '
+            f'"pooling": {{"kind": "gmp", "tau": {tau}}}}}')
+        self.refused(capsys, message, "restore", "--input", str(files / "in.pgm"),
+                     "--out", str(files / "o.pgm"), "--config", str(files / "p.json"))
+        assert not (files / "o.pgm").exists()
 
 
 class TestTopLevel:

@@ -1,10 +1,13 @@
 """Resampling, stage execution, rotation symmetry, and the cost model."""
 
+import json
 import math
+import os
 import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from lutpool import (
     fuse_gmp,
     fuse_oap,
     lattice_size,
+    load_pipeline,
     oriented_predictions,
     pixel_shuffle,
     quantize,
@@ -36,6 +40,8 @@ from lutpool import (
     restore_image,
     rotate_patch,
     round_half_away,
+    save_pipeline,
+    serialize,
 )
 from lutpool import pipeline
 from lutpool.pipeline import _run_real, _to_blocks, stage_pass
@@ -908,3 +914,104 @@ class TestTableEquality:
         same = PipelineConfig(task="restore", stages=[lut])
         assert same == PipelineConfig(task="restore", stages=[lut])
         assert same != PipelineConfig(task="restore", stages=[dequantize(lut)])
+
+
+def saved_pipelines():
+    """Quantized pipelines and their real-valued twins (or None), by name, to save and load."""
+    rng = np.random.default_rng(71)
+    sd = [SQUARE_PATTERN, DIAGONAL_PATTERN]
+
+    def with_twins(config, coeff=None):
+        pooling = config.pooling if coeff is None else PoolingSpec(kind="oap", coeff_lut=coeff)
+        stages = [[dequantize(t) for t in stage] for stage in config.stages]
+        return config, replace(config, stages=stages, pooling=pooling)
+
+    restore = PipelineConfig(task="restore", stages=[sdy_tables(rng, 1, False, [SQUARE_PATTERN])])
+    x2 = dict(task="sr", scale=2, patterns=sd, orientations=OrientationSet((0, 2)), residual=True)
+    coeff = CoeffLut(5, 4, 2, rng.integers(0, 256, (lattice_size(5),) * 4 + (2,)))
+    logits = RealLut(5, 4, 2, rng.normal(0.0, 2.0, coeff.entries.shape))
+    return {
+        "restore-average": (restore, None),
+        "x2-gmp-l1-turns-0-2": with_twins(PipelineConfig(
+            **x2, pooling=PoolingSpec(kind="gmp", tau=3.5, norm="l1"),
+            stages=[sdy_tables(rng, 4, True, sd, q=5)])),
+        "x2-oap-cascade-3": with_twins(PipelineConfig(
+            **x2, pooling=PoolingSpec(kind="oap", coeff_lut=coeff),
+            coeff_pattern=DIAGONAL_PATTERN,
+            stages=[sdy_tables(rng, 1, True, sd), sdy_tables(rng, 1, True, sd),
+                    sdy_tables(rng, 4, True, sd)]), logits),
+        "real-tables": (with_twins(restore)[1], None),
+    }
+
+
+SAVED_PIPELINES = saved_pipelines()
+
+
+class TestPipelineFiles:
+    """save_pipeline and load_pipeline keep every setting and table of a pipeline."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in ("task", "scale", "patterns", "orientations", "residual", "coeff_pattern"):
+            assert getattr(got, name) == getattr(want, name), name
+        for name in ("kind", "tau", "norm"):
+            assert getattr(got.pooling, name) == getattr(want.pooling, name), name
+        assert [[serialize(t) for t in stage] for stage in got.stages] == \
+            [[serialize(t) for t in stage] for stage in want.stages]
+        coeff, want_coeff = got.pooling.coeff_lut, want.pooling.coeff_lut
+        assert (coeff is None) == (want_coeff is None)
+        if coeff is not None:
+            assert type(coeff) is type(want_coeff)
+            assert serialize(coeff) == serialize(want_coeff)
+        rng = np.random.default_rng(72)
+        for img in (rng.integers(0, 256, (13, 17)).astype(np.uint8),
+                    rng.uniform(0.0, 255.0, (9, 6))):
+            assert restore_image(img, got).tobytes() == restore_image(img, want).tobytes()
+
+    @pytest.mark.parametrize("name", list(SAVED_PIPELINES))
+    def test_round_trip(self, tmp_path, name):
+        config, real = SAVED_PIPELINES[name]
+        path = save_pipeline(config, tmp_path / "run", real=real)
+        assert path == str(tmp_path / "run" / "pipeline.json")
+        self.assert_same(load_pipeline(path), config)
+        self.assert_same(load_pipeline(path, prefer_real=True), real or config)
+
+    def test_document_names_every_stage(self, tmp_path):
+        config, real = SAVED_PIPELINES["x2-oap-cascade-3"]
+        with open(save_pipeline(config, tmp_path, real=real), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc == {
+            "task": "sr", "scale": 2, "patterns": ["S", "D"], "orientations": [0, 2],
+            "pooling": {"kind": "oap", "tau": 1.0, "norm": "l2",
+                        "coeff": "coeff.lut", "real_coeff": "coeff.real.lut"},
+            "residual": True,
+            "stages": [[f"stage{t}_p{i}.lut" for i in range(2)] for t in range(3)],
+            "real_stages": [[f"stage{t}_p{i}.real.lut" for i in range(2)] for t in range(3)],
+            "coeff_pattern": "D"}
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["pipeline.json", "coeff.lut", "coeff.real.lut"]
+            + [name for stage in doc["stages"] + doc["real_stages"] for name in stage])
+
+    def test_without_twins(self, tmp_path):
+        config, _ = SAVED_PIPELINES["restore-average"]
+        with open(save_pipeline(config, tmp_path), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        assert doc["stages"] == [["stage0_p0.lut"]]
+        assert doc["real_stages"] is None
+        assert doc["pooling"]["coeff"] is None and doc["pooling"]["real_coeff"] is None
+        assert sorted(os.listdir(tmp_path)) == ["pipeline.json", "stage0_p0.lut"]
+
+    def test_tables_resolve_from_the_document(self, tmp_path, monkeypatch):
+        config, real = SAVED_PIPELINES["x2-gmp-l1-turns-0-2"]
+        save_pipeline(config, tmp_path / "run", real=real)
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        self.assert_same(load_pipeline(os.path.join("..", "run", "pipeline.json")), config)
+        self.assert_same(load_pipeline("../run/pipeline.json", prefer_real=True), real)
+
+    def test_invalid_config_is_not_saved(self, tmp_path):
+        config = PipelineConfig(task="sr", scale=2, stages=[bake(lambda p: p[:, :1].copy(),
+                                                                 q=4, n=4, m=1)])
+        with pytest.raises(ValueError, match="expected 4"):
+            save_pipeline(config, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
