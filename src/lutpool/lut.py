@@ -30,8 +30,8 @@ tables and real tables, which training writes in place, gather their
 ``2**(8-q) + 1`` lattice points.
 
 The stage pass, the training tape and :func:`query_batch` all read a
-table through :func:`_read`, which acts on these choices in one place,
-and for a tape writes corner weights and blends with them instead.
+table through :func:`_read`, which acts on these choices in one place;
+a training tape also keeps each query's base rows and fractions.
 
 Two in-memory forms exist:
 
@@ -382,9 +382,9 @@ def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out):
     (lattice**n, m) rows.  Corner c takes the upper neighbour along axis
     d when bit ``n-1-d`` of c is set.  Each weight is the product
     ``1.0 * f_0 * ... * f_{n-1}`` taken in axis order, with f_d the
-    fraction or its complement.  Inference does not need the weights
-    (the corner fold lerps the corners directly); training does, to
-    scatter output gradients back onto the corner entries.
+    fraction or its complement.  No table read needs the weights (the
+    corner fold lerps the corners directly); the training backward pass
+    does, to scatter output gradients back onto the corner entries.
     """
     n, npts = frac.shape
     idx, w = out
@@ -405,30 +405,6 @@ def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out):
     return idx, w
 
 
-def _blend(flat: np.ndarray, idx: np.ndarray, wts: np.ndarray) -> np.ndarray:
-    """Corner-weighted sum of table rows: sum_c wts[c] * flat[idx[c]].
-
-    idx/wts are corner-major (2**n, N), as :func:`corner_weights` writes
-    them.  One gather brings in every corner, into this thread's reused
-    (2**n, N, m) scratch; the products are then added corner by corner
-    onto zeros.  ``g.sum(axis=0)`` would add in the same order except
-    when N * m is 1, where numpy sums the lone column pairwise.  The
-    gather runs with ``mode="clip"``, which writes straight into the
-    scratch (the default mode buffers its output and takes twice as
-    long), so the index range is checked first: an index outside the
-    table raises ``IndexError``.
-    """
-    if idx.size and (idx.min() < 0 or idx.max() >= flat.shape[0]):
-        raise IndexError(f"corner index outside a table of {flat.shape[0]} rows")
-    g = _scratch_array("blend", np.float64, idx.shape + flat.shape[1:])
-    np.take(flat, idx, axis=0, out=g, mode="clip")
-    g *= wts[:, :, None]
-    out = np.zeros(g.shape[1:])
-    for gc in g:
-        out += gc
-    return out
-
-
 def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
                   bias: float = 0.0, cells: np.ndarray | None = None) -> np.ndarray:
     """Multilinear blend of the 2**n corner entries of each query, (N, m) float64.
@@ -447,12 +423,15 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
     gather per query, turned corner-major by one contiguous copy (one
     machine word per corner row where a row fits one); from the lattice
     as one ``np.take`` of the 2**n corner rows of every query, a machine
-    word per row where it fits.
+    word per row where it fits, into scratch with ``mode="clip"`` (the
+    default mode buffers its output), after a check that raises
+    ``IndexError`` for a corner outside the table.
     Everything after the gather is shared.  The gathered corners are
-    widened to a (2**n, rows * m) accumulator, and axis 0..n-1 is folded
-    in place by one lerp per axis over the two contiguous halves, each
-    scaling contiguous memory by a contiguous fraction vector (the
-    axis' fractions, each repeated for the m entries of its row).  The
+    widened, unless float64, to a (2**n, rows * m) accumulator, and axis
+    0..n-1 is folded in place by one lerp per axis over the two
+    contiguous halves, each scaling contiguous memory by a contiguous
+    fraction vector (the axis' fractions, each repeated for the m
+    entries of its row).  The
     leading axes that :func:`_float32_axes` proves exact fold in
     float32 and the half-folded rest in float64 (with no such axis,
     float32 fractions widen as they are repeated).  Integral queries on
@@ -467,6 +446,8 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
     if cells is None:
         offsets = _corner_offsets(n, table.shape[0])[:, None]
         flat = np.ascontiguousarray(table).reshape(-1, m)
+        if count and (rows.min() < 0 or rows.max() + offsets[-1, 0] >= len(flat)):
+            raise IndexError(f"corner row outside a table of {len(flat)} rows")
         if word is not None:
             flat = flat.view(word)      # one machine word per table row
     narrow = _float32_axes(table, frac.dtype)
@@ -487,8 +468,13 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
         else:
             # np.take moves whole rows; fancy indexing is about 6x slower
             # on 2**16 rows
-            gathered = np.take(flat, offsets + rows[start:stop], axis=0).view(table.dtype)
-        acc = gathered.reshape(1 << n, -1).astype(np.float32 if narrow else np.float64)
+            idx = _scratch_array("fold_rows", np.int64, (1 << n, stop - start))
+            np.add(offsets, rows[start:stop], out=idx)
+            gathered = _scratch_array("gather", flat.dtype, idx.shape + flat.shape[1:])
+            np.take(flat, idx, axis=0, out=gathered, mode="clip")
+            gathered = gathered.view(table.dtype)
+        acc = gathered.reshape(1 << n, -1).astype(np.float32 if narrow else np.float64,
+                                                  copy=False)
         if corner_bias:
             acc -= corner_bias
         f = frac[:, start:stop]
@@ -541,29 +527,28 @@ def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray,
                          np.ascontiguousarray(frac.T), bias)
 
 
-def _read(lut, cells, fracs, corners=None) -> np.ndarray:
+def _read(lut, cells, fracs, tape=None) -> np.ndarray:
     """Outputs (N, m) float64 of ``lut`` at N queries given axis by axis.
 
     ``cells`` and ``fracs`` hold one equally shaped array of N uint8
     lattice cells and in-cell fractions per table input axis: shifted
     views of a stage's planes, or the rows of a decomposed patch batch.
 
-    Without ``corners`` the corner fold (:func:`_fold_corners`) reads the
-    stored entries and removes the bias.  Base rows count the cells of
-    the table's own cell table (its ``_cells``) where it keeps one,
-    lattice points otherwise.  With a training tape's C-contiguous
-    (2**n, N) index and weight arrays as ``corners`` (a real table, read
-    from its lattice rows, fractions widened to float64),
-    :func:`corner_weights` fills them for the gradient scatter and
-    :func:`_blend` sums the weighted rows; a tape never reads a cell table.
+    The corner fold (:func:`_fold_corners`) reads the stored entries and
+    removes the bias.  Base rows count the cells of the table's own cell
+    table (its ``_cells``) where it keeps one, lattice points otherwise.
+    A training tape's pair of (N,) int64 and (n, N) float64 arrays as
+    ``tape`` receives the lattice base rows and fractions that the fold
+    then reads, for the backward pass; a tape never reads a cell table.
     """
-    packed = None if corners is not None else lut._cells
+    packed = None if tape is not None else lut._cells
     rows = _flat_rows(cells, lut.lattice_points - (packed is not None)).reshape(-1)
     frac = np.asarray(fracs).reshape(len(fracs), -1)
-    if corners is None:
-        return _fold_corners(lut.entries, rows, frac, lut.bias, packed)
-    corner_weights(rows, frac.astype(np.float64, copy=False), lut.lattice_points, out=corners)
-    return _blend(lut.entries.reshape(-1, lut.m), *corners)
+    if tape is not None:
+        np.copyto(tape[0], rows)
+        np.copyto(tape[1], frac)
+        rows, frac = tape
+    return _fold_corners(lut.entries, rows, frac, lut.bias, packed)
 
 
 def _check_pixels(values, what: str) -> None:

@@ -8,7 +8,7 @@ pixel shuffle; earlier cascade stages refine at unit scale (m == 1).
 
 One kernel, :func:`stage_pass`, runs a stage on a band of rows of a
 (B, h, w) stack: training passes a whole batch of crops with a tape
-that records the corner weights its gradient needs, and a restored
+that keeps the queries its gradient needs, and a restored
 image, a stack of one, runs each stage over bands of whole rows of at
 most ``_BAND_ANCHORS`` anchors.  Since an output pixel depends only on
 its receptive field and each band pads its own rows exactly as the
@@ -279,8 +279,8 @@ def _to_blocks(raster: np.ndarray, rs: int) -> np.ndarray:
 
 
 def _tape_arrays(slot: str, shape):
-    """Corner index (int64) and weight (float64) arrays of a tape, from thread scratch."""
-    return (_scratch_array(slot, np.int64, shape),
+    """A tape's base rows (int64) and fractions (float64, ``shape`` (..., n, N)), from scratch."""
+    return (_scratch_array(slot, np.int64, shape[:-2] + shape[-1:]),
             _scratch_array(slot, np.float64, shape))
 
 
@@ -310,16 +310,15 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     ensemble is fused by the configured pooling and the residual baseline
     of the rows is added.
 
-    Training passes a dict as ``tape`` over the whole stack: every
-    table, the oap coefficient table included, is read with a pair of
-    corner arrays, which receive its corner indices and weights.  The
-    tape holds what the backward pass needs -- ``"xs"`` (the ensemble),
-    ``"corners"`` (per pattern, (k, 2**n, N) indices and weights) and,
-    when the stage computed oap weights, ``"coeff"``.  The corner arrays
-    live in this thread's scratch (:func:`~lutpool.lut._scratch_array`),
-    reused from step to step, so a tape is valid only until the next
-    taped pass on the same thread: consume it first, as
-    ``forward_backward`` does.
+    Training passes a dict as ``tape`` over the whole stack; every table,
+    the oap coefficient table included, is read as inference reads it.
+    The tape holds what the backward pass needs -- ``"xs"`` (the
+    ensemble), ``"queries"`` (per pattern, (k, N) lattice base rows and
+    (k, n, N) fractions) and, when the stage computed oap weights,
+    ``"coeff"`` ((N,) and (n, N)).  The query arrays live in this
+    thread's scratch (:func:`_tape_arrays`), reused from step to step, so
+    a tape is valid only until the next taped pass on the same thread:
+    consume it first, as ``forward_backward`` does.
     """
     b, h, w = stack.shape
     if y1 is None:
@@ -339,25 +338,25 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     planes = {q: _decompose_arrays(padded, q) for q in qs}
     del padded
 
-    def read(table, offsets, corners=None):
+    def read(table, offsets, queries=None):
         # the (B, y1 - y0, w) view of both planes at each pattern offset
         cells, fracs = planes[table.q]
         views = [np.s_[:, pad + dr:pad + dr + y1 - y0, pad + dc:pad + dc + w]
                  for dr, dc in offsets]
-        return _read(table, [cells[v] for v in views], [fracs[v] for v in views], corners)
+        return _read(table, [cells[v] for v in views], [fracs[v] for v in views], queries)
 
     if need_alpha:
         cp, coeff = config.coeff_pattern, pool.coeff_lut
-        corners = None
+        queries = None
         if tape is not None:
-            corners = tape["coeff"] = _tape_arrays("coeff", (1 << cp.n, count))
+            queries = tape["coeff"] = _tape_arrays("coeff", (cp.n, count))
         if counters is not None:
             counters.coeff_queries += count
-        alpha = oap_weights(cp.offsets, coeff, query=partial(read, corners=corners))
+        alpha = oap_weights(cp.offsets, coeff, query=partial(read, queries=queries))
 
     xs = np.empty((k, count, m))
     if tape is not None:
-        tape["corners"] = [_tape_arrays(f"corners{pi}", (k, 1 << p.n, count))
+        tape["queries"] = [_tape_arrays(f"queries{pi}", (k, p.n, count))
                            for pi, p in enumerate(config.patterns)]
     # each rotation sums its patterns' outputs / npat onto +0.0 (the first
     # is added to 0.0) in the rotated frame, then unrotates the sum's blocks,
@@ -368,11 +367,11 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
         unrotate = m > 1 and r != 0
         acc = rotated if unrotate else xs[ri]
         for pi, (pattern, table) in enumerate(zip(config.patterns, stage_luts)):
-            corners = None
+            queries = None
             if tape is not None:
-                idx, wts = tape["corners"][pi]
-                corners = (idx[ri], wts[ri])
-            out = read(table, pattern.rotated(r), corners)
+                rows, fracs = tape["queries"][pi]
+                queries = (rows[ri], fracs[ri])
+            out = read(table, pattern.rotated(r), queries)
             if counters is not None:
                 counters.lut_queries += count
             out /= npat
@@ -563,14 +562,15 @@ def save_pipeline(config: PipelineConfig, directory, real: PipelineConfig | None
     ``pooling.coeff``.  ``real``, the real-valued tables that ``config``
     quantizes (as a training run has them), adds ``.real.lut`` twins named
     under ``real_stages`` and ``pooling.real_coeff``.  Every key of
-    ``_KEYS`` is written, null for a table key with no table.  Returns
-    the document's path.
+    ``_KEYS`` is written, null for a table key with no table.  A
+    non-finite number (a temperature of inf or NaN) raises ``ValueError``
+    before any file is written.  Returns the document's path.
     """
     config.validate()
-    os.makedirs(directory, exist_ok=True)
+    tables = []
 
     def save(table, name):
-        save_lut(table, os.path.join(directory, name))
+        tables.append((table, name))
         return name
 
     files = {}
@@ -587,11 +587,15 @@ def save_pipeline(config: PipelineConfig, directory, real: PipelineConfig | None
         value = files.get(key) if decode is None else reduce(getattr, key.split("."), config)
         head, _, name = key.rpartition(".")
         (doc.setdefault(head, {}) if head else doc)[name] = value
+    # patterns by name, an orientation set by its rotations
+    text = json.dumps(doc, indent=2, allow_nan=False, default=lambda v: (
+        v.name if isinstance(v, KernelPattern) else v.rotations))
+    os.makedirs(directory, exist_ok=True)
+    for table, name in tables:
+        save_lut(table, os.path.join(directory, name))
     path = os.path.join(directory, "pipeline.json")
     with open(path, "w", encoding="utf-8") as fh:
-        # patterns by name, an orientation set by its rotations
-        json.dump(doc, fh, indent=2, default=lambda v: (
-            v.name if isinstance(v, KernelPattern) else v.rotations))
+        fh.write(text)
     return path
 
 
@@ -603,8 +607,9 @@ def load_pipeline(path, prefer_real: bool = False) -> PipelineConfig:
     fine-tune does.  The tables are loaded first, so a missing or corrupt
     one raises ``OSError`` or ``LutFileError`` whatever else the document
     holds.  Then a top level that is not an object, a missing ``stages``,
-    a value of the wrong type or an unknown pattern raises ``ValueError``
-    naming the key.  Restoring the config checks it against its tables.
+    a value of the wrong type, a non-finite number (``Infinity`` or
+    ``NaN``) or an unknown pattern raises ``ValueError`` naming the key.
+    Restoring the config checks it against its tables.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -621,6 +626,8 @@ def load_pipeline(path, prefer_real: bool = False) -> PipelineConfig:
         if not _is(value, kind):
             raise ValueError(f"pipeline.json: {key!r} must be {_type_name(kind)}, "
                              f"not {type(value).__name__}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"pipeline.json: {key!r} must be finite, not {value}")
         return value
 
     def tables(key, real_key):

@@ -41,7 +41,8 @@ class PoolingSpec:
     def __post_init__(self):
         if self.kind not in ("average", "gmp", "oap"):
             raise ValueError(f"unknown pooling kind {self.kind!r}")
-        if self.kind == "gmp" and not 0.0 < self.tau < np.inf:
+        # every kind: a pipeline.json cannot store a non-finite temperature
+        if not 0.0 < self.tau < np.inf:
             raise ValueError(f"gmp temperature must be finite and positive, got {self.tau!r}")
         if self.norm not in ("l1", "l2"):
             raise ValueError(f"unknown distance norm {self.norm!r}")
@@ -132,8 +133,8 @@ def gmp_weights(xs: np.ndarray, tau: float, norm: str = "l2") -> np.ndarray:
     and each distance sums its m terms in the order of ``np.sum`` over
     the last axis (see :func:`_distances`), with no (k, N, m) temporary.
     """
-    if not tau > 0.0:
-        raise ValueError("gmp temperature must be positive")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"gmp temperature must be finite and positive, got {tau!r}")
     d = _distances(xs, np.mean(xs, axis=0), norm)
     with np.errstate(over="ignore"):    # -d / tau past -inf weighs 0
         u = -d / tau

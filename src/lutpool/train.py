@@ -9,26 +9,25 @@ map over the config's tables with ``dataclasses.replace``.
 The forward pass is the inference pipeline's own stage kernel,
 :func:`lutpool.pipeline.stage_pass`, run on a mini-batch of crops with a
 tape and without the final clamp/quantization: oriented queries read
-from the stage's cell and fraction planes, multilinear corner blends,
-block unrotation, fusion, optional residual baseline.  Because a query
-is a fixed convex blend of corner entries, the map from entries to
-output is piecewise linear and the chain rule runs through the corner
-weights on the tape; fusion weights are
+from the stage's cell and fraction planes through the corner fold that
+inference runs, block unrotation, fusion, optional residual baseline.
+Because a query is a fixed convex blend of corner entries, the map from
+entries to output is piecewise linear and the chain rule runs through
+the corner weights of the taped queries; fusion weights are
 differentiated through the softmax (and, for the soft-median, through
 the distance terms, recomputed by :func:`lutpool.pooling.gmp_distances`,
 and the log-temperature).  A batch holding NaN, infinite or
 out-of-range pixels is rejected with ``ValueError`` before the kernel
 runs.
 
-With a tape the kernel writes each (pattern, rotation)'s corner indices
-and weights into (rotations, 2**n, N) arrays, gathers all corner rows in
-one ``np.take`` and adds the weighted rows corner by corner.  The
-backward pass scatters each output column onto the table with one
-``np.bincount`` over the whole (rotation, corner, row) sequence;
-bincount adds in input order from zero, so every gradient entry is the
-same sum, in the same order, as a per-corner ``np.add.at`` would form.
-The tape's corner arrays, the gather, the scatter's products and Adam's
-two slices are per-thread buffers reused from step to step (see
+The tape keeps each (pattern, rotation)'s lattice base rows and
+fractions.  The backward pass forms their corner indices and weights
+and scatters each output column onto the table with one ``np.bincount``
+over the whole (rotation, corner, row) sequence; bincount adds in input
+order from zero, so every gradient entry is the same sum, in the same
+order, as a per-corner ``np.add.at`` would form.  The tape, the fold's
+gather, the corner arrays, the scatter's products and Adam's two slices
+are per-thread buffers reused from step to step (see
 :func:`lutpool.lut._scratch_array`), so a warm step does not page-fault
 on fresh arrays.
 
@@ -44,11 +43,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lut import (CoeffLut, RealLut, lattice_size, quantize, round_half_away,
-                  _check_pixels, _scratch_array)
-# Kept as a module attribute although the stage kernel calls it through
-# lutpool.lut: perfbench/tracing.py wraps ``train.corner_weights`` by name.
-from .lut import corner_weights  # noqa: F401
+from .lut import (CoeffLut, RealLut, corner_weights, lattice_size, quantize,
+                  round_half_away, _check_pixels, _scratch_array)
 from .metrics import psnr
 from .orientation import SQUARE_PATTERN, block_permutation
 from .pipeline import PipelineConfig, restore_image, stage_pass, _to_blocks
@@ -313,37 +309,43 @@ def _loss_and_grad(diff: np.ndarray, kind: str):
     return float(np.mean(root)), 2.0 * diff / count
 
 
-def _scatter(flat_grad: np.ndarray, idx: np.ndarray, wts: np.ndarray,
-             gout: np.ndarray) -> None:
-    """Write the sums of wts * gout over the rows idx into flat_grad, in idx order.
+def _scatter(grad: np.ndarray, queries, gout: np.ndarray) -> None:
+    """Write ``grad``, shaped like its table, from taped queries and their output gradients.
 
-    idx/wts have shape (..., N) and gout (..., N, m) broadcasts against
-    them over the leading axes (rotation and/or corner).  ``np.bincount``
-    adds its weights in input order starting from 0.0, which is the
-    order in which per-corner ``np.add.at`` calls add them onto a zeroed
-    gradient, so the sums round identically; a sum from +0.0 is never
-    -0.0, so assigning it equals adding it onto zeros.  Every entry of
-    flat_grad is overwritten, rows no query read with 0.0.
+    ``queries`` holds base rows (..., N) and fractions (..., n, N), and
+    ``gout`` (..., N, m) their outputs' gradients.  :func:`corner_weights`
+    forms the corner indices and weights, (..., 2**n, N), per leading
+    index; one ``np.bincount`` per output column then sums weight * gout
+    over the (leading, corner, row) sequence.  It adds from 0.0 in input
+    order, as per-corner ``np.add.at`` calls add onto a zeroed gradient,
+    so the sums round identically; a sum from +0.0 is never -0.0, so
+    assigning it equals adding it onto zeros.  Every entry of ``grad``
+    is overwritten, rows no query read with 0.0.
 
-    The products and gout's columns (copied out once, column-major) live
-    in this thread's reused scratch, so a step allocates only bincount's
-    own table-length result per column.
+    The corner arrays, the products and gout's columns (copied out once,
+    column-major) live in this thread's reused scratch, so a step
+    allocates only bincount's own table-length result per column.
     """
-    rows, m = flat_grad.shape
-    flat_idx = idx.ravel()
-    vals = _scratch_array("scatter", np.float64, wts.shape)
-    cols = _scratch_array("scatter_cols", np.float64, (m,) + gout.shape[:-1])
+    rows, frac = queries
+    flat_grad = grad.reshape(-1, grad.shape[-1])
+    shape = rows.shape[:-1] + (1 << frac.shape[-2], rows.shape[-1])
+    idx = _scratch_array("corners", np.int64, shape)
+    wts = _scratch_array("corners", np.float64, shape)
+    for i in np.ndindex(rows.shape[:-1]):
+        corner_weights(rows[i], frac[i], grad.shape[0], (idx[i], wts[i]))
+    vals = _scratch_array("scatter", np.float64, shape)
+    cols = _scratch_array("scatter_cols", np.float64, gout.shape[-1:] + gout.shape[:-1])
     cols[...] = np.moveaxis(gout, -1, 0)
-    for j in range(m):
-        np.multiply(wts, cols[j], out=vals)
-        flat_grad[:, j] = np.bincount(flat_idx, vals.ravel(), minlength=rows)
+    for j, col in enumerate(cols):
+        np.multiply(wts, col[..., None, :], out=vals)
+        flat_grad[:, j] = np.bincount(idx.ravel(), vals.ravel(), minlength=len(flat_grad))
 
 
 def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):
     """Losses of one batch through the pipeline's stage kernel.
 
     Returns the losses, the fusion weights (k, N), dL/dpred (N, m) and
-    the kernel's tape of corner indices and weights.
+    the kernel's tape of queries.
     """
     _check_pixels(batch.inputs, "batch input")
     _check_pixels(batch.targets, "batch target")
@@ -409,15 +411,15 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
         t = ddist[:, :, None] * unit
         grad_xs += t - t.sum(axis=0, keepdims=True) / k
     elif pool.kind == "oap":                     # u: the coefficient table's logits
-        _scatter(tp.coeff.grad.reshape(-1, k), *tape.pop("coeff"), s.T[None])
+        _scatter(tp.coeff.grad, tape.pop("coeff"), s.T)
 
     # per-rotation output gradient, block permutation undone
     graw = grad_xs / npat
     if m > 1:
         for ri, r in enumerate(config.orientations.rotations):
             graw[ri][:, block_permutation(m, r)] = graw[ri].copy()
-    for tl, (idx, wts) in zip(tp.luts, tape.pop("corners")):
-        _scatter(tl.grad.reshape(-1, m), idx, wts, graw[:, None])
+    for tl, queries in zip(tp.luts, tape.pop("queries")):
+        _scatter(tl.grad, queries, graw)
 
     return losses
 

@@ -565,10 +565,12 @@ class TestGmpTemperature:
                      "--scale", "2", "--residual", "--pooling", "gmp", "--tau", tau)
         assert not (files / "o.pgm").exists()
 
+    NON_FINITE = "validation error: pipeline.json: 'pooling.tau' must be finite"
+
     @pytest.mark.parametrize("tau, message", [
-        ("Infinity", REFUSAL), ("1e999", REFUSAL),
+        ("Infinity", NON_FINITE), ("1e999", NON_FINITE), ("NaN", NON_FINITE),
         ("1" + "0" * 400, "validation error: pipeline.json: 'pooling.tau': int too large"),
-    ], ids=["Infinity", "1e999", "1e400-integer"])
+    ], ids=["Infinity", "1e999", "NaN", "1e400-integer"])
     def test_pipeline_document(self, files, capsys, tau, message):
         (files / "p.json").write_text(
             '{"task": "sr", "scale": 2, "residual": true, "stages": [["zr.lut"]], '

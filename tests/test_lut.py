@@ -690,11 +690,14 @@ class FancyRowTake:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def take(self, a, indices, axis=None, **kw):
-        if axis == 0 and a.ndim == 2 and not kw:
+    def take(self, a, indices, axis=None, out=None, mode="raise"):
+        if axis == 0 and a.ndim == 2 and indices.ndim == 2:
             self.calls += 1
-            return a[indices]
-        return np.take(a, indices, axis=axis, **kw)
+            if out is None:
+                return a[indices]
+            out[...] = a[indices]
+            return out
+        return np.take(a, indices, axis=axis, out=out, mode=mode)
 
 
 class TestLatticeGather:
@@ -725,6 +728,37 @@ class TestLatticeGather:
             assert fancy.calls == -(-len(patches) // (_CHUNK_ROWS // lut.m))
             assert got.tobytes() == want.tobytes()
             assert query_batch(lut, patches).tobytes() == got.tobytes()
+
+    def test_fold_checks_the_base_row_range(self, monkeypatch):
+        # the gather clips its indices, so a base row whose corners leave
+        # the table must raise before any row is read: a real table and a
+        # quantized one past the cell-table cap
+        rng = np.random.default_rng(161)
+        for lut in (random_real_lut(rng, 4, 4, 4), random_int_lut(rng, 3, 4, 1, signed=True)):
+            assert lut._cells is None
+            lattice = lut.lattice_points
+            cells = rng.integers(0, lattice - 1, (50, lut.n))
+            cells[0], cells[1] = 0, lattice - 2             # the first and the last cell
+            rows = cells @ lattice ** np.arange(lut.n - 1, -1, -1)
+            frac = rng.uniform(0.0, 1.0, (50, lut.n))
+            corners = np.array(list(itertools.product((0, 1), repeat=lut.n)))
+            acc = lut.entries[tuple(cells[None, :, d] + corners[:, None, d]
+                                    for d in range(lut.n))] - float(lut.bias)
+            for d in range(lut.n):
+                lo, hi = acc[:len(acc) // 2], acc[len(acc) // 2:]
+                acc = lo + (hi - lo) * frac[:, d, None]
+            frac = np.ascontiguousarray(frac.T)
+            got = _fold_corners(lut.entries, rows, frac, lut.bias)
+            assert got.tobytes() == acc[0].tobytes()
+            for bad in (rows[1] + 1, -1, lattice ** lut.n):
+                wrong = rows.copy()
+                wrong[17] = bad
+                fancy = FancyRowTake()
+                monkeypatch.setattr(lut_module, "np", fancy)
+                with pytest.raises(IndexError):
+                    _fold_corners(lut.entries, wrong, frac, lut.bias)
+                monkeypatch.undo()
+                assert fancy.calls == 0         # no clamped row was read
 
 
 class TestReadOnlyEntries:

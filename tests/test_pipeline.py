@@ -693,7 +693,8 @@ class TestBands:
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(tape["xs"], want_tape["xs"])
-        assert tape["corners"][0][0].shape == (4, 16, stack.size)
+        rows, fracs = tape["queries"][0]
+        assert rows.shape == (4, stack.size) and fracs.shape == (4, 4, stack.size)
 
     def test_stage_index_sets_tables_and_block_side(self):
         # restore then x2: stage 1 reads its own table and emits 2x2 blocks
@@ -1008,6 +1009,24 @@ class TestPipelineFiles:
         monkeypatch.chdir(tmp_path / "elsewhere")
         self.assert_same(load_pipeline(os.path.join("..", "run", "pipeline.json")), config)
         self.assert_same(load_pipeline("../run/pipeline.json", prefer_real=True), real)
+
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+    def test_non_finite_temperature_is_neither_saved_nor_loaded(self, tmp_path, tau):
+        config, _ = SAVED_PIPELINES["restore-average"]
+        config = replace(config, pooling=replace(config.pooling))
+        config.pooling.tau = tau                # past PoolingSpec's own check
+        with pytest.raises(ValueError):
+            save_pipeline(config, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        config.pooling.tau = 1.0
+        path = save_pipeline(config, tmp_path / "run")
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["pooling"]["tau"] = tau
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)                  # written as Infinity or NaN
+        with pytest.raises(ValueError, match="'pooling.tau' must be finite"):
+            load_pipeline(path)
 
     def test_invalid_config_is_not_saved(self, tmp_path):
         config = PipelineConfig(task="sr", scale=2, stages=[bake(lambda p: p[:, :1].copy(),

@@ -190,6 +190,9 @@ class TestGmpWeights:
             gmp_weights(np.zeros((4, 1, 1)), 0.0)
         with pytest.raises(ValueError):
             gmp_weights(np.zeros((4, 1, 1)), -1.0)
+        for tau in (np.inf, np.nan):            # inf gave uniform weights
+            with pytest.raises(ValueError):
+                gmp_weights(np.ones((4, 1, 1)), tau)
 
 
 def np_sum_distances(xs, norm):
@@ -333,6 +336,14 @@ class TestPoolingSpec:
         with pytest.raises(ValueError):
             PoolingSpec(kind="oap")
         PoolingSpec(kind="oap", coeff_lut=constant_entry_coeff([1, 1, 1, 1]))
+
+    @pytest.mark.parametrize("kind", ["average", "gmp", "oap"])
+    def test_every_kind_refuses_a_bad_temperature(self, kind):
+        # a pipeline.json cannot store inf or NaN, whichever kind holds it
+        coeff = constant_entry_coeff([1, 1, 1, 1]) if kind == "oap" else None
+        for tau in (np.inf, -np.inf, np.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="temperature"):
+                PoolingSpec(kind=kind, tau=tau, coeff_lut=coeff)
 
 
 class TestFuseWrappers:

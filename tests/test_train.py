@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -47,7 +48,7 @@ from lutpool import (
     sample_batch,
     train,
 )
-from lutpool.lut import _CELL_TABLE_BYTES, _blend, corner_weights
+from lutpool.lut import _CELL_TABLE_BYTES, corner_weights
 from lutpool.orientation import (DIAGONAL_PATTERN, SQUARE_PATTERN, WYE_PATTERN,
                                  block_permutation)
 from lutpool.pipeline import _resize_axis, _run_real, pixel_shuffle, stage_pass
@@ -353,13 +354,32 @@ def _decompose_clamped(patches: np.ndarray, q: int):
     return base.astype(np.int64), v - base
 
 
-def add_at_forward_backward(tp, batch, cfg):
-    """Reference step: per-corner gathers and np.add.at gradient scatters.
+def lerp_query(table, base, frac):
+    """One query's multilinear blend, lerped axis by axis in plain Python.
 
-    The forward blends corner by corner and the backward scatters each
-    corner with its own ``np.add.at`` call, rotation by rotation.
-    ``forward_backward`` must reproduce every bit of its losses and
-    gradients.
+    ``table`` is a float64 entry array ``(L,) * n + (m,)``; ``base`` and
+    ``frac`` are the query's n lattice cells and fractions.  The 2**n
+    corner rows are listed axis 0 first (the upper half takes the upper
+    neighbour along axis 0); each axis then pairs every lower corner
+    with its upper one as ``lo + (hi - lo) * f``.
+    """
+    n = len(base)
+    corners = [table[tuple(b + c for b, c in zip(base, bits))]
+               for bits in itertools.product((0, 1), repeat=n)]
+    for f in frac:
+        half = len(corners) // 2
+        corners = [lo + (hi - lo) * f for lo, hi in zip(corners[:half], corners[half:])]
+    return corners[0]
+
+
+def add_at_forward_backward(tp, batch, cfg):
+    """Reference step: per-query lerps and per-corner np.add.at gradient scatters.
+
+    The forward lerps each query's corners axis by axis (:func:`lerp_query`),
+    sharing no kernel with the table read it checks, and the backward
+    scatters each corner with its own ``np.add.at`` call, rotation by
+    rotation.  ``forward_backward`` must reproduce every bit of its
+    losses and gradients.
     """
     for p in tp.parameters():
         p.grad[...] = 0.0
@@ -378,14 +398,11 @@ def add_at_forward_backward(tp, batch, cfg):
     xs = np.zeros((k, count, m))
     raws = {}
     for pi, (pattern, tl) in enumerate(zip(config.patterns, tp.luts)):
-        flat = tl.lut.entries.reshape(-1, m)
         for ri, r in enumerate(config.orientations.rotations):
             patches = _gather_batch(padded, pattern.rotated(r), pad, h, w)
             base, frac = _decompose_clamped(patches.reshape(count, pattern.n), tl.lut.q)
             idx, wts = loop_corner_weights(base, frac, tl.lut.lattice_points)
-            out = np.zeros((count, m))
-            for c in range(idx.shape[1]):
-                out += wts[:, c, None] * flat[idx[:, c]]
+            out = np.array([lerp_query(tl.lut.entries, b, f) for b, f in zip(base, frac)])
             perm = block_permutation(m, r) if m > 1 else None
             if perm is not None:
                 out = out[:, perm]
@@ -410,10 +427,8 @@ def add_at_forward_backward(tp, batch, cfg):
         cbase, cfrac = _decompose_clamped(cpatches.reshape(count, cp.n),
                                           tp.coeff.lut.q)
         cidx, cwts = loop_corner_weights(cbase, cfrac, tp.coeff.lut.lattice_points)
-        cflat = tp.coeff.lut.entries.reshape(-1, k)
-        logits = np.zeros((count, k))
-        for c in range(cidx.shape[1]):
-            logits += cwts[:, c, None] * cflat[cidx[:, c]]
+        logits = np.array([lerp_query(tp.coeff.lut.entries, b, f)
+                           for b, f in zip(cbase, cfrac)])
         alpha = softmax(logits, axis=1).T
 
     pred = np.sum(alpha[:, :, None] * xs, axis=0)
@@ -597,8 +612,8 @@ class TestStepBuffers:
         for _ in range(2):
             tapes.append({})
             stage_pass(rng.uniform(0, 255, (2, 5, 7)), config, tape=tapes[-1])
-        for a, b in zip(tapes[0]["corners"] + [tapes[0]["coeff"]],
-                        tapes[1]["corners"] + [tapes[1]["coeff"]]):
+        for a, b in zip(tapes[0]["queries"] + [tapes[0]["coeff"]],
+                        tapes[1]["queries"] + [tapes[1]["coeff"]]):
             assert np.shares_memory(a[0], b[0]) and np.shares_memory(a[1], b[1])
         # the ensemble is the caller's to keep
         assert not np.shares_memory(tapes[0]["xs"], tapes[1]["xs"])
@@ -631,24 +646,40 @@ class TestStepBuffers:
         # 8.54 MB when the tape, gather, products and Adam slices were fresh
         assert peak <= 4e6
 
-    def test_blend_checks_the_index_range(self):
-        rng = np.random.default_rng(26)
-        flat = rng.normal(0, 1, (30, 4))
-        idx = rng.integers(0, 30, (4, 50))
-        wts = rng.uniform(0, 1, (4, 50))
-        want = np.zeros((50, 4))
-        for c in range(4):
-            want += wts[c, :, None] * flat[idx[c]]
-        assert _blend(flat, idx, wts).tobytes() == want.tobytes()
-        for bad in (30, -1, 10 ** 6):
-            wrong = idx.copy()
-            wrong[2, 17] = bad
-            with pytest.raises(IndexError):
-                _blend(flat, wrong, wts)
+
+class TestCornerWeightCalls:
+    """The backward pass forms corner weights through ``train.corner_weights``."""
+
+    def test_once_per_pattern_rotation_and_coefficient_table(self, monkeypatch):
+        # a tracer that wraps lutpool.train.corner_weights sees every
+        # taped query: one call per (pattern, rotation), one for the
+        # coefficient table, each over the batch's N queries
+        rng = np.random.default_rng(27)
+        tp, cfg = oracle_pipeline(rng, "sr", "oap", [SQUARE_PATTERN, DIAGONAL_PATTERN])
+        batch = Batch(rng.uniform(0, 255, (2, 5, 7)), rng.uniform(0, 255, (2, 10, 14)))
+        calls = []
+
+        def counter(rows, frac, lattice, out):
+            calls.append((rows.shape, frac.shape, lattice))
+            return corner_weights(rows, frac, lattice, out)
+
+        monkeypatch.setattr(importlib.import_module("lutpool.train"), "corner_weights",
+                            counter)
+        forward_backward(tp, batch, cfg)
+        k, count = tp.config.orientations.k, batch.inputs.size
+        coeff = tp.coeff.lut
+        patterns = [(p.n, tl.lut.lattice_points)
+                    for p, tl in zip(tp.config.patterns, tp.luts)]
+        assert calls == ([((count,), (coeff.n, count), coeff.lattice_points)]
+                         + [((count,), (n, count), lattice)
+                            for n, lattice in patterns for _ in range(k)])
+        calls.clear()
+        loss_only(tp, batch, cfg)                # the forward alone forms none
+        assert calls == []
 
 
 class TestTrainInferParity:
-    """The training forward (corner-weight products) against inference (lerps)."""
+    """The taped training forward against inference: one fold, the same bits."""
 
     @pytest.mark.parametrize("patterns", ["S", "SDY"])
     @pytest.mark.parametrize("fusion", sorted(FUSIONS))
@@ -664,10 +695,9 @@ class TestTrainInferParity:
         rs = config.scale
         tape = {}
         blocks, _ = stage_pass(image[None], config, tape=tape)
-        assert set(tape) == {"xs", "corners"} | ({"coeff"} if fusion == "oap" else set())
+        assert set(tape) == {"xs", "queries"} | ({"coeff"} if fusion == "oap" else set())
         got = np.clip(pixel_shuffle(blocks.reshape(9, 11, rs, rs)), 0.0, 255.0)
-        np.testing.assert_allclose(got, _run_real(image, config, None),
-                                   rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(got, _run_real(image, config, None))
 
 
 def fd_relative_errors(tp, batch, cfg, rng, n_coords=30, h=1e-4):
@@ -1093,7 +1123,7 @@ def _log_digests(report):
 
 
 class TestBytePin:
-    """train() + finetune() bytes, recorded before the model became a PipelineConfig.
+    """train() + finetune() bytes, with the training forward read through the inference fold.
 
     The oap recipe is the benchmark's S/q4 x2 average -> oap operation
     with fewer steps; the gmp recipe fine-tunes an l1 soft-median with a
@@ -1101,16 +1131,16 @@ class TestBytePin:
     reports' histories must keep every bit.
     """
 
-    BASE = {"base_tables": "54fe35f9109547b9",
-            "base_log": ("6bff3df5e7ec1c3c", "4e75e5fde0bc8993")}
+    BASE = {"base_tables": "b93ede6e2b759895",
+            "base_log": ("6ea609056ae8ace6", "4e75e5fde0bc8993")}
     RECIPES = {
         "oap": ("l2", dict(iterations=6, lr=5e-2), dict(coeff_q=5), {
-            "tables": "dd1a1f5288f5597b", "coeff": "c2d8656ba050d73c",
+            "tables": "f007cc6f8e09ce61", "coeff": "b9cf22c3d7e8da45",
             "log_tau": "af5570f5a1810b7a",
-            "log": ("b0e80b1002e1ad35", "6cfce18171d3d432"), "best_steps": (24, 1)}),
+            "log": ("f128f7ebe502bcf6", "6cfce18171d3d432"), "best_steps": (24, 1)}),
         "gmp": ("l1", dict(iterations=8, lr=2e-3), dict(tau_init=20.0), {
-            "tables": "6f6c6a496f809659", "coeff": None,
-            "log_tau": "08795e30b6422ab9",
+            "tables": "ff9f68fdc0774f95", "coeff": None,
+            "log_tau": "9eef7c5dce09d9b8",
             "log": ("bfa00742ce7ee2b7", "bf7b368365abef31"), "best_steps": (24, 5)}),
     }
 
