@@ -277,7 +277,16 @@ class QuantizedLut:
 
 
 class CoeffLut(QuantizedLut):
-    """Per-orientation fusion weights, one m == k vector per entry."""
+    """Per-orientation fusion weights, one m == k vector per entry.
+
+    The weights are unsigned: a biased entry would dequantize to a
+    negative weight and put the normalized weights off the simplex.
+    """
+
+    def __post_init__(self):
+        if self.signed:
+            raise ValueError("a coefficient table holds unsigned weights")
+        super().__post_init__()
 
     @property
     def k(self) -> int:
@@ -780,8 +789,9 @@ def deserialize(data: bytes):
     """Rebuild a table from container bytes.
 
     Quantized payloads come back as :class:`QuantizedLut` (or
-    :class:`CoeffLut` when the header's k field is set); real payloads
-    come back as :class:`RealLut`.
+    :class:`CoeffLut` when the header's k field is set; a signed one
+    raises :class:`LutFileError`); real payloads come back as
+    :class:`RealLut`.
     """
     header, entries = _unpack_container(data)
     if header.real_valued:
@@ -791,8 +801,9 @@ def deserialize(data: bytes):
             raise LutFileError(
                 f"coefficient table has m={header.m} but k={header.k}"
             )
-        return CoeffLut(header.q, header.n, header.m, entries,
-                        bit_depth=header.bit_depth, signed=header.signed)
+        if header.signed:
+            raise LutFileError("coefficient table is flagged signed")
+        return CoeffLut(header.q, header.n, header.m, entries, bit_depth=header.bit_depth)
     return QuantizedLut(header.q, header.n, header.m, entries,
                         bit_depth=header.bit_depth, signed=header.signed)
 

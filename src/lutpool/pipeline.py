@@ -10,7 +10,9 @@ One kernel, :func:`stage_pass`, runs a stage on a band of rows of a
 (B, h, w) stack: training passes a whole batch of crops with a tape
 that keeps the queries its gradient needs, and a restored
 image, a stack of one, runs each stage over bands of whole rows of at
-most ``_BAND_ANCHORS`` anchors.  Since an output pixel depends only on
+most ``_BAND_VALUES`` table values: 2**14 anchors at unit scale, 2**14 /
+rs**2 for an rs-fold stage, so that each table read of a band is one
+chunk of the corner fold.  Since an output pixel depends only on
 its receptive field and each band pads its own rows exactly as the
 whole frame is padded, the bands give the bits of one whole-frame pass.
 An image streams each stage's bands into their rows of the stage's
@@ -54,7 +56,7 @@ from typing import ClassVar
 import numpy as np
 
 from .lut import (QuantizedLut, RealLut, load_lut, round_half_away, save_lut,
-                  _check_pixels, _decompose_arrays, _read, _scratch_array)
+                  _CHUNK_ROWS, _check_pixels, _decompose_arrays, _read, _scratch_array)
 # Kept as module attributes although the stage kernel calls neither:
 # perfbench/tracing.py wraps ``pipeline.real_table`` and
 # ``pipeline.interpolate`` by name.
@@ -65,9 +67,10 @@ from .pooling import (PoolingSpec, average_weights, combine, gmp_weights,
                       oap_weights)
 
 
-# Anchors per band of a stage pass (whole rows, at least one); the same
-# size as the corner fold's chunks, not a tuned knob.
-_BAND_ANCHORS = 1 << 14
+# Table values per band of a stage pass: at most this many anchors times
+# the stage's rs * rs outputs (whole rows, at least one), so each table
+# read of a band is one corner-fold chunk; not a tuned knob.
+_BAND_VALUES = _CHUNK_ROWS
 
 
 @dataclass
@@ -137,6 +140,8 @@ class PipelineConfig:
             coeff = self.pooling.coeff_lut
             if coeff is None:
                 raise ValueError("oap pooling needs a coefficient table")
+            if getattr(coeff, "signed", False):
+                raise ValueError("coefficient table is signed; fusion weights are unsigned")
             if coeff.m != self.orientations.k:
                 raise ValueError(
                     f"coefficient table holds {coeff.m} weights for "
@@ -294,7 +299,8 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     the rows' unclamped per-anchor blocks (N, rs*rs) and fusion weights
     (k, N), N = B * (y1 - y0) * w; ``alpha`` holds the rows' precomputed
     oap weights (k, N), ``counters`` add up the queries.  :func:`_run_real`
-    runs this once per band of whole rows of at most ``_BAND_ANCHORS`` anchors.
+    runs this once per band of whole rows of at most ``_BAND_VALUES``
+    values, N * rs * rs.
 
     The rows are edge-padded by :func:`_padded_rows`, exactly as in the
     whole stack's padding.  An output pixel depends only on its
@@ -406,13 +412,22 @@ def _padded_rows(stack: np.ndarray, y0: int, y1: int, before: int, after: int):
     """Rows [y0 - before, y1 + after), columns [-before, w + after) of a (B, h, w) stack.
 
     Those past the frame repeat its edge, as in the whole stack padded by
-    ``before`` and ``after`` on both axes; the stack's dtype is kept.
+    ``before`` and ``after`` on both axes with ``np.pad(mode="edge")``;
+    the stack's dtype is kept.  Filled by slices, which costs a fifth of
+    ``np.pad`` on a band's rows.
     """
-    h = stack.shape[1]
+    b, h, w = stack.shape
     top, bottom = max(0, y0 - before), min(h, y1 + after)
-    return np.pad(stack[:, top:bottom],
-                  ((0, 0), (top - (y0 - before), y1 + after - bottom), (before, after)),
-                  mode="edge")
+    out = np.empty((b, y1 - y0 + before + after, w + before + after), stack.dtype)
+    i0 = top - (y0 - before)
+    # the frame's rows, padded left and right; then the rows above and below
+    inner = out[:, i0:i0 + bottom - top]
+    inner[:, :, before:before + w] = stack[:, top:bottom]
+    inner[:, :, :before] = stack[:, top:bottom, :1]
+    inner[:, :, before + w:] = stack[:, top:bottom, w - 1:]
+    out[:, :i0] = inner[:, :1]
+    out[:, i0 + bottom - top:] = inner[:, -1:]
+    return out
 
 
 def _add_upsample(pred, stack, y0: int, y1: int, rs: int) -> None:
@@ -456,10 +471,13 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
               dtype=np.float64) -> np.ndarray:
     """All stages on an image; the last one writes its raster as ``dtype``.
 
-    Each stage runs :func:`stage_pass` over bands of whole rows of at
-    most ``_BAND_ANCHORS`` anchors (at least one row): a band's blocks
-    are clamped to [0, 255] and pixel-shuffled into its own rows of the
-    stage's output raster, float64 for every stage but the last.  With
+    Each stage runs :func:`stage_pass` over bands of whole rows that
+    hold at most ``_BAND_VALUES`` values, anchors times rs * rs (at
+    least one row): as few bands as that allows, their rows split as
+    evenly as can be (a 96 x 96 frame of a x2 stage runs in bands of
+    32/32/32 rows, not 42/42/12).  A band's blocks are clamped to
+    [0, 255] and pixel-shuffled into its own rows of the stage's output
+    raster, float64 for every stage but the last.  With
     ``dtype`` uint8 the last stage's rows are rounded half away from
     zero as they are written, so no frame-sized float64 result, blocks
     or rounding temporaries exist.  An integer-typed image is read as it
@@ -487,7 +505,9 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
         # the first stage's oap weights serve every later stage
         weights = (np.empty((k, h * w))
                    if config.pooling.kind == "oap" and not last and alpha is None else None)
-        step = max(1, _BAND_ANCHORS // w)
+        # as few bands as the budget allows, their rows split as evenly as can be
+        rows = max(1, _BAND_VALUES // (w * rs * rs))
+        step = -(-h // -(-h // rows))
         for y0 in range(0, h, step):
             y1 = min(h, y0 + step)
             band_alpha = None if alpha is None else alpha[:, y0 * w:y1 * w]

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lut import CoeffLut, QuantizedLut, RealLut, query_batch
+from .lut import QuantizedLut, RealLut, query_batch
 
 
 @dataclass
@@ -151,23 +151,27 @@ def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
     ``query(coeff, patches)`` reads the coefficient table; it defaults to
     :func:`query_batch`, which also range-checks the patches.  The
     pipeline passes its own query, and as ``patches`` the coefficient
-    pattern's offsets into the planes it has already decomposed.
+    pattern's offsets into the planes it has already decomposed.  A
+    RealLut holds logits, softmaxed per anchor; a quantized table holds
+    unsigned weights, normalized per anchor.  A signed one raises
+    ``TypeError`` before it is read: its biased entries dequantize to
+    negative weights, off the simplex.
     """
+    real = isinstance(coeff, RealLut)
+    if not real and not (isinstance(coeff, QuantizedLut) and not coeff.signed):
+        raise TypeError("coefficient table must be an unsigned quantized table or a RealLut")
     raw = (query or query_batch)(coeff, patches)
-    if isinstance(coeff, RealLut):
+    if real:
         return softmax(raw, axis=1).T
-    if isinstance(coeff, CoeffLut) or (
-            isinstance(coeff, QuantizedLut) and not coeff.signed):
-        total = np.sum(raw, axis=1, keepdims=True)
-        positive = total > 0.0
-        if positive.all():
-            # (k, N) in C order: each orientation's weights are contiguous
-            return np.divide(raw.T, total.T, out=np.empty(raw.shape[::-1]))
-        # rows of zero total keep the uniform fill; the rest divide in place
-        w = np.full_like(raw, 1.0 / raw.shape[1])
-        np.divide(raw, total, out=w, where=positive)
-        return w.T
-    raise TypeError("coefficient table must be a CoeffLut or RealLut")
+    total = np.sum(raw, axis=1, keepdims=True)
+    positive = total > 0.0
+    if positive.all():
+        # (k, N) in C order: each orientation's weights are contiguous
+        return np.divide(raw.T, total.T, out=np.empty(raw.shape[::-1]))
+    # rows of zero total keep the uniform fill; the rest divide in place
+    w = np.full_like(raw, 1.0 / raw.shape[1])
+    np.divide(raw, total, out=w, where=positive)
+    return w.T
 
 
 def fuse_average(xs) -> FusionResult:

@@ -12,7 +12,7 @@ import pytest
 
 from lutpool import cli, finetune, read_pnm, rgb_to_y, round_half_away, write_pnm
 from lutpool.cli import main
-from lutpool.lut import _pack_container
+from lutpool.lut import FLAG_SIGNED, _pack_container, lattice_size
 
 
 def run(*argv):
@@ -165,6 +165,23 @@ class TestRestore:
         assert run("restore", "--input", str(src),
                    "--out", str(tmp_path / "o.pgm"), "--lut", str(bad)) == 2
         assert run("inspect", str(bad)) == 2
+
+    @pytest.mark.parametrize("k, code", [(4, 2), (0, 3)])
+    def test_signed_coefficient_table(self, tmp_path, capsys, k, code):
+        # a signed coefficient file is an i/o error; a signed plain table
+        # given as --coeff-lut fails validation; neither restores
+        lut = tmp_path / "ident.lut"
+        run("bake", "--rule", "identity", "--q", "4", "--out", str(lut))
+        coeff = tmp_path / "signed.lut"
+        entries = np.full((lattice_size(5),) * 4 + (4,), 200, dtype=np.uint8)
+        coeff.write_bytes(_pack_container(entries, 5, 4, 4, k, FLAG_SIGNED, 8))
+        src = tmp_path / "in.pgm"
+        write_test_image(src, size=8)
+        capsys.readouterr()
+        assert run("restore", "--input", str(src), "--out", str(tmp_path / "o.pgm"),
+                   "--lut", str(lut), "--pooling", "oap", "--coeff-lut", str(coeff)) == code
+        assert "signed" in capsys.readouterr().err
+        assert not (tmp_path / "o.pgm").exists()
 
     @pytest.mark.parametrize("doc, key", [
         ({}, "'stages'"),

@@ -1005,12 +1005,27 @@ class TestContainer:
         with pytest.raises(LutFileError, match="geometry|bit depth"):
             inspect_file(path)
 
+    def test_signed_coeff_header_is_file_error(self):
+        # a coefficient table's weights are unsigned: a signed header
+        # with k > 0 is refused, the same bytes with k = 0 load
+        entries = np.full((5, 5, 4), 200, dtype=np.uint8)
+        blob = _pack_container(entries, 6, 2, 4, 4, FLAG_SIGNED, 8)
+        with pytest.raises(LutFileError, match="signed"):
+            deserialize(blob)
+        assert deserialize(_pack_container(entries, 6, 2, 4, 0, FLAG_SIGNED, 8)).signed
+
     def test_flags_layout(self):
         assert FLAG_SIGNED == 0x0001
         assert FLAG_REAL == 0x0002
 
 
 class TestValidation:
+    def test_coeff_table_refuses_signed(self):
+        entries = np.full((lattice_size(5),) * 4 + (4,), 128, dtype=np.uint8)
+        with pytest.raises(ValueError, match="unsigned"):
+            CoeffLut(5, 4, 4, entries, signed=True)
+        assert not CoeffLut(5, 4, 4, entries).signed
+
     def test_entry_shape_checked(self):
         with pytest.raises(ValueError):
             QuantizedLut(4, 4, 1, np.zeros((16,) * 4 + (1,), dtype=np.uint8))

@@ -581,6 +581,22 @@ class TestBands:
         monkeypatch.setattr(pipeline, "stage_pass", spy)
         return calls
 
+    @staticmethod
+    def stage_rows(config, band, w):
+        """Most rows per band of each stage: ``band`` values over w * rs * rs a row, at least one."""
+        return [max(1, band // (w * config.stage_scale(t) ** 2)) for t in range(config.num_stages)]
+
+    @classmethod
+    def assert_bands(cls, calls, config, band, h, w):
+        """Every stage's bands, in order: ceil(h / rows) of them, none longer
+        than rows.  Returns the stage index of each call."""
+        rows = cls.stage_rows(config, band, w)
+        counts = [-(-h // r) for r in rows]
+        assert len(calls) == sum(counts)
+        stage = [t for t, c in enumerate(counts) for _ in range(c)]
+        assert all(0 < y1 - y0 <= rows[t] for t, (_, y0, y1, _) in zip(stage, calls))
+        return stage
+
     @pytest.mark.parametrize("integral", [True, False])
     @pytest.mark.parametrize("name", sorted(BAND_CONFIGS))
     def test_banded_runs_match_one_band(self, monkeypatch, name, integral):
@@ -589,7 +605,7 @@ class TestBands:
         rng = np.random.default_rng([len(name), integral])
         for shape in self.SHAPES:
             h, w = shape
-            assert h * w <= pipeline._BAND_ANCHORS   # the reference is one band
+            assert h * w * config.scale ** 2 <= pipeline._BAND_VALUES   # the reference is one band
             image = rng.integers(0, 256, shape).astype(np.float64)
             if not integral:
                 lower = image[h // 2:]
@@ -597,17 +613,16 @@ class TestBands:
                 np.clip(lower, 0.0, 255.0, out=lower)
             want = _run_real(image, config, None)
             want_u8 = restore_image(image, config)
-            # 1 and 7 anchors, and three rows: a short last band where h % 3
+            # 1 and 7 values, and three rows of a unit-scale stage: a short
+            # last band where h % 3
             for band in (1, 7, 3 * w):
-                monkeypatch.setattr(pipeline, "_BAND_ANCHORS", band)
+                monkeypatch.setattr(pipeline, "_BAND_VALUES", band)
                 calls = self.count_bands(monkeypatch)
                 counters = QueryCounter()
                 got = _run_real(image, config, counters)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (shape, band)
-                rows = max(1, band // w)
-                assert len(calls) == config.num_stages * -(-h // rows)
-                assert all(0 < y1 - y0 <= rows for _, y0, y1, _ in calls)
+                self.assert_bands(calls, config, band, h, w)
                 assert counters.lut_queries == image.size * model["lut_queries_per_pixel"]
                 assert counters.coeff_queries == image.size * model["coeff_queries_per_pixel"]
                 np.testing.assert_array_equal(restore_image(image, config), want_u8)
@@ -633,13 +648,13 @@ class TestBands:
             # the last stage's uint8 rows are the rounded float64 result
             assert want_u8.tobytes() == round_half_away(want).astype(np.uint8).tobytes()
             for band in (1, 7, 3 * w):
-                monkeypatch.setattr(pipeline, "_BAND_ANCHORS", band)
+                monkeypatch.setattr(pipeline, "_BAND_VALUES", band)
                 calls = self.count_bands(monkeypatch)
                 got = _run_real(image, config, None)
                 assert got.dtype == np.float64 and got.tobytes() == want.tobytes(), (shape, band)
                 got_u8 = restore_image(image, config)
                 assert got_u8.dtype == np.uint8 and got_u8.tobytes() == want_u8.tobytes()
-                assert len(calls) == 2 * config.num_stages * -(-h // max(1, band // w))
+                assert len(calls) == 2 * sum(-(-h // r) for r in self.stage_rows(config, band, w))
                 monkeypatch.undo()
 
     @pytest.mark.parametrize("name", ["oap-shared-3", "sdy-average-2"])
@@ -658,7 +673,7 @@ class TestBands:
         image = rng.integers(0, 256, (h, w)).astype(np.uint8)
         want = _run_real(image, config, None)
         want_alpha = stage_pass(image[None].astype(np.float64), config)[1]
-        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 2 * w)   # two rows
+        monkeypatch.setattr(pipeline, "_BAND_VALUES", 2 * w)   # two rows
         calls = self.count_bands(monkeypatch)
         counters = QueryCounter()
         got = _run_real(image, config, counters)
@@ -686,7 +701,7 @@ class TestBands:
         stack = rng.integers(0, 256, (3, 9, 11)).astype(np.float64)
         want_tape = {}
         want = stage_pass(stack, config, tape=want_tape)
-        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 1)
+        monkeypatch.setattr(pipeline, "_BAND_VALUES", 1)
         tape = {}
         got = stage_pass(stack, config, tape=tape)
         assert got[0].shape == (stack.size, 4)
@@ -716,7 +731,8 @@ class TestBands:
         h, w = 96, 64
         rows = 32
         image = np.random.default_rng(58).integers(0, 256, (h, w)).astype(np.uint8)
-        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", rows * w)
+        # bands of 32 rows: the budget counts each anchor's rs * rs values
+        monkeypatch.setattr(pipeline, "_BAND_VALUES", rows * w * config.scale ** 2)
         want = restore_image(image, config)       # caches and scratch are built here
         live = []
         band = pipeline.stage_pass
@@ -736,13 +752,36 @@ class TestBands:
         one_plane = rows * w * 8          # a float64 value per anchor of a band
         assert max(live) - live[0] < one_plane, [v - live[0] for v in live]
 
+    @pytest.mark.parametrize("name", ["sdy-x2-gmp", "s-x3-gmp", "restore-then-x2"])
+    def test_bands_at_the_real_budget_hold_one_fold_chunk(self, monkeypatch, name):
+        # each band holds at most _BAND_VALUES values, anchors times rs * rs,
+        # unless it is one row; the bands are as few as that allows
+        config = BAND_CONFIGS[name]
+        rng = np.random.default_rng(61)
+        assert pipeline._BAND_VALUES == pipeline._CHUNK_ROWS
+        for h, w in [(96, 96), (37, 29), (2, 4500)]:
+            image = rng.integers(0, 256, (h, w)).astype(np.uint8)
+            calls = self.count_bands(monkeypatch)
+            got = restore_image(image, config)
+            monkeypatch.undo()
+            stage = self.assert_bands(calls, config, pipeline._BAND_VALUES, h, w)
+            for t, (_, y0, y1, _) in zip(stage, calls):
+                values = (y1 - y0) * w * config.stage_scale(t) ** 2
+                assert values <= pipeline._BAND_VALUES or y1 - y0 == 1, (h, w, t, y0, y1)
+            if (h, w) == (96, 96) and config.scale == 2:
+                # 42 rows fit; three bands of 32, not 42/42/12
+                assert [c[1:3] for c in calls[-3:]] == [(0, 32), (32, 64), (64, 96)]
+            monkeypatch.setattr(pipeline, "_BAND_VALUES", h * w * config.scale ** 2)
+            assert restore_image(image, config).tobytes() == got.tobytes()
+            monkeypatch.undo()
+
     def test_shared_oap_weights_are_sliced_per_band(self, monkeypatch):
         config = BAND_CONFIGS["oap-shared-2"]
         rng = np.random.default_rng(53)
         image = rng.integers(0, 256, (11, 6)).astype(np.float64)
         want = _run_real(image, config, None)
         alpha = stage_pass(image[None], config)[1]
-        monkeypatch.setattr(pipeline, "_BAND_ANCHORS", 6 * 4)   # four rows
+        monkeypatch.setattr(pipeline, "_BAND_VALUES", 6 * 4)   # four rows
         calls = self.count_bands(monkeypatch)
         counters = QueryCounter()
         got = _run_real(image, config, counters)
@@ -827,8 +866,8 @@ class TestStageUpsample:
                     stack[:, h // 2:] += rng.uniform(-0.5, 0.5, stack[:, h // 2:].shape)
                     np.clip(stack, 0.0, 255.0, out=stack)
                 up = np.stack([bicubic_resize(img, rs) for img in stack])
-                # the band splits of TestBands: 1, 7 and 3 * w anchors, and one band
-                for band in (1, 7, 3 * w, pipeline._BAND_ANCHORS):
+                # the band splits of TestBands: 1, 7 and 3 * w values, and one band
+                for band in (1, 7, 3 * w, pipeline._BAND_VALUES):
                     rows = max(1, band // (b * w))
                     for y0 in range(0, h, rows):
                         y1 = min(h, y0 + rows)
@@ -886,12 +925,27 @@ class TestPeakMemorySlope:
 
     @pytest.mark.parametrize("name,whole_frame_slope", [("oap", 122.2), ("sdy-x2", 488.0)])
     def test_slope_at_most_half_of_whole_frame_passes(self, name, whole_frame_slope):
-        assert math.prod(self.SHAPES[0]) > pipeline._BAND_ANCHORS
+        assert math.prod(self.SHAPES[0]) > pipeline._BAND_VALUES
         assert self.slope(self.configs()[name], self.SHAPES) <= whole_frame_slope / 2
 
     @pytest.mark.parametrize("name,bound", [("oap", 2.0), ("sdy-x2", 6.0)])
     def test_slope_is_about_the_uint8_output(self, name, bound):
         assert self.slope(self.configs()[name], self.SHAPES) <= bound
+
+    def test_x2_band_peak_is_one_fold_chunk(self):
+        # a warm x2 restore of a 128 x 128 frame: bands of 2**14 anchors,
+        # 4 values each, peaked 6.52e6 B beyond the output; bands of 2**14
+        # values peak about 2.4e6 B
+        config = self.configs()["sdy-x2"]
+        image = np.random.default_rng(62).integers(0, 256, (128, 128)).astype(np.uint8)
+        restore_image(image, config)  # cell tables and fold scratch are built here
+        tracemalloc.start()
+        try:
+            out = restore_image(image, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 3.2e6, peak - out.nbytes
 
 
 class TestTableEquality:

@@ -313,9 +313,16 @@ class TestOapWeights:
         assert w[:, ~hit].tobytes() == (raw[~hit] / total[~hit]).T.tobytes()
 
     def test_rejects_signed_table(self):
+        # a signed table's biased entries would give weights off the
+        # simplex; it is refused before the query runs, as is a non-table
         shape = (lattice_size(6),) * 4 + (4,)
         from lutpool import QuantizedLut
         signed = QuantizedLut(6, 4, 4, np.full(shape, 128, dtype=np.uint8), signed=True)
+        reads = []
+        for table in (signed, object()):
+            with pytest.raises(TypeError, match="unsigned quantized table"):
+                oap_weights(np.zeros((1, 4)), table, query=lambda *a: reads.append(a))
+        assert reads == []
         with pytest.raises(TypeError):
             oap_weights(np.zeros((1, 4)), signed)
 
