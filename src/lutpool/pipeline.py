@@ -55,7 +55,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .lut import (QuantizedLut, RealLut, load_lut, round_half_away, save_lut,
+from .lut import (QuantizedLut, RealLut, load_lut, save_lut,
                   _CHUNK_ROWS, _check_pixels, _decompose_arrays, _read, _scratch_array)
 # Kept as module attributes although the stage kernel calls neither:
 # perfbench/tracing.py wraps ``pipeline.real_table`` and
@@ -311,10 +311,14 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     uint8 lattice cells and in-cell fractions, and the padded copy is
     dropped.  Every (rotation, pattern) query reads its table through
     :func:`~lutpool.lut._read` at the pattern's shifted views of the
-    planes; each rotation's pattern outputs are averaged and unrotated
-    into the (k, N, rs*rs) ensemble.  The planes are dropped before the
-    ensemble is fused by the configured pooling and the residual baseline
-    of the rows is added.
+    planes; each rotation's pattern outputs are averaged and unrotated,
+    and each table read's output is dropped once it is summed.  Average
+    and oap weights are known before the first read, so at inference each
+    unrotated rotation is weighed and summed into the result as soon as
+    it is complete, in :func:`~lutpool.pooling.combine`'s order and with
+    its bits; gmp, and every taped pass, fill the (k, N, rs*rs) ensemble
+    and fuse it after the planes are dropped.  Last, the residual
+    baseline of the rows is added.
 
     Training passes a dict as ``tape`` over the whole stack; every table,
     the oap coefficient table included, is read as inference reads it.
@@ -360,18 +364,20 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
             counters.coeff_queries += count
         alpha = oap_weights(cp.offsets, coeff, query=partial(read, queries=queries))
 
-    xs = np.empty((k, count, m))
+    # average and oap weights are known before the first read, so each
+    # rotation's prediction is weighed and summed into pred as soon as it
+    # is complete; gmp weighs the whole ensemble, and a tape keeps it
+    stream = tape is None and pool.kind != "gmp"
+    if stream:
+        weights = alpha if pool.kind == "oap" else average_weights(k, count)
+    else:
+        xs = np.empty((k, count, m))
     if tape is not None:
         tape["queries"] = [_tape_arrays(f"queries{pi}", (k, p.n, count))
                            for pi, p in enumerate(config.patterns)]
-    # each rotation sums its patterns' outputs / npat onto +0.0 (the first
-    # is added to 0.0) in the rotated frame, then unrotates the sum's blocks,
-    # a column permutation that commutes with the sum: column perm[j] goes
-    # to column j
-    rotated = np.empty((count, m)) if m > 1 else None
     for ri, r in enumerate(rotations):
-        unrotate = m > 1 and r != 0
-        acc = rotated if unrotate else xs[ri]
+        # the rotation's pattern outputs / npat, summed onto +0.0 in the
+        # first one's array, each dropped once it is added
         for pi, (pattern, table) in enumerate(zip(config.patterns, stage_luts)):
             queries = None
             if tape is not None:
@@ -384,21 +390,38 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
             if pi:
                 acc += out
             else:
-                np.add(out, 0.0, out=acc)
-        if unrotate:
-            for j, col in enumerate(block_permutation(m, r)):
-                xs[ri, :, j] = rotated[:, col]
-    del planes, rotated
+                acc = out
+                acc += 0.0
+            del out
+        # unrotate the sum's blocks, a column permutation that commutes
+        # with the sum: column perm[j] goes to column j
+        x = acc[:, block_permutation(m, r)] if m > 1 and r != 0 else acc
+        del acc
+        if not stream:
+            xs[ri] = x
+        else:
+            # combine's order and bits: pred = w_0 x_0, += 0.0, then
+            # += w_r x_r, each product formed in the rotation's own array
+            x *= weights[ri][:, None]
+            if ri:
+                pred += x
+            else:
+                pred = x
+                pred += 0.0
+        del x
+    del planes
 
-    if pool.kind == "average":
-        weights = average_weights(k, count)
-    elif pool.kind == "gmp":
-        weights = gmp_weights(xs, pool.tau, pool.norm)
-    else:
-        weights = alpha
-    pred = combine(xs, weights)
-    if tape is not None:
-        tape["xs"] = xs
+    if not stream:
+        if pool.kind == "average":
+            weights = average_weights(k, count)
+        elif pool.kind == "gmp":
+            weights = gmp_weights(xs, pool.tau, pool.norm)
+        else:
+            weights = alpha
+        pred = combine(xs, weights)
+        if tape is not None:
+            tape["xs"] = xs
+        del xs
 
     if config.residual:
         if rs == 1:
@@ -515,8 +538,10 @@ def _run_real(image, config: PipelineConfig, counters: QueryCounter | None,
             if weights is not None:
                 weights[:, y0 * w:y1 * w] = wts
             np.clip(blocks, 0.0, 255.0, out=blocks)
-            if out.dtype != np.float64:
-                blocks = round_half_away(blocks)
+            if out.dtype.kind == "u":
+                # on [0, 255] the truncating integer write of blocks + 0.5
+                # gives the bytes of round_half_away, in place
+                blocks += 0.5
             # pixel shuffle, one block column at a time: column pr * rs + pc
             # holds the output pixels (y * rs + pr, x * rs + pc)
             rows = out[y0 * rs:y1 * rs].reshape(y1 - y0, rs, w, rs)

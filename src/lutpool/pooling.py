@@ -60,10 +60,12 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
 def combine(xs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted blend of predictions xs (k, N, m) with weights (k, N).
 
-    Every pooling strategy funnels through this one routine so that
-    strategies producing identical weights produce bitwise-identical
-    outputs.  The products are accumulated one orientation at a time
-    onto +0.0, ``((0 + w0 x0) + w1 x1) + ...``: the order and the start
+    Every pooling strategy funnels through this one routine, or through
+    its order (``pipeline.stage_pass`` sums average and oap orientations
+    this way as they are read), so that strategies producing identical
+    weights produce bitwise-identical outputs.  The products are
+    accumulated one orientation at a time onto +0.0,
+    ``((0 + w0 x0) + w1 x1) + ...``: the order and the start
     of ``np.sum(weights[:, :, None] * xs, axis=0)``, without its
     (k, N, m) temporary.  (numpy sums pairwise instead when the result
     is a single value and k >= 8, which no orientation set reaches.)
@@ -78,7 +80,8 @@ def combine(xs: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def average_weights(k: int, count: int) -> np.ndarray:
-    return np.full((k, count), 1.0 / k)
+    """Uniform weights (k, count): a read-only broadcast of 1/k, no array of its own."""
+    return np.broadcast_to(1.0 / k, (k, count))
 
 
 def gmp_distances(xs: np.ndarray, norm: str = "l2"):
@@ -135,14 +138,22 @@ def gmp_weights(xs: np.ndarray, tau: float, norm: str = "l2") -> np.ndarray:
     """
     if not 0.0 < tau < np.inf:
         raise ValueError(f"gmp temperature must be finite and positive, got {tau!r}")
-    d = _distances(xs, np.mean(xs, axis=0), norm)
+    u = _distances(xs, np.mean(xs, axis=0), norm)
+    # u holds d until it is turned, in place, into the logits -d / tau
+    # and then into softmax(-d / tau, axis=0) with that function's bits;
+    # -d / tau is -inf for every orientation of an anchor just when the
+    # nearest one's d / tau overflows
     with np.errstate(over="ignore"):    # -d / tau past -inf weighs 0
-        u = -d / tau
-        lost = ~np.isfinite(u.max(axis=0))
-        if lost.any():
-            near = d[:, lost]
+        lost = ~np.isfinite(u.min(axis=0) / tau)
+        near = u[:, lost] if lost.any() else None
+        np.negative(u, out=u)
+        u /= tau
+        if near is not None:
             u[:, lost] = -(near - near.min(axis=0)) / tau
-    return softmax(u, axis=0)
+    u -= u.max(axis=0, keepdims=True)
+    np.exp(u, out=u)
+    u /= np.sum(u, axis=0, keepdims=True)
+    return u
 
 
 def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
@@ -163,15 +174,25 @@ def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
     raw = (query or query_batch)(coeff, patches)
     if real:
         return softmax(raw, axis=1).T
-    total = np.sum(raw, axis=1, keepdims=True)
+    # each anchor's total, its k columns added in sequence: the order of
+    # np.sum(raw, axis=1) below 8 terms (see _distances), without numpy's
+    # slow reduction over a short axis
+    cols = raw.T
+    k = len(cols)
+    if k < 8:
+        total = cols[0].copy()
+        for col in cols[1:]:
+            total += col
+    else:
+        total = np.sum(raw, axis=1)
     positive = total > 0.0
+    # (k, N) in C order: each orientation's weights are contiguous
     if positive.all():
-        # (k, N) in C order: each orientation's weights are contiguous
-        return np.divide(raw.T, total.T, out=np.empty(raw.shape[::-1]))
-    # rows of zero total keep the uniform fill; the rest divide in place
-    w = np.full_like(raw, 1.0 / raw.shape[1])
-    np.divide(raw, total, out=w, where=positive)
-    return w.T
+        return np.divide(cols, total, out=np.empty(cols.shape))
+    # anchors of zero total keep the uniform fill; the rest are divided
+    w = np.full(cols.shape, 1.0 / k)
+    np.divide(cols, total, out=w, where=positive)
+    return w
 
 
 def fuse_average(xs) -> FusionResult:

@@ -413,13 +413,14 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
     elif pool.kind == "oap":                     # u: the coefficient table's logits
         _scatter(tp.coeff.grad, tape.pop("coeff"), s.T)
 
-    # per-rotation output gradient, block permutation undone
-    graw = grad_xs / npat
+    # per-rotation output gradient, block permutation undone; in place, so
+    # no second (k, N, m) array lives through the scatter
+    grad_xs /= npat
     if m > 1:
         for ri, r in enumerate(config.orientations.rotations):
-            graw[ri][:, block_permutation(m, r)] = graw[ri].copy()
+            grad_xs[ri][:, block_permutation(m, r)] = grad_xs[ri].copy()
     for tl, queries in zip(tp.luts, tape.pop("queries")):
-        _scatter(tl.grad, queries, graw)
+        _scatter(tl.grad, queries, grad_xs)
 
     return losses
 

@@ -793,6 +793,57 @@ class TestBands:
         assert (counters.lut_queries, counters.coeff_queries) == (24 * image.size, image.size)
 
 
+class TestStreamedFusion:
+    """Average and oap inference passes sum each rotation into the result as it is read.
+
+    A taped pass keeps the (k, N, m) ensemble and fuses it with
+    ``combine``; the streamed pass must give the same bits.
+    """
+
+    @pytest.mark.parametrize("integral", [True, False])
+    @pytest.mark.parametrize("turns", [(0, 1, 2, 3), (0, 1, 3), (1, 3), (3,)])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("kind", ["average", "oap"])
+    def test_streamed_pass_matches_the_taped_ensemble(self, kind, m, turns, integral):
+        rng = np.random.default_rng(57)
+        sd = [SQUARE_PATTERN, DIAGONAL_PATTERN]
+        k = len(turns)
+        pooling = PoolingSpec()
+        if kind == "oap":
+            coeff = CoeffLut(5, 4, k, rng.integers(0, 256, (lattice_size(5),) * 4 + (k,)))
+            pooling = PoolingSpec(kind="oap", coeff_lut=coeff)
+        scale = {1: dict(task="restore"), 4: dict(task="sr", scale=2, residual=True)}[m]
+        config = PipelineConfig(**scale, patterns=sd, orientations=OrientationSet(turns),
+                                pooling=pooling, stages=[sdy_tables(rng, m, m > 1, sd)])
+        stack = rng.uniform(0.0, 255.0, (3, 9, 11))
+        if integral:
+            stack = np.round(stack)
+        tape = {}
+        want, weights = stage_pass(stack, config, tape=tape)
+        assert tape["xs"].shape == (k, stack.size, m)
+        got, got_weights = stage_pass(stack, config)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got_weights, weights)
+        # a later cascade stage is handed the weights instead
+        if kind == "oap":
+            got, _ = stage_pass(stack, config, alpha=weights)
+            assert got.tobytes() == want.tobytes()
+
+    def test_gmp_and_taped_passes_keep_the_ensemble(self, monkeypatch):
+        rng = np.random.default_rng(58)
+        config = PipelineConfig(task="restore", pooling=PoolingSpec(kind="gmp", tau=8.0),
+                                stages=[sdy_tables(rng, 1, False, [SQUARE_PATTERN])])
+        seen = []
+        real_combine = pipeline.combine
+        monkeypatch.setattr(pipeline, "combine",
+                            lambda xs, w: seen.append(xs.shape) or real_combine(xs, w))
+        stack = rng.integers(0, 256, (2, 5, 6)).astype(np.float64)
+        stage_pass(stack, config)
+        stage_pass(stack, replace(config, pooling=PoolingSpec()), tape={})
+        stage_pass(stack, replace(config, pooling=PoolingSpec()))
+        assert seen == [(4, 60, 1), (4, 60, 1)]
+
+
 def resize_axis_per_call(arr, out_len, scale, axis):
     """The separable resampler with its geometry rebuilt on every call.
 
@@ -932,11 +983,9 @@ class TestPeakMemorySlope:
     def test_slope_is_about_the_uint8_output(self, name, bound):
         assert self.slope(self.configs()[name], self.SHAPES) <= bound
 
-    def test_x2_band_peak_is_one_fold_chunk(self):
-        # a warm x2 restore of a 128 x 128 frame: bands of 2**14 anchors,
-        # 4 values each, peaked 6.52e6 B beyond the output; bands of 2**14
-        # values peak about 2.4e6 B
-        config = self.configs()["sdy-x2"]
+    @staticmethod
+    def warm_peak(config):
+        """Tracemalloc peak beyond the output of a warm 128 x 128 restore."""
         image = np.random.default_rng(62).integers(0, 256, (128, 128)).astype(np.uint8)
         restore_image(image, config)  # cell tables and fold scratch are built here
         tracemalloc.start()
@@ -945,7 +994,19 @@ class TestPeakMemorySlope:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes < 3.2e6, peak - out.nbytes
+        return peak - out.nbytes
+
+    def test_x2_band_peak_is_one_fold_chunk(self):
+        # bands of 2**14 anchors, 4 values each, peaked 6.52e6 B beyond the
+        # output; bands of 2**14 values peak about 2.4e6 B
+        peak = self.warm_peak(self.configs()["sdy-x2"])
+        assert peak < 3.2e6, peak
+
+    def test_oap_band_holds_no_ensemble(self):
+        # S/q4 oap, one band: the (4, 2**14, 1) ensemble made the peak
+        # 3.19e6 B; summed as each rotation is read, it is about 2.67e6 B
+        peak = self.warm_peak(self.configs()["oap"])
+        assert peak < 2.9e6, peak
 
 
 class TestTableEquality:

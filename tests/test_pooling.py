@@ -21,6 +21,7 @@ from lutpool import (
     gmp_weights,
     lattice_size,
     oap_weights,
+    query_batch,
     softmax,
 )
 
@@ -93,6 +94,7 @@ class TestCombine:
         w = average_weights(4, 3)
         assert w.shape == (4, 3)
         np.testing.assert_array_equal(w, 0.25)
+        assert not w.flags.writeable       # a broadcast of 1/k, not an array of its own
 
 
 class TestGmpDistances:
@@ -245,6 +247,22 @@ class TestSummationOrder:
             assert gmp_distances(xs, norm)[0].tobytes() == np_sum_distances(xs, norm).tobytes()
             assert gmp_weights(xs, tau, norm).tobytes() == np_sum_gmp_weights(xs, tau, norm).tobytes()
 
+    @pytest.mark.parametrize("tau", [1e-307, 1e-310])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_tiny_tau_keeps_its_bits(self, norm, tau):
+        # anchors whose nearest d / tau overflows beside anchors whose does not
+        rng = np.random.default_rng(11)
+        xs = rng.uniform(0.0, 255.0, (4, 400, 4)) * 10.0 ** rng.integers(-8, 1, (1, 400, 1))
+        xs[:, :3] = 7.0                                        # all-equal anchors
+        d = np_sum_distances(xs, norm)
+        with np.errstate(over="ignore"):
+            lost = ~np.isfinite(d.min(axis=0) / tau)
+        assert lost.any() and not lost.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = gmp_weights(xs, tau, norm)
+        assert w.tobytes() == np_sum_gmp_weights(xs, tau, norm).tobytes()
+
     @pytest.mark.parametrize("m", [1, 4, 9])
     def test_combine_keeps_its_bits(self, m):
         rng = np.random.default_rng(m)
@@ -311,6 +329,28 @@ class TestOapWeights:
         assert hit.any() and not hit.all()
         assert np.all(w[:, hit] == 1.0 / k)
         assert w[:, ~hit].tobytes() == (raw[~hit] / total[~hit]).T.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 9])
+    def test_quantized_weights_keep_their_bits(self, k):
+        # the per-anchor totals add the k columns in sequence; the oracle
+        # is np.sum over the short axis, zero totals falling back to 1/k
+        rng = np.random.default_rng(k)
+        entries = rng.integers(0, 256, (lattice_size(5),) * 4 + (k,)).astype(np.uint8)
+        entries[rng.random(entries.shape[:-1]) < 0.3] = 0
+        coeff = CoeffLut(5, 4, k, entries)
+        patches = rng.uniform(0, 255, (3000, 4))
+        patches[::3] = np.floor(patches[::3] / 32.0) * 32.0    # lattice points
+        raw = query_batch(coeff, patches)
+        total = np.sum(raw, axis=1, keepdims=True)
+        want = np.full_like(raw, 1.0 / k)
+        np.divide(raw, total, out=want, where=total > 0.0)
+        assert (total == 0.0).any()
+        w = oap_weights(patches, coeff)
+        assert w.flags.c_contiguous
+        assert w.tobytes() == np.ascontiguousarray(want.T).tobytes()
+        keep = total[:, 0] > 0.0
+        assert oap_weights(patches[keep], coeff).tobytes() == \
+            np.ascontiguousarray(want[keep].T).tobytes()
 
     def test_rejects_signed_table(self):
         # a signed table's biased entries would give weights off the

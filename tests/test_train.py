@@ -618,10 +618,14 @@ class TestStepBuffers:
         # the ensemble is the caller's to keep
         assert not np.shares_memory(tapes[0]["xs"], tapes[1]["xs"])
 
-    def test_warm_oap_step_peak(self):
-        # the benchmark's memory probe: 16 crops of 16x16, S/q4 x2 tables
-        # and a q5 coefficient table; the buffers were grown by the
-        # earlier steps, so a warm step allocates only small temporaries
+    @staticmethod
+    def warm_oap_peak(adam: bool) -> int:
+        """Tracemalloc peak of one warm step, with or without its Adam updates.
+
+        The benchmark's memory probe: 16 crops of 16x16, S/q4 x2 tables
+        and a q5 coefficient table; the buffers were grown by the earlier
+        steps, so a warm step allocates only small temporaries.
+        """
         rng = np.random.default_rng(25)
         coeff = TrainableLut(RealLut(5, 4, 4, np.zeros((lattice_size(5),) * 4 + (4,))))
         tp = TrainablePipeline.zero_init("sr", 2, q=4, pooling="oap", coeff=coeff)
@@ -630,8 +634,9 @@ class TestStepBuffers:
 
         def step(batch):
             assert math.isfinite(forward_backward(tp, batch, cfg)["total"])
-            for param in tp.parameters():
-                adam_step(param.lut.entries, param.grad, param.adam, 0, cfg.lr)
+            if adam:
+                for param in tp.parameters():
+                    adam_step(param.lut.entries, param.grad, param.adam, 0, cfg.lr)
 
         for _ in range(2):
             step(sample_batch(rng, pairs, 16, 2, 16))
@@ -640,11 +645,19 @@ class TestStepBuffers:
         try:
             tracemalloc.reset_peak()
             step(batch)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_warm_oap_step_peak(self):
         # 8.54 MB when the tape, gather, products and Adam slices were fresh
-        assert peak <= 4e6
+        assert self.warm_oap_peak(adam=True) <= 4e6
+
+    def test_warm_oap_forward_backward_peak(self):
+        # 2.24e6 B while the output gradient divided by the pattern count
+        # was a second (k, N, m) array; 1.77e6 B divided in place
+        peak = self.warm_oap_peak(adam=False)
+        assert peak <= 2.0e6, peak
 
 
 class TestCornerWeightCalls:
