@@ -192,7 +192,9 @@ def _float32_axes(table: np.ndarray, frac_dtype) -> int:
 
 
 # Per-thread scratch arrays of the corner fold and the training step,
-# reused across calls.
+# reused across calls.  The training backward pass takes the fold's
+# "fold_rows", "gather" and "frac" slots, which the fold fills only in
+# the forward pass.
 _scratch = threading.local()
 
 

@@ -15,8 +15,8 @@ Because a query is a fixed convex blend of corner entries, the map from
 entries to output is piecewise linear and the chain rule runs through
 the corner weights of the taped queries; fusion weights are
 differentiated through the softmax (and, for the soft-median, through
-the distance terms, recomputed by :func:`lutpool.pooling.gmp_distances`,
-and the log-temperature).  A batch holding NaN, infinite or
+the distance terms, recomputed in the ensemble's own array, and the
+log-temperature).  A batch holding NaN, infinite or
 out-of-range pixels is rejected with ``ValueError`` before the kernel
 runs.
 
@@ -26,8 +26,9 @@ and scatters each output column onto the table with one ``np.bincount``
 over the whole (rotation, corner, row) sequence; bincount adds in input
 order from zero, so every gradient entry is the same sum, in the same
 order, as a per-corner ``np.add.at`` would form.  The tape, the fold's
-gather, the corner arrays, the scatter's products and Adam's two slices
-are per-thread buffers reused from step to step (see
+gather (whose slots the corner arrays and the scatter's products take
+in the backward pass), the output gradient's columns and Adam's two
+slices are per-thread buffers reused from step to step (see
 :func:`lutpool.lut._scratch_array`), so a warm step does not page-fault
 on fresh arrays.
 
@@ -47,8 +48,8 @@ from .lut import (CoeffLut, RealLut, corner_weights, lattice_size, quantize,
                   round_half_away, _check_pixels, _scratch_array)
 from .metrics import psnr
 from .orientation import SQUARE_PATTERN, block_permutation
-from .pipeline import PipelineConfig, restore_image, stage_pass, _to_blocks
-from .pooling import PoolingSpec, gmp_distances, softmax
+from .pipeline import PipelineConfig, restore_image, stage_pass
+from .pooling import PoolingSpec, softmax, _distances
 
 
 class TrainingDivergedError(Exception):
@@ -299,43 +300,57 @@ def sample_batch(rng: np.random.Generator, pairs, crop: int, rs: int,
 
 
 def _loss_and_grad(diff: np.ndarray, kind: str):
+    """Mean loss of the differences ``diff`` and its gradient, written into ``diff``.
+
+    Returns the loss and ``diff`` itself, now holding dL/ddiff: the
+    operations of the out-of-place formulas (``diff / root / count``,
+    ``sign(diff) / count``, ``2.0 * diff / count``), so the same bits.
+    """
     count = diff.size
     if kind == "charbonnier":
-        root = np.sqrt(diff * diff + _CHARBONNIER_EPS * _CHARBONNIER_EPS)
-        return float(np.mean(root)), diff / root / count
-    if kind == "l1":
-        return float(np.mean(np.abs(diff))), np.sign(diff) / count
-    root = diff * diff
-    return float(np.mean(root)), 2.0 * diff / count
+        root = diff * diff
+        root += _CHARBONNIER_EPS * _CHARBONNIER_EPS
+        np.sqrt(root, out=root)
+        loss = float(np.mean(root))
+        diff /= root
+    elif kind == "l1":
+        loss = float(np.mean(np.abs(diff)))
+        np.sign(diff, out=diff)
+    else:
+        loss = float(np.mean(diff * diff))
+        diff *= 2.0
+    diff /= count
+    return loss, diff
 
 
-def _scatter(grad: np.ndarray, queries, gout: np.ndarray) -> None:
+def _scatter(grad: np.ndarray, queries, cols: np.ndarray) -> None:
     """Write ``grad``, shaped like its table, from taped queries and their output gradients.
 
     ``queries`` holds base rows (..., N) and fractions (..., n, N), and
-    ``gout`` (..., N, m) their outputs' gradients.  :func:`corner_weights`
-    forms the corner indices and weights, (..., 2**n, N), per leading
-    index; one ``np.bincount`` per output column then sums weight * gout
-    over the (leading, corner, row) sequence.  It adds from 0.0 in input
-    order, as per-corner ``np.add.at`` calls add onto a zeroed gradient,
-    so the sums round identically; a sum from +0.0 is never -0.0, so
-    assigning it equals adding it onto zeros.  Every entry of ``grad``
-    is overwritten, rows no query read with 0.0.
+    ``cols`` (m, ..., N) their outputs' gradients, one array per table
+    output column.  :func:`corner_weights` forms the corner indices and
+    weights, (..., 2**n, N), per leading index; one ``np.bincount`` per
+    output column then sums weight * gradient over the (leading, corner,
+    row) sequence.  It adds from 0.0 in input order, as per-corner
+    ``np.add.at`` calls add onto a zeroed gradient, so the sums round
+    identically; a sum from +0.0 is never -0.0, so assigning it equals
+    adding it onto zeros.  Every entry of ``grad`` is overwritten, rows
+    no query read with 0.0.
 
-    The corner arrays, the products and gout's columns (copied out once,
-    column-major) live in this thread's reused scratch, so a step
-    allocates only bincount's own table-length result per column.
+    The corner indices, weights and products live in this thread's
+    reused scratch, in the corner fold's slots (``"fold_rows"``,
+    ``"gather"``, ``"frac"``): the fold runs only in the forward pass,
+    so their lifetimes never overlap.  A step allocates only bincount's
+    own table-length result per column.
     """
     rows, frac = queries
     flat_grad = grad.reshape(-1, grad.shape[-1])
     shape = rows.shape[:-1] + (1 << frac.shape[-2], rows.shape[-1])
-    idx = _scratch_array("corners", np.int64, shape)
-    wts = _scratch_array("corners", np.float64, shape)
+    idx = _scratch_array("fold_rows", np.int64, shape)
+    wts = _scratch_array("gather", np.float64, shape)
     for i in np.ndindex(rows.shape[:-1]):
         corner_weights(rows[i], frac[i], grad.shape[0], (idx[i], wts[i]))
-    vals = _scratch_array("scatter", np.float64, shape)
-    cols = _scratch_array("scatter_cols", np.float64, gout.shape[-1:] + gout.shape[:-1])
-    cols[...] = np.moveaxis(gout, -1, 0)
+    vals = _scratch_array("frac", np.float64, shape)
     for j, col in enumerate(cols):
         np.multiply(wts, col[..., None, :], out=vals)
         flat_grad[:, j] = np.bincount(idx.ravel(), vals.ravel(), minlength=len(flat_grad))
@@ -345,15 +360,23 @@ def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):
     """Losses of one batch through the pipeline's stage kernel.
 
     Returns the losses, the fusion weights (k, N), dL/dpred (N, m) and
-    the kernel's tape of queries.
+    the kernel's tape of queries.  dL/dpred is formed in the prediction's
+    own array: the difference to the targets, read through a (B, h, w,
+    rs, rs) view of their blocks, and then the loss gradient.
     """
     _check_pixels(batch.inputs, "batch input")
     _check_pixels(batch.targets, "batch target")
     config = tp.to_config()
+    b, h, w = np.shape(batch.inputs)
+    rs = config.scale
+    if np.shape(batch.targets) != (b, h * rs, w * rs):
+        raise ValueError(f"batch target shape {np.shape(batch.targets)} is not x{rs} "
+                         f"of the input shape {np.shape(batch.inputs)}")
     tape = {}
     pred, alpha = stage_pass(batch.inputs, config, tape=tape)
-    diff = pred - _to_blocks(batch.targets, config.scale)
-    fid, dfid = _loss_and_grad(diff, cfg.loss)
+    diff = pred.reshape(b, h, w, rs, rs)
+    diff -= batch.targets.reshape(b, h, rs, w, rs).transpose(0, 1, 3, 2, 4)
+    fid, dfid = _loss_and_grad(pred, cfg.loss)
 
     reg = 0.0
     if cfg.reg_weight != 0.0:
@@ -374,7 +397,21 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
 
     Each table gradient is scattered exactly once, which overwrites it,
     so only ``tau_grad`` is zeroed first.  Raises ``ValueError`` when the
-    batch holds NaN, infinite or out-of-range pixels.
+    batch holds NaN, infinite or out-of-range pixels, or targets that are
+    not the pipeline's scale times its inputs.
+
+    The step holds only what its backward still reads.  The tape's
+    (k, N, m) ensemble gives dL/dalpha (one ``einsum``) and is dropped;
+    for gmp it first becomes, in place, the deviations from the mean and
+    then the distance terms.  The regularizer term and the softmax
+    backward are formed in one reused (k, N) buffer, and the coefficient
+    table is scattered from the softmax backward's rows.  Only then is
+    each rotation's output gradient, alpha * dL/dpred (plus gmp's
+    distance term), written column by column into this thread's (m, k, N)
+    ``"scatter_cols"`` buffer: the block permutation is undone by the
+    destination column, and the whole buffer is divided by the pattern
+    count once.  Every operation is the one, in the order, of the
+    out-of-place formulas, so every gradient keeps its bits.
     """
     tp.tau_grad[...] = 0.0
     losses, alpha, g, tape = _forward(tp, batch, cfg)   # g: dL/dpred, (N, m)
@@ -384,43 +421,67 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
     xs = tape.pop("xs")
     k, count, m = xs.shape
     npat = len(config.patterns)
-
-    grad_xs = alpha[:, :, None] * g[None]       # direct path through the blend
-
-    if pool.kind in ("gmp", "oap"):
-        c = np.einsum("nm,knm->kn", g, xs)      # dL/dalpha
-        if cfg.reg_weight != 0.0:
-            c = c + cfg.reg_weight * (
-                np.log(np.maximum(alpha, 1e-300)) + 1.0) / count
-        # dL/du of alpha = softmax(u) over orientations, (k, N)
-        s = alpha * (c - np.sum(alpha * c, axis=0, keepdims=True))
-    if pool.kind == "gmp":
-        dist, dev, _ = gmp_distances(xs, pool.norm)
+    # gmp's distance terms are formed in the ensemble's own array; the
+    # other fusions drop it once dL/dalpha is formed
+    terms = xs if pool.kind == "gmp" else None
+    s = np.einsum("nm,knm->kn", g, xs) if pool.kind != "average" else None  # dL/dalpha
     del xs
 
+    if s is not None:
+        buf = np.empty_like(s)
+        if cfg.reg_weight != 0.0:
+            # dL/dalpha + reg_weight * (log(max(alpha, 1e-300)) + 1) / count
+            np.maximum(alpha, 1e-300, out=buf)
+            np.log(buf, out=buf)
+            buf += 1.0
+            buf *= cfg.reg_weight
+            buf /= count
+            s += buf
+        # dL/du of alpha = softmax(u) over orientations, (k, N):
+        # alpha * (c - sum(alpha * c)), c = dL/dalpha
+        np.multiply(alpha, s, out=buf)
+        s -= np.sum(buf, axis=0, keepdims=True)
+        s *= alpha
+        del buf
+
     if pool.kind == "gmp":
+        # in place: the deviations from the mean, their unit (l2) or sign
+        # (l1) vectors, t = d(dist) * unit with u_i = -dist_i / tau, and
+        # t - mean(t), the distance term of each rotation's gradient
         tau = pool.tau
-        ddist = -s / tau                         # u_i = -dist_i / tau
+        mean = np.mean(terms, axis=0)
+        dist = _distances(terms, mean, pool.norm)
+        terms -= mean
+        del mean
         if tp.tau_trainable:
             tp.tau_grad[0] = float(np.sum(s * dist) / tau)
         if pool.norm == "l2":
-            unit = dev / np.maximum(dist, 1e-300)[:, :, None]
+            terms /= np.maximum(dist, 1e-300)[:, :, None]
         else:
-            unit = np.sign(dev)
-        del dev
-        t = ddist[:, :, None] * unit
-        grad_xs += t - t.sum(axis=0, keepdims=True) / k
+            np.sign(terms, out=terms)
+        del dist
+        terms *= (-s / tau)[:, :, None]
+        mean = terms.sum(axis=0)
+        mean /= k
+        terms -= mean
+        del mean
     elif pool.kind == "oap":                     # u: the coefficient table's logits
-        _scatter(tp.coeff.grad, tape.pop("coeff"), s.T)
+        _scatter(tp.coeff.grad, tape.pop("coeff"), s)
+    del s
 
-    # per-rotation output gradient, block permutation undone; in place, so
-    # no second (k, N, m) array lives through the scatter
-    grad_xs /= npat
-    if m > 1:
-        for ri, r in enumerate(config.orientations.rotations):
-            grad_xs[ri][:, block_permutation(m, r)] = grad_xs[ri].copy()
+    # each rotation's output gradient alpha * g (+ gmp's distance term),
+    # written to the column its block permutation sends it to
+    cols = _scratch_array("scatter_cols", np.float64, (m, k, count))
+    for ri, r in enumerate(config.orientations.rotations):
+        for j, dst in enumerate(block_permutation(m, r)):
+            col = cols[dst, ri]
+            np.multiply(alpha[ri], g[:, j], out=col)
+            if terms is not None:
+                col += terms[ri, :, j]
+    cols /= npat
+    del g, alpha, terms
     for tl, queries in zip(tp.luts, tape.pop("queries")):
-        _scatter(tl.grad, queries, grad_xs)
+        _scatter(tl.grad, queries, cols)
 
     return losses
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -48,12 +49,12 @@ from lutpool import (
     sample_batch,
     train,
 )
-from lutpool.lut import _CELL_TABLE_BYTES, corner_weights
+from lutpool.lut import _CELL_TABLE_BYTES, _scratch, corner_weights
 from lutpool.orientation import (DIAGONAL_PATTERN, SQUARE_PATTERN, WYE_PATTERN,
                                  block_permutation)
-from lutpool.pipeline import _resize_axis, _run_real, pixel_shuffle, stage_pass
+from lutpool.pipeline import _resize_axis, _run_real, _to_blocks, pixel_shuffle, stage_pass
 from lutpool.pooling import softmax
-from lutpool.train import _loss_and_grad, _to_blocks
+from lutpool.train import _loss_and_grad
 
 PAIR = KernelPattern("S2", ((0, 0), (0, 1)))
 SINGLE = KernelPattern("P1", ((0, 0),))
@@ -496,14 +497,16 @@ FUSIONS = {
 }
 
 
-def oracle_pipeline(rng, task, fusion, patterns):
+def oracle_pipeline(rng, task, fusion, patterns, scale=2, rotations=(0, 1, 2, 3)):
+    """A step-ready pipeline of random tables; ``scale`` applies to sr."""
     spec = FUSIONS[fusion]
     q = 5
-    scale = 2 if task == "sr" else 1
-    kw = {}
+    scale = scale if task == "sr" else 1
+    k = len(rotations)
+    kw = {"orientations": OrientationSet(tuple(rotations))}
     if spec["pooling"] == "oap":
-        shape = (lattice_size(q),) * 4 + (4,)
-        kw["coeff"] = TrainableLut(RealLut(q, 4, 4, rng.normal(0, 1, shape)))
+        shape = (lattice_size(q),) * 4 + (k,)
+        kw["coeff"] = TrainableLut(RealLut(q, 4, k, rng.normal(0, 1, shape)))
     if spec["pooling"] == "gmp":
         kw["norm"] = spec["norm"]
     tp = TrainablePipeline.zero_init(task, scale, q=q, patterns=patterns,
@@ -543,6 +546,22 @@ class TestVectorizedStep:
         inputs = rng.uniform(0, 255, (3, 6, 6))
         inputs[0] = np.round(inputs[0])         # lattice-aligned and exact values
         batch = Batch(inputs, rng.uniform(0, 255, (3, 6 * rs, 6 * rs)))
+        assert_step_matches_reference(tp, batch, cfg)
+
+    @pytest.mark.parametrize("rotations", [(1, 3), (0, 1, 3), (3,)],
+                             ids=lambda r: "".join(map(str, r)))
+    @pytest.mark.parametrize("scale", [2, 3])
+    @pytest.mark.parametrize("fusion", ["gmp-l2", "oap"])
+    def test_orientation_subsets(self, fusion, scale, rotations):
+        # each rotation's gradient is written to the columns its block
+        # permutation picks; a subset without turn 0, or with turn 3
+        # alone, puts no rotation at its own index
+        rng = np.random.default_rng(26)
+        tp, cfg = oracle_pipeline(rng, "sr", fusion, [SQUARE_PATTERN, DIAGONAL_PATTERN],
+                                  scale=scale, rotations=rotations)
+        inputs = rng.uniform(0, 255, (2, 5, 6))
+        inputs[0] = np.round(inputs[0])
+        batch = Batch(inputs, rng.uniform(0, 255, (2, 5 * scale, 6 * scale)))
         assert_step_matches_reference(tp, batch, cfg)
 
     @pytest.mark.parametrize("fusion", sorted(FUSIONS))
@@ -619,45 +638,79 @@ class TestStepBuffers:
         assert not np.shares_memory(tapes[0]["xs"], tapes[1]["xs"])
 
     @staticmethod
-    def warm_oap_peak(adam: bool) -> int:
-        """Tracemalloc peak of one warm step, with or without its Adam updates.
+    def warm_step(pooling: str = "oap", adam: bool = False, norm: str = "l2"):
+        """Tracemalloc peak of the third step on a fresh thread, and its scratch bytes.
 
         The benchmark's memory probe: 16 crops of 16x16, S/q4 x2 tables
-        and a q5 coefficient table; the buffers were grown by the earlier
-        steps, so a warm step allocates only small temporaries.
+        and, for oap, a q5 coefficient table; gmp trains its temperature
+        under the l2 norm.  The buffers were grown by the two earlier
+        steps, so a warm step allocates only small temporaries.  The
+        thread starts with no scratch, so the bytes it holds after the
+        three steps are what a training thread keeps.
         """
-        rng = np.random.default_rng(25)
-        coeff = TrainableLut(RealLut(5, 4, 4, np.zeros((lattice_size(5),) * 4 + (4,))))
-        tp = TrainablePipeline.zero_init("sr", 2, q=4, pooling="oap", coeff=coeff)
-        pairs = sr_pairs(count=4, size=48, seed=2)
-        cfg = TrainConfig(iterations=1, batch_size=16, crop=16, lr=5e-2)
+        def run():
+            rng = np.random.default_rng(25)
+            kw = {"norm": norm}
+            if pooling == "oap":
+                kw["coeff"] = TrainableLut(
+                    RealLut(5, 4, 4, np.zeros((lattice_size(5),) * 4 + (4,))))
+            tp = TrainablePipeline.zero_init("sr", 2, q=4, pooling=pooling, **kw)
+            tp.tau_trainable = pooling == "gmp" and norm == "l2"
+            pairs = sr_pairs(count=4, size=48, seed=2)
+            cfg = TrainConfig(iterations=1, batch_size=16, crop=16, lr=5e-2)
 
-        def step(batch):
-            assert math.isfinite(forward_backward(tp, batch, cfg)["total"])
-            if adam:
-                for param in tp.parameters():
-                    adam_step(param.lut.entries, param.grad, param.adam, 0, cfg.lr)
+            def step(batch):
+                assert math.isfinite(forward_backward(tp, batch, cfg)["total"])
+                if adam:
+                    for param in tp.parameters():
+                        adam_step(param.lut.entries, param.grad, param.adam, 0, cfg.lr)
 
-        for _ in range(2):
-            step(sample_batch(rng, pairs, 16, 2, 16))
-        batch = sample_batch(rng, pairs, 16, 2, 16)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            step(batch)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            for _ in range(2):
+                step(sample_batch(rng, pairs, 16, 2, 16))
+            batch = sample_batch(rng, pairs, 16, 2, 16)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                step(batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, sum(buf.nbytes for buf in _scratch.buffers.values())
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            return pool.submit(run).result()
 
     def test_warm_oap_step_peak(self):
         # 8.54 MB when the tape, gather, products and Adam slices were fresh
-        assert self.warm_oap_peak(adam=True) <= 4e6
+        peak, _ = self.warm_step(adam=True)
+        assert peak <= 4e6, peak
 
     def test_warm_oap_forward_backward_peak(self):
         # 2.24e6 B while the output gradient divided by the pattern count
-        # was a second (k, N, m) array; 1.77e6 B divided in place
-        peak = self.warm_oap_peak(adam=False)
-        assert peak <= 2.0e6, peak
+        # was a second (k, N, m) array; 1.77e6 B divided in place, while
+        # the ensemble, the output gradient and a per-rotation copy lived
+        # through the scatter; 1.07e6 B, the taped stage pass's own peak,
+        # since the ensemble is dropped before any rotation gradient exists
+        peak, _ = self.warm_step()
+        assert peak <= 1.15e6, peak
+
+    def test_warm_average_forward_backward_peak(self):
+        # 1.33e6 B with the (k, N, m) output gradient; 0.94e6 B without
+        peak, _ = self.warm_step("average")
+        assert peak <= 1.0e6, peak
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_warm_gmp_forward_backward_peak(self, norm):
+        # 3.16e6 B with the deviations, unit vectors and distance terms as
+        # separate (k, N, m) arrays; 1.31e6 B formed in the ensemble's own
+        peak, _ = self.warm_step("gmp", norm=norm)
+        assert peak <= 1.4e6, peak
+
+    def test_scratch_of_warm_oap_steps(self):
+        # 11.20e6 B when the scatter's corner indices, weights and products
+        # kept slots of their own beside the corner fold's; 8.05e6 B shared
+        _, scratch = self.warm_step(adam=True)
+        assert scratch <= 8.2e6, scratch
 
 
 class TestCornerWeightCalls:
@@ -892,6 +945,17 @@ class TestTrainingLoop:
         (batch.inputs if member == "input" else batch.targets)[1, 3, 5] = bad
         tp = TrainablePipeline.zero_init("sr", 2, q=4)
         with pytest.raises(ValueError, match=f"batch {member} pixels must be finite"):
+            step(tp, batch, self.run_config())
+
+    @pytest.mark.parametrize("shape", [(2, 32, 8), (2, 16, 17), (2, 8, 8)])
+    @pytest.mark.parametrize("step", [forward_backward, loss_only])
+    def test_batch_target_shape_checked(self, step, shape):
+        # (2, 32, 8) holds as many pixels as the (2, 16, 16) targets of
+        # x2 crops of 8x8, so only the shape tells it apart
+        rng = np.random.default_rng(24)
+        batch = Batch(rng.uniform(0, 255, (2, 8, 8)), rng.uniform(0, 255, shape))
+        tp = TrainablePipeline.zero_init("sr", 2, q=4)
+        with pytest.raises(ValueError, match=r"batch target shape .* is not x2"):
             step(tp, batch, self.run_config())
 
     @pytest.mark.parametrize("dtype", [np.complex128, object, np.str_, np.bool_])
