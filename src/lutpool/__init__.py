@@ -54,7 +54,6 @@ from .pooling import (
     fuse_average,
     fuse_gmp,
     fuse_oap,
-    gmp_distances,
     gmp_weights,
     oap_weights,
     softmax,

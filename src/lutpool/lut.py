@@ -29,9 +29,10 @@ tables and real tables, which training writes in place, gather their
 ``2**n`` corners from the lattice rows, whose base rows count the
 ``2**(8-q) + 1`` lattice points.
 
-The stage pass, the training tape and :func:`query_batch` all read a
-table through :func:`_read`, which acts on these choices in one place;
-a training tape also keeps each query's base rows and fractions.
+The stage pass and :func:`query_batch` read a table through
+:func:`_read`, which acts on these choices in one place.  The training
+backward pass forms each query's lattice base rows and corner weights
+(:func:`corner_weights`) again from the batch.
 
 Two in-memory forms exist:
 
@@ -193,8 +194,8 @@ def _float32_axes(table: np.ndarray, frac_dtype) -> int:
 
 # Per-thread scratch arrays of the corner fold and the training step,
 # reused across calls.  The training backward pass takes the fold's
-# "fold_rows", "gather" and "frac" slots, which the fold fills only in
-# the forward pass.
+# "fold_rows", "gather" and "frac" slots for its corner indices, weights
+# and products; the fold fills them only in the forward pass.
 _scratch = threading.local()
 
 
@@ -538,27 +539,22 @@ def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray,
                          np.ascontiguousarray(frac.T), bias)
 
 
-def _read(lut, cells, fracs, tape=None) -> np.ndarray:
+def _read(lut, query) -> np.ndarray:
     """Outputs (N, m) float64 of ``lut`` at N queries given axis by axis.
 
-    ``cells`` and ``fracs`` hold one equally shaped array of N uint8
-    lattice cells and in-cell fractions per table input axis: shifted
-    views of a stage's planes, or the rows of a decomposed patch batch.
+    ``query`` is a (cells, fracs) pair, each holding one equally shaped
+    array of N uint8 lattice cells or in-cell fractions per table input
+    axis: shifted views of a stage's planes, or the rows of a decomposed
+    patch batch.
 
     The corner fold (:func:`_fold_corners`) reads the stored entries and
     removes the bias.  Base rows count the cells of the table's own cell
     table (its ``_cells``) where it keeps one, lattice points otherwise.
-    A training tape's pair of (N,) int64 and (n, N) float64 arrays as
-    ``tape`` receives the lattice base rows and fractions that the fold
-    then reads, for the backward pass; a tape never reads a cell table.
     """
-    packed = None if tape is not None else lut._cells
+    cells, fracs = query
+    packed = lut._cells
     rows = _flat_rows(cells, lut.lattice_points - (packed is not None)).reshape(-1)
     frac = np.asarray(fracs).reshape(len(fracs), -1)
-    if tape is not None:
-        np.copyto(tape[0], rows)
-        np.copyto(tape[1], frac)
-        rows, frac = tape
     return _fold_corners(lut.entries, rows, frac, lut.bias, packed)
 
 
@@ -594,7 +590,7 @@ def query_batch(lut, patches) -> np.ndarray:
     if patches.ndim != 2 or patches.shape[1] != lut.n:
         raise ValueError(f"patch batch must have shape (N, {lut.n})")
     _check_pixels(patches, "patch")
-    return _read(lut, *_decompose_arrays(np.ascontiguousarray(patches.T), lut.q))
+    return _read(lut, _decompose_arrays(np.ascontiguousarray(patches.T), lut.q))
 
 
 _BAKE_POINTS = 4096   # lattice points per oracle call of bake_real

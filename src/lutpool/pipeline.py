@@ -8,7 +8,7 @@ pixel shuffle; earlier cascade stages refine at unit scale (m == 1).
 
 One kernel, :func:`stage_pass`, runs a stage on a band of rows of a
 (B, h, w) stack: training passes a whole batch of crops with a tape
-that keeps the queries its gradient needs, and a restored
+that keeps the prediction ensemble its gradient needs, and a restored
 image, a stack of one, runs each stage over bands of whole rows of at
 most ``_BAND_VALUES`` table values: 2**14 anchors at unit scale, 2**14 /
 rs**2 for an rs-fold stage, so that each table read of a band is one
@@ -19,11 +19,11 @@ An image streams each stage's bands into their rows of the stage's
 output raster, so only the stage's input and output are frame-sized:
 the input image is read as it is (an integer-typed one is widened band
 by band), the last stage writes uint8 rows, and fusion weights are kept
-whole only when a later stage shares them.  Each band decomposes each
-pixel once per table spacing q, into a lattice-cell plane and a
-fraction plane; every oriented query hands shifted views of those
-planes to :func:`lutpool.lut._read`, which owns how a table is read
-and at what precision.
+whole only when a later stage shares them.  :func:`_stage_queries`
+alone says which queries a stage makes, in which order: shifted views
+of a band's lattice-cell and fraction planes, decomposed once per table
+spacing q, each read by :func:`lutpool.lut._read`, which owns how a
+table is read and at what precision.
 
 Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
@@ -50,13 +50,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from typing import ClassVar
 
 import numpy as np
 
 from .lut import (QuantizedLut, RealLut, load_lut, save_lut,
-                  _CHUNK_ROWS, _check_pixels, _decompose_arrays, _read, _scratch_array)
+                  _CHUNK_ROWS, _check_pixels, _decompose_arrays, _read)
 # Kept as module attributes although the stage kernel calls neither:
 # perfbench/tracing.py wraps ``pipeline.real_table`` and
 # ``pipeline.interpolate`` by name.
@@ -274,19 +274,43 @@ def pixel_shuffle(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(h * rs, w * rs)
 
 
-def _to_blocks(raster: np.ndarray, rs: int) -> np.ndarray:
-    """(B, h*rs, w*rs) rasters -> (B*h*w, rs*rs) per-anchor blocks."""
-    b, hh, ww = raster.shape
-    h, w = hh // rs, ww // rs
-    return (raster.reshape(b, h, rs, w, rs)
-            .transpose(0, 1, 3, 2, 4)
-            .reshape(b * h * w, rs * rs))
+def _stage_queries(stack: np.ndarray, config: PipelineConfig, t: int = 0,
+                   y0: int = 0, y1: int | None = None, coeff: bool = False):
+    """Yield stage ``t``'s table queries on rows [y0, y1) of a (B, h, w) stack, in read order.
 
+    First the oap coefficient table's query when ``coeff`` is set, then
+    each (rotation, pattern) one, rotation by rotation.  A query is what
+    :func:`~lutpool.lut._read` takes: a (cells, fracs) pair of lists,
+    one (B, y1 - y0, w) view per table input axis into the planes of the
+    table's q, at the (rotated) pattern offset.  The rows are edge-padded
+    by :func:`_padded_rows` by the widest pattern reach, exactly as in
+    the whole stack's padding, and decomposed once per distinct q into
+    two planes, uint8 lattice cells and in-cell fractions.  Each query's
+    views are made as it is reached; the planes live until the generator
+    and every view are dropped.
+    """
+    _, h, w = stack.shape
+    if y1 is None:
+        y1 = h
+    pool = config.pooling
+    stage_luts = config.stages[t]
+    pad = max(p.reach for p in (*config.patterns, config.coeff_pattern))
+    padded = _padded_rows(stack, y0, y1, pad, pad)
+    qs = {table.q for table in stage_luts} | ({pool.coeff_lut.q} if coeff else set())
+    planes = {q: _decompose_arrays(padded, q) for q in qs}
+    del padded
 
-def _tape_arrays(slot: str, shape):
-    """A tape's base rows (int64) and fractions (float64, ``shape`` (..., n, N)), from scratch."""
-    return (_scratch_array(slot, np.int64, shape[:-2] + shape[-1:]),
-            _scratch_array(slot, np.float64, shape))
+    def views(table, offsets):
+        cells, fracs = planes[table.q]
+        at = [np.s_[:, pad + dr:pad + dr + y1 - y0, pad + dc:pad + dc + w]
+              for dr, dc in offsets]
+        return [cells[v] for v in at], [fracs[v] for v in at]
+
+    if coeff:
+        yield views(pool.coeff_lut, config.coeff_pattern.offsets)
+    for r in config.orientations.rotations:
+        for pattern, table in zip(config.patterns, stage_luts):
+            yield views(table, pattern.rotated(r))
 
 
 def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
@@ -302,18 +326,14 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     runs this once per band of whole rows of at most ``_BAND_VALUES``
     values, N * rs * rs.
 
-    The rows are edge-padded by :func:`_padded_rows`, exactly as in the
-    whole stack's padding.  An output pixel depends only on its
-    receptive field, so bands give the bits of one whole-stack pass.
-    The padded rows, which may be integer-typed (an image as it was
-    given), are decomposed once per distinct sampling exponent q among
-    the stage tables (and the oap coefficient table) into two planes,
-    uint8 lattice cells and in-cell fractions, and the padded copy is
-    dropped.  Every (rotation, pattern) query reads its table through
-    :func:`~lutpool.lut._read` at the pattern's shifted views of the
-    planes; each rotation's pattern outputs are averaged and unrotated,
-    and each table read's output is dropped once it is summed.  Average
-    and oap weights are known before the first read, so at inference each
+    The queries, and the order they are read in, are those of
+    :func:`_stage_queries`: the coefficient table's first when the stage
+    computes oap weights, then every (rotation, pattern) one, each read
+    through :func:`~lutpool.lut._read`.  An output pixel depends only on
+    its receptive field, so bands give the bits of one whole-stack pass.
+    Each rotation's pattern outputs are averaged and unrotated, and each
+    table read's output is dropped once it is summed.  Average and oap
+    weights are known before the first read, so at inference each
     unrotated rotation is weighed and summed into the result as soon as
     it is complete, in :func:`~lutpool.pooling.combine`'s order and with
     its bits; gmp, and every taped pass, fill the (k, N, rs*rs) ensemble
@@ -322,13 +342,9 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
 
     Training passes a dict as ``tape`` over the whole stack; every table,
     the oap coefficient table included, is read as inference reads it.
-    The tape holds what the backward pass needs -- ``"xs"`` (the
-    ensemble), ``"queries"`` (per pattern, (k, N) lattice base rows and
-    (k, n, N) fractions) and, when the stage computed oap weights,
-    ``"coeff"`` ((N,) and (n, N)).  The query arrays live in this
-    thread's scratch (:func:`_tape_arrays`), reused from step to step, so
-    a tape is valid only until the next taped pass on the same thread:
-    consume it first, as ``forward_backward`` does.
+    The tape receives the ensemble, an array of its own, as ``"xs"``;
+    the backward pass forms the queries again from the stack through
+    :func:`_stage_queries`.
     """
     b, h, w = stack.shape
     if y1 is None:
@@ -341,28 +357,11 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     k = len(rotations)
     npat = len(stage_luts)
     need_alpha = pool.kind == "oap" and alpha is None
-    # one padding serves the stage patterns and the coefficient pattern
-    pad = max(p.reach for p in (*config.patterns, config.coeff_pattern))
-    padded = _padded_rows(stack, y0, y1, pad, pad)
-    qs = {table.q for table in stage_luts} | ({pool.coeff_lut.q} if need_alpha else set())
-    planes = {q: _decompose_arrays(padded, q) for q in qs}
-    del padded
-
-    def read(table, offsets, queries=None):
-        # the (B, y1 - y0, w) view of both planes at each pattern offset
-        cells, fracs = planes[table.q]
-        views = [np.s_[:, pad + dr:pad + dr + y1 - y0, pad + dc:pad + dc + w]
-                 for dr, dc in offsets]
-        return _read(table, [cells[v] for v in views], [fracs[v] for v in views], queries)
-
+    queries = _stage_queries(stack, config, t, y0, y1, need_alpha)
     if need_alpha:
-        cp, coeff = config.coeff_pattern, pool.coeff_lut
-        queries = None
-        if tape is not None:
-            queries = tape["coeff"] = _tape_arrays("coeff", (cp.n, count))
         if counters is not None:
             counters.coeff_queries += count
-        alpha = oap_weights(cp.offsets, coeff, query=partial(read, queries=queries))
+        alpha = oap_weights(next(queries), pool.coeff_lut, query=_read)
 
     # average and oap weights are known before the first read, so each
     # rotation's prediction is weighed and summed into pred as soon as it
@@ -372,18 +371,11 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
         weights = alpha if pool.kind == "oap" else average_weights(k, count)
     else:
         xs = np.empty((k, count, m))
-    if tape is not None:
-        tape["queries"] = [_tape_arrays(f"queries{pi}", (k, p.n, count))
-                           for pi, p in enumerate(config.patterns)]
     for ri, r in enumerate(rotations):
         # the rotation's pattern outputs / npat, summed onto +0.0 in the
         # first one's array, each dropped once it is added
-        for pi, (pattern, table) in enumerate(zip(config.patterns, stage_luts)):
-            queries = None
-            if tape is not None:
-                rows, fracs = tape["queries"][pi]
-                queries = (rows[ri], fracs[ri])
-            out = read(table, pattern.rotated(r), queries)
+        for pi, table in enumerate(stage_luts):
+            out = _read(table, next(queries))
             if counters is not None:
                 counters.lut_queries += count
             out /= npat
@@ -409,7 +401,7 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
                 pred = x
                 pred += 0.0
         del x
-    del planes
+    del queries                 # and with it the planes
 
     if not stream:
         if pool.kind == "average":

@@ -84,15 +84,6 @@ def average_weights(k: int, count: int) -> np.ndarray:
     return np.broadcast_to(1.0 / k, (k, count))
 
 
-def gmp_distances(xs: np.ndarray, norm: str = "l2"):
-    """Distance of each prediction from the ensemble mean, (k, N).
-
-    Also returns the deviations from the mean (k, N, m) and the mean.
-    """
-    mean = np.mean(xs, axis=0)
-    return _distances(xs, mean, norm), xs - mean[None], mean
-
-
 def _distances(xs: np.ndarray, mean: np.ndarray, norm: str) -> np.ndarray:
     """l1 or l2 distance of each prediction (k, N, m) from ``mean`` (N, m).
 
@@ -161,12 +152,12 @@ def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
 
     ``query(coeff, patches)`` reads the coefficient table; it defaults to
     :func:`query_batch`, which also range-checks the patches.  The
-    pipeline passes its own query, and as ``patches`` the coefficient
-    pattern's offsets into the planes it has already decomposed.  A
-    RealLut holds logits, softmaxed per anchor; a quantized table holds
-    unsigned weights, normalized per anchor.  A signed one raises
-    ``TypeError`` before it is read: its biased entries dequantize to
-    negative weights, off the simplex.
+    pipeline passes :func:`lutpool.lut._read` instead, and as ``patches``
+    the coefficient table's query, views of the planes it has already
+    decomposed.  A RealLut holds logits, softmaxed per anchor; a
+    quantized table holds unsigned weights, normalized per anchor.  A
+    signed one raises ``TypeError`` before it is read: its biased entries
+    dequantize to negative weights, off the simplex.
     """
     real = isinstance(coeff, RealLut)
     if not real and not (isinstance(coeff, QuantizedLut) and not coeff.signed):

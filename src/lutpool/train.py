@@ -13,24 +13,24 @@ from the stage's cell and fraction planes through the corner fold that
 inference runs, block unrotation, fusion, optional residual baseline.
 Because a query is a fixed convex blend of corner entries, the map from
 entries to output is piecewise linear and the chain rule runs through
-the corner weights of the taped queries; fusion weights are
+the corner weights of the pass's queries; fusion weights are
 differentiated through the softmax (and, for the soft-median, through
 the distance terms, recomputed in the ensemble's own array, and the
 log-temperature).  A batch holding NaN, infinite or
 out-of-range pixels is rejected with ``ValueError`` before the kernel
 runs.
 
-The tape keeps each (pattern, rotation)'s lattice base rows and
-fractions.  The backward pass forms their corner indices and weights
-and scatters each output column onto the table with one ``np.bincount``
-over the whole (rotation, corner, row) sequence; bincount adds in input
-order from zero, so every gradient entry is the same sum, in the same
-order, as a per-corner ``np.add.at`` would form.  The tape, the fold's
-gather (whose slots the corner arrays and the scatter's products take
-in the backward pass), the output gradient's columns and Adam's two
-slices are per-thread buffers reused from step to step (see
-:func:`lutpool.lut._scratch_array`), so a warm step does not page-fault
-on fresh arrays.
+The tape keeps only the (k, N, m) ensemble.  The backward pass forms
+each query again from the batch (:func:`lutpool.pipeline._stage_queries`),
+then its corner indices and weights, and scatters each output column
+onto the table with one ``np.bincount`` over the whole (rotation,
+corner, row) sequence; bincount adds in input order from zero, so every
+gradient entry is the same sum, in the same order, as a per-corner
+``np.add.at`` would form.  The fold's gather (whose slots the corner
+arrays and the scatter's products take in the backward pass), the
+output gradient's columns and Adam's two slices are per-thread buffers
+reused from step to step (see :func:`lutpool.lut._scratch_array`), so a
+warm step does not page-fault on fresh arrays.
 
 Everything is float64 numpy with a seeded generator and fixed reduction
 order, so a (seed, config) pair reproduces training bit for bit.
@@ -45,10 +45,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lut import (CoeffLut, RealLut, corner_weights, lattice_size, quantize,
-                  round_half_away, _check_pixels, _scratch_array)
+                  round_half_away, _check_pixels, _flat_rows, _scratch_array)
 from .metrics import psnr
 from .orientation import SQUARE_PATTERN, block_permutation
-from .pipeline import PipelineConfig, restore_image, stage_pass
+from .pipeline import PipelineConfig, restore_image, stage_pass, _stage_queries
 from .pooling import PoolingSpec, softmax, _distances
 
 
@@ -324,32 +324,39 @@ def _loss_and_grad(diff: np.ndarray, kind: str):
 
 
 def _scatter(grad: np.ndarray, queries, cols: np.ndarray) -> None:
-    """Write ``grad``, shaped like its table, from taped queries and their output gradients.
+    """Write ``grad``, shaped like its table, from queries and their output gradients.
 
-    ``queries`` holds base rows (..., N) and fractions (..., n, N), and
-    ``cols`` (m, ..., N) their outputs' gradients, one array per table
-    output column.  :func:`corner_weights` forms the corner indices and
-    weights, (..., 2**n, N), per leading index; one ``np.bincount`` per
-    output column then sums weight * gradient over the (leading, corner,
-    row) sequence.  It adds from 0.0 in input order, as per-corner
-    ``np.add.at`` calls add onto a zeroed gradient, so the sums round
-    identically; a sum from +0.0 is never -0.0, so assigning it equals
-    adding it onto zeros.  Every entry of ``grad`` is overwritten, rows
-    no query read with 0.0.
+    ``queries`` holds the table's (cells, fracs) queries of N anchors as
+    the stage pass read them, and ``cols`` (m, len(queries), N) their
+    outputs' gradients, one array per table output column.  Each query's
+    lattice base rows and float64 fractions give its corner indices and
+    weights, (2**n, N), through :func:`corner_weights`; one
+    ``np.bincount`` per output column then sums weight * gradient over
+    the (query, corner, row) sequence.  It adds from 0.0 in input
+    order, as per-corner ``np.add.at`` calls add onto a zeroed gradient,
+    so the sums round identically; a sum from +0.0 is never -0.0, so
+    assigning it equals adding it onto zeros.  Every entry of ``grad`` is
+    overwritten, rows no query read with 0.0.
 
     The corner indices, weights and products live in this thread's
     reused scratch, in the corner fold's slots (``"fold_rows"``,
     ``"gather"``, ``"frac"``): the fold runs only in the forward pass,
-    so their lifetimes never overlap.  A step allocates only bincount's
-    own table-length result per column.
+    so their lifetimes never overlap; so do each query's fractions.  A
+    step allocates only a query's base rows and bincount's own
+    table-length result per column.
     """
-    rows, frac = queries
     flat_grad = grad.reshape(-1, grad.shape[-1])
-    shape = rows.shape[:-1] + (1 << frac.shape[-2], rows.shape[-1])
+    lattice, n = grad.shape[0], grad.ndim - 1
+    shape = (len(queries), 1 << n, cols.shape[-1])
     idx = _scratch_array("fold_rows", np.int64, shape)
     wts = _scratch_array("gather", np.float64, shape)
-    for i in np.ndindex(rows.shape[:-1]):
-        corner_weights(rows[i], frac[i], grad.shape[0], (idx[i], wts[i]))
+    for (cells, fracs), out in zip(queries, zip(idx, wts)):
+        # each query's float64 fractions in the products' slot, not yet in use
+        frac = _scratch_array("frac", np.float64, (n,) + fracs[0].shape)
+        for d, f in enumerate(fracs):
+            frac[d] = f
+        corner_weights(_flat_rows(cells, lattice).reshape(-1), frac.reshape(n, -1),
+                       lattice, out)
     vals = _scratch_array("frac", np.float64, shape)
     for j, col in enumerate(cols):
         np.multiply(wts, col[..., None, :], out=vals)
@@ -360,7 +367,7 @@ def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):
     """Losses of one batch through the pipeline's stage kernel.
 
     Returns the losses, the fusion weights (k, N), dL/dpred (N, m) and
-    the kernel's tape of queries.  dL/dpred is formed in the prediction's
+    the kernel's (k, N, m) ensemble.  dL/dpred is formed in the prediction's
     own array: the difference to the targets, read through a (B, h, w,
     rs, rs) view of their blocks, and then the loss gradient.
     """
@@ -383,7 +390,7 @@ def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):
         reg = entropy_regularizer(alpha.T)
     total = fid + cfg.reg_weight * reg
     losses = {"total": total, "fidelity": fid, "regularizer": reg}
-    return losses, alpha, dfid, tape
+    return losses, alpha, dfid, tape["xs"]
 
 
 def loss_only(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig) -> float:
@@ -400,7 +407,7 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
     batch holds NaN, infinite or out-of-range pixels, or targets that are
     not the pipeline's scale times its inputs.
 
-    The step holds only what its backward still reads.  The tape's
+    The step holds only what its backward still reads.  The taped
     (k, N, m) ensemble gives dL/dalpha (one ``einsum``) and is dropped;
     for gmp it first becomes, in place, the deviations from the mean and
     then the distance terms.  The regularizer term and the softmax
@@ -414,11 +421,10 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
     out-of-place formulas, so every gradient keeps its bits.
     """
     tp.tau_grad[...] = 0.0
-    losses, alpha, g, tape = _forward(tp, batch, cfg)   # g: dL/dpred, (N, m)
+    losses, alpha, g, xs = _forward(tp, batch, cfg)   # g: dL/dpred, (N, m)
     config = tp.config
     pool = config.pooling
 
-    xs = tape.pop("xs")
     k, count, m = xs.shape
     npat = len(config.patterns)
     # gmp's distance terms are formed in the ensemble's own array; the
@@ -465,8 +471,10 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
         mean /= k
         terms -= mean
         del mean
-    elif pool.kind == "oap":                     # u: the coefficient table's logits
-        _scatter(tp.coeff.grad, tape.pop("coeff"), s)
+    # every query of the pass, formed again from the batch
+    queries = _stage_queries(batch.inputs, config, coeff=pool.kind == "oap")
+    if pool.kind == "oap":                       # u: the coefficient table's logits
+        _scatter(tp.coeff.grad, [next(queries)], s[:, None])
     del s
 
     # each rotation's output gradient alpha * g (+ gmp's distance term),
@@ -480,8 +488,10 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
                 col += terms[ri, :, j]
     cols /= npat
     del g, alpha, terms
-    for tl, queries in zip(tp.luts, tape.pop("queries")):
-        _scatter(tl.grad, queries, cols)
+    # the queries come rotation by rotation; each table takes its k at once
+    queries = list(queries)
+    for pi, tl in enumerate(tp.luts):
+        _scatter(tl.grad, queries[pi::npat], cols)
 
     return losses
 

@@ -30,7 +30,6 @@ from lutpool import (
     evaluate_pairs,
     export_pipeline,
     finetune,
-    gmp_distances,
     gmp_weights,
     lattice_size,
     make_synthetic_corpus,
@@ -45,6 +44,7 @@ from lutpool import (
     train,
 )
 from tests.test_lut import naive_query, random_real_lut
+from tests.test_pooling import gmp_distances
 from tests.test_train import PAIR, fd_relative_errors
 
 

@@ -17,13 +17,25 @@ from lutpool import (
     fuse_average,
     fuse_gmp,
     fuse_oap,
-    gmp_distances,
     gmp_weights,
     lattice_size,
     oap_weights,
     query_batch,
     softmax,
 )
+from lutpool.pooling import _distances
+
+
+def gmp_distances(xs, norm="l2"):
+    """Distance of each prediction from the ensemble mean, (k, N).
+
+    Also returns the deviations from the mean (k, N, m) and the mean.
+    The soft-median's distances as :func:`~lutpool.pooling.gmp_weights`
+    forms them: the oracle that c03 and the weight tests measure
+    temperature limits and nearest predictions by.
+    """
+    mean = np.mean(xs, axis=0)
+    return _distances(xs, mean, norm), xs - mean[None], mean
 
 
 def simplex_project_check(weights, atol: float = 1e-9) -> bool:
