@@ -30,9 +30,10 @@ tables and real tables, which training writes in place, gather their
 ``2**(8-q) + 1`` lattice points.
 
 The stage pass and :func:`query_batch` read a table through
-:func:`_read`, which acts on these choices in one place.  The training
-backward pass forms each query's lattice base rows and corner weights
-(:func:`corner_weights`) again from the batch.
+:func:`_read`, which acts on these choices in one place.  Training
+writes table gradients from the same queries through its adjoint,
+:func:`_scatter`, so the corner order, the row radix and the scratch
+slots the two share are decided in this module alone.
 
 Two in-memory forms exist:
 
@@ -54,7 +55,7 @@ import math
 import struct
 import threading
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,10 +193,10 @@ def _float32_axes(table: np.ndarray, frac_dtype) -> int:
     return min(table.ndim - 1, max(0, (24 - 8 * table.itemsize) // _table_q(table)))
 
 
-# Per-thread scratch arrays of the corner fold and the training step,
-# reused across calls.  The training backward pass takes the fold's
-# "fold_rows", "gather" and "frac" slots for its corner indices, weights
-# and products; the fold fills them only in the forward pass.
+# Per-thread scratch arrays, reused across calls.  The corner fold owns
+# the "fold_rows", "gather", "frac" and "rest" slots; _scatter, which
+# never runs inside a fold, borrows the first three.  Other modules name
+# only slots of their own.
 _scratch = threading.local()
 
 
@@ -395,7 +396,7 @@ def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out):
     d when bit ``n-1-d`` of c is set.  Each weight is the product
     ``1.0 * f_0 * ... * f_{n-1}`` taken in axis order, with f_d the
     fraction or its complement.  No table read needs the weights (the
-    corner fold lerps the corners directly); the training backward pass
+    corner fold lerps the corners directly); its adjoint :func:`_scatter`
     does, to scatter output gradients back onto the corner entries.
     """
     n, npts = frac.shape
@@ -515,6 +516,43 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
         else:
             out[start:stop] = blend
     return out
+
+
+def _scatter(grad: np.ndarray, queries, cols: np.ndarray) -> None:
+    """Adjoint of :func:`_read`: write a table's gradient ``grad`` from output gradients.
+
+    ``queries`` holds the table's (cells, fracs) queries of N anchors as
+    :func:`_read` takes them, and ``cols`` (m, len(queries), N) their
+    outputs' gradients, one array per table output column.  Each query's
+    lattice base rows and float64 fractions give its corner indices and
+    weights, (2**n, N), through :func:`corner_weights`; one
+    ``np.bincount`` per output column then sums weight * gradient over
+    the (query, corner, row) sequence.  It adds from 0.0 in input
+    order, as per-corner ``np.add.at`` calls add onto a zeroed gradient,
+    so the sums round identically; a sum from +0.0 is never -0.0, so
+    assigning it equals adding it onto zeros.  Every entry of ``grad`` is
+    overwritten, rows no query read with 0.0.
+
+    The corner indices, weights, products and each query's fractions
+    borrow the corner fold's scratch slots, so a call allocates only a
+    query's base rows and bincount's table-length result per column.
+    """
+    flat_grad = grad.reshape(-1, grad.shape[-1])
+    lattice, n = grad.shape[0], grad.ndim - 1
+    shape = (len(queries), 1 << n, cols.shape[-1])
+    idx = _scratch_array("fold_rows", np.int64, shape)
+    wts = _scratch_array("gather", np.float64, shape)
+    for (cells, fracs), out in zip(queries, zip(idx, wts)):
+        # each query's float64 fractions in the products' slot, not yet in use
+        frac = _scratch_array("frac", np.float64, (n,) + fracs[0].shape)
+        for d, f in enumerate(fracs):
+            frac[d] = f
+        corner_weights(_flat_rows(cells, lattice).reshape(-1), frac.reshape(n, -1),
+                       lattice, out)
+    vals = _scratch_array("frac", np.float64, shape)
+    for j, col in enumerate(cols):
+        np.multiply(wts, col[..., None, :], out=vals)
+        flat_grad[:, j] = np.bincount(idx.ravel(), vals.ravel(), minlength=len(flat_grad))
 
 
 def interpolate(table: np.ndarray, base: np.ndarray, frac: np.ndarray,

@@ -324,7 +324,10 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     (k, N), N = B * (y1 - y0) * w; ``alpha`` holds the rows' precomputed
     oap weights (k, N), ``counters`` add up the queries.  :func:`_run_real`
     runs this once per band of whole rows of at most ``_BAND_VALUES``
-    values, N * rs * rs.
+    values, N * rs * rs.  An untaped average or oap pass whose first
+    rotation is not 0 returns column-major blocks when rs > 1 (those of
+    the unrotating column permutation); a reduction over them sums in
+    another order than over C-ordered ones.
 
     The queries, and the order they are read in, are those of
     :func:`_stage_queries`: the coefficient table's first when the stage

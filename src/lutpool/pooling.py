@@ -16,7 +16,7 @@ fused output always stays inside the componentwise hull of its inputs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

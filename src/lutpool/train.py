@@ -20,17 +20,13 @@ log-temperature).  A batch holding NaN, infinite or
 out-of-range pixels is rejected with ``ValueError`` before the kernel
 runs.
 
-The tape keeps only the (k, N, m) ensemble.  The backward pass forms
-each query again from the batch (:func:`lutpool.pipeline._stage_queries`),
-then its corner indices and weights, and scatters each output column
-onto the table with one ``np.bincount`` over the whole (rotation,
-corner, row) sequence; bincount adds in input order from zero, so every
-gradient entry is the same sum, in the same order, as a per-corner
-``np.add.at`` would form.  The fold's gather (whose slots the corner
-arrays and the scatter's products take in the backward pass), the
-output gradient's columns and Adam's two slices are per-thread buffers
-reused from step to step (see :func:`lutpool.lut._scratch_array`), so a
-warm step does not page-fault on fresh arrays.
+The tape keeps only the (k, N, m) ensemble.  The backward pass runs
+the chain rule down to each table's output gradients and hands them,
+with each query formed again from the batch
+(:func:`lutpool.pipeline._stage_queries`), to the read's adjoint,
+:func:`lutpool.lut._scatter`.  The output gradient's columns and Adam's
+two slices are per-thread buffers reused from step to step, so a warm
+step does not page-fault.
 
 Everything is float64 numpy with a seeded generator and fixed reduction
 order, so a (seed, config) pair reproduces training bit for bit.
@@ -44,8 +40,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lut import (CoeffLut, RealLut, corner_weights, lattice_size, quantize,
-                  round_half_away, _check_pixels, _flat_rows, _scratch_array)
+from .lut import (CoeffLut, RealLut, lattice_size, quantize, round_half_away,
+                  _check_pixels, _scatter, _scratch_array)
+# Kept as a module attribute although the step never calls it:
+# perfbench/tracing.py wraps ``train.corner_weights`` by name.
+from .lut import corner_weights  # noqa: F401
 from .metrics import psnr
 from .orientation import SQUARE_PATTERN, block_permutation
 from .pipeline import PipelineConfig, restore_image, stage_pass, _stage_queries
@@ -321,46 +320,6 @@ def _loss_and_grad(diff: np.ndarray, kind: str):
         diff *= 2.0
     diff /= count
     return loss, diff
-
-
-def _scatter(grad: np.ndarray, queries, cols: np.ndarray) -> None:
-    """Write ``grad``, shaped like its table, from queries and their output gradients.
-
-    ``queries`` holds the table's (cells, fracs) queries of N anchors as
-    the stage pass read them, and ``cols`` (m, len(queries), N) their
-    outputs' gradients, one array per table output column.  Each query's
-    lattice base rows and float64 fractions give its corner indices and
-    weights, (2**n, N), through :func:`corner_weights`; one
-    ``np.bincount`` per output column then sums weight * gradient over
-    the (query, corner, row) sequence.  It adds from 0.0 in input
-    order, as per-corner ``np.add.at`` calls add onto a zeroed gradient,
-    so the sums round identically; a sum from +0.0 is never -0.0, so
-    assigning it equals adding it onto zeros.  Every entry of ``grad`` is
-    overwritten, rows no query read with 0.0.
-
-    The corner indices, weights and products live in this thread's
-    reused scratch, in the corner fold's slots (``"fold_rows"``,
-    ``"gather"``, ``"frac"``): the fold runs only in the forward pass,
-    so their lifetimes never overlap; so do each query's fractions.  A
-    step allocates only a query's base rows and bincount's own
-    table-length result per column.
-    """
-    flat_grad = grad.reshape(-1, grad.shape[-1])
-    lattice, n = grad.shape[0], grad.ndim - 1
-    shape = (len(queries), 1 << n, cols.shape[-1])
-    idx = _scratch_array("fold_rows", np.int64, shape)
-    wts = _scratch_array("gather", np.float64, shape)
-    for (cells, fracs), out in zip(queries, zip(idx, wts)):
-        # each query's float64 fractions in the products' slot, not yet in use
-        frac = _scratch_array("frac", np.float64, (n,) + fracs[0].shape)
-        for d, f in enumerate(fracs):
-            frac[d] = f
-        corner_weights(_flat_rows(cells, lattice).reshape(-1), frac.reshape(n, -1),
-                       lattice, out)
-    vals = _scratch_array("frac", np.float64, shape)
-    for j, col in enumerate(cols):
-        np.multiply(wts, col[..., None, :], out=vals)
-        flat_grad[:, j] = np.bincount(idx.ravel(), vals.ravel(), minlength=len(flat_grad))
 
 
 def _forward(tp: TrainablePipeline, batch: Batch, cfg: TrainConfig):

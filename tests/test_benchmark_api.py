@@ -6,6 +6,7 @@ oracle) call the package by these names; a change that breaks one of
 them fails here instead of in a benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 import math
@@ -23,6 +24,7 @@ from lutpool.pooling import PoolingSpec
 
 training = importlib.import_module("lutpool.train")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "lutpool"
 
 
 def _load(name):
@@ -88,6 +90,28 @@ def test_traced_names_exist_and_are_called_through_their_module():
     seen = {span[0] for span in tracer.spans}
     assert {"train.forward_backward", "train.adam_step", "train.sample_batch",
             "train.evaluate_pairs", "pipeline.restore_image"} <= seen
+
+
+def test_every_module_import_is_used_or_traced():
+    # a module-level import that no code of its module reads is dead,
+    # unless the tracer wraps it there by name (a (module, attr) target)
+    traced = {(module_name, attr) for module_name, attr, _, _ in _tracing().TARGETS}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and (f"lutpool.{path.stem}", name) not in traced:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def _checked_configs():

@@ -40,7 +40,7 @@ import lutpool.lut as lut_module
 from lutpool.lut import (FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MAGIC,
                          _CELL_TABLE_BYTES, _CHUNK_ROWS, _decompose_arrays,
                          _flat_rows, _float32_axes, _fold_corners, _pack_cells,
-                         _pack_container, real_table)
+                         _pack_container, _read, _scatter, real_table)
 from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN
 
 
@@ -759,6 +759,42 @@ class TestLatticeGather:
                     _fold_corners(lut.entries, wrong, frac, lut.bias)
                 monkeypatch.undo()
                 assert fancy.calls == 0         # no clamped row was read
+
+
+class TestScatterAdjoint:
+    """``_scatter`` is the adjoint of ``_read``: <scatter(cols), table> = <cols, read(table)>."""
+
+    @pytest.mark.parametrize("integral", [True, False])
+    @pytest.mark.parametrize("m", [1, 4, 9])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind, gather", [
+        ("real", "lattice"), ("unsigned", "cells"), ("unsigned", "lattice"),
+        ("signed", "cells"), ("signed", "lattice"),
+    ])
+    def test_dot_product(self, monkeypatch, kind, gather, n, m, integral):
+        rng = np.random.default_rng(170 + 10 * n + m)
+        q = 4 if n < 4 else 5
+        if gather == "lattice":
+            monkeypatch.setattr(lut_module, "_CELL_TABLE_BYTES", 0)
+        lut = (random_real_lut(rng, q, n, m) if kind == "real"
+               else random_int_lut(rng, q, n, m, signed=kind == "signed"))
+        assert (lut._cells is not None) == (gather == "cells")
+        # three queries of 3 x 700 anchors (more than one fold chunk at
+        # m = 9), the first with the lattice's lowest and highest cells
+        values = [rng.uniform(0.0, 255.0, (n, 3, 700)) for _ in range(3)]
+        values[0][:, 0, :2] = [0.0, 255.0]
+        if integral:
+            values = [np.round(v) for v in values]
+        queries = [_decompose_arrays(v, q) for v in values]
+        assert all((fracs.dtype == np.float32) == integral for _, fracs in queries)
+        cols = rng.standard_normal((m, len(queries), 3 * 700))
+        grad = np.full(lut.entries.shape, np.nan)
+        _scatter(grad, queries, cols)
+        terms = [cols[:, i].T * _read(lut, query) for i, query in enumerate(queries)]
+        lhs = np.sum(grad * real_table(lut))
+        rhs = sum(np.sum(t) for t in terms)
+        scale = sum(np.sum(np.abs(t)) for t in terms)
+        assert abs(lhs - rhs) <= 1e-12 * scale, (lhs, rhs, scale)
 
 
 class TestReadOnlyEntries:

@@ -731,10 +731,10 @@ class TestStepBuffers:
 
 
 class TestCornerWeightCalls:
-    """The backward pass forms corner weights through ``train.corner_weights``."""
+    """The backward pass forms corner weights through ``lut.corner_weights``."""
 
     def test_once_per_pattern_rotation_and_coefficient_table(self, monkeypatch):
-        # a tracer that wraps lutpool.train.corner_weights sees every
+        # a tracer that wraps lutpool.lut.corner_weights sees every
         # taped query: one call per (pattern, rotation), one for the
         # coefficient table, each over the batch's N queries
         rng = np.random.default_rng(27)
@@ -746,7 +746,7 @@ class TestCornerWeightCalls:
             calls.append((rows.shape, frac.shape, lattice))
             return corner_weights(rows, frac, lattice, out)
 
-        monkeypatch.setattr(importlib.import_module("lutpool.train"), "corner_weights",
+        monkeypatch.setattr(importlib.import_module("lutpool.lut"), "corner_weights",
                             counter)
         forward_backward(tp, batch, cfg)
         k, count = tp.config.orientations.k, batch.inputs.size
