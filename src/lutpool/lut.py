@@ -195,8 +195,8 @@ def _float32_axes(table: np.ndarray, frac_dtype) -> int:
 
 # Per-thread scratch arrays, reused across calls.  The corner fold owns
 # the "fold_rows", "gather", "frac" and "rest" slots; _scatter, which
-# never runs inside a fold, borrows the first three.  Other modules name
-# only slots of their own.
+# never runs inside a fold, borrows the first three.  A slot is a string
+# literal named in one module only, which a test checks.
 _scratch = threading.local()
 
 

@@ -8,22 +8,23 @@ pixel shuffle; earlier cascade stages refine at unit scale (m == 1).
 
 One kernel, :func:`stage_pass`, runs a stage on a band of rows of a
 (B, h, w) stack: training passes a whole batch of crops with a tape
-that keeps the prediction ensemble its gradient needs, and a restored
-image, a stack of one, runs each stage over bands of whole rows of at
-most ``_BAND_VALUES`` table values: 2**14 anchors at unit scale, 2**14 /
-rs**2 for an rs-fold stage, so that each table read of a band is one
-chunk of the corner fold.  Since an output pixel depends only on
-its receptive field and each band pads its own rows exactly as the
-whole frame is padded, the bands give the bits of one whole-frame pass.
+that keeps the prediction ensemble its adjoint, :func:`_stage_adjoint`,
+needs, and a restored image, a stack of one, runs each stage over bands
+of whole rows of at most ``_BAND_VALUES`` table values: 2**14 anchors
+at unit scale, 2**14 / rs**2 for an rs-fold stage, so that each table
+read of a band is one chunk of the corner fold.  Since an output pixel
+depends only on its receptive field and each band pads its own rows
+exactly as the whole frame is padded, the bands give the bits of one
+whole-frame pass.
 An image streams each stage's bands into their rows of the stage's
 output raster, so only the stage's input and output are frame-sized:
 the input image is read as it is (an integer-typed one is widened band
 by band), the last stage writes uint8 rows, and fusion weights are kept
 whole only when a later stage shares them.  :func:`_stage_queries`
-alone says which queries a stage makes, in which order: shifted views
-of a band's lattice-cell and fraction planes, decomposed once per table
-spacing q, each read by :func:`lutpool.lut._read`, which owns how a
-table is read and at what precision.
+alone says which queries a stage and its adjoint make, in which order:
+shifted views of a band's lattice-cell and fraction planes, decomposed
+once per table spacing q, each read by :func:`lutpool.lut._read`, which
+owns how a table is read and at what precision.
 
 Values stay real (float64) across stages -- clamped to [0, 255] so the
 next stage's queries stay in domain -- and are quantized exactly once,
@@ -55,8 +56,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .lut import (QuantizedLut, RealLut, load_lut, save_lut,
-                  _CHUNK_ROWS, _check_pixels, _decompose_arrays, _read)
+from .lut import (QuantizedLut, RealLut, load_lut, save_lut, _CHUNK_ROWS,
+                  _check_pixels, _decompose_arrays, _read, _scatter, _scratch_array)
 # Kept as module attributes although the stage kernel calls neither:
 # perfbench/tracing.py wraps ``pipeline.real_table`` and
 # ``pipeline.interpolate`` by name.
@@ -346,8 +347,7 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     Training passes a dict as ``tape`` over the whole stack; every table,
     the oap coefficient table included, is read as inference reads it.
     The tape receives the ensemble, an array of its own, as ``"xs"``;
-    the backward pass forms the queries again from the stack through
-    :func:`_stage_queries`.
+    :func:`_stage_adjoint` forms the queries again from the stack.
     """
     b, h, w = stack.shape
     if y1 is None:
@@ -424,6 +424,41 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
         else:
             _add_upsample(pred, stack, y0, y1, rs)
     return pred, weights
+
+
+def _stage_adjoint(stack: np.ndarray, config: PipelineConfig, tape: dict, grads,
+                   coeff_grad=None, t: int = 0) -> None:
+    """Adjoint of a taped :func:`stage_pass`: write its tables' gradients.
+
+    ``tape`` holds dL/dpred (N, m) as ``"dpred"``, the fusion weights
+    (k, N) as ``"alpha"`` and, from :func:`~lutpool.pooling._weights_adjoint`,
+    gmp's distance terms (k, N, m) as ``"xs"`` and, with ``coeff_grad``,
+    dL/du (k, N) of the oap logits as ``"du"``; each is popped and dropped
+    once read.  ``grads`` are the stage's table gradients, one per
+    pattern, written by :func:`~lutpool.lut._scatter` through this
+    thread's (m, k, N) ``"scatter_cols"`` buffer of output gradients.
+    """
+    # every query of the pass, formed again from the stack
+    queries = _stage_queries(stack, config, t, coeff=coeff_grad is not None)
+    if coeff_grad is not None:                   # u: the coefficient table's logits
+        _scatter(coeff_grad, [next(queries)], tape.pop("du")[:, None])
+    g, alpha, terms = tape.pop("dpred"), tape.pop("alpha"), tape.pop("xs", None)
+    (count, m), k, npat = g.shape, len(alpha), len(grads)
+    # each rotation's output gradient alpha * g (+ gmp's distance term),
+    # written to the column its block permutation sends it to
+    cols = _scratch_array("scatter_cols", np.float64, (m, k, count))
+    for ri, r in enumerate(config.orientations.rotations):
+        for j, dst in enumerate(block_permutation(m, r)):
+            col = cols[dst, ri]
+            np.multiply(alpha[ri], g[:, j], out=col)
+            if terms is not None:
+                col += terms[ri, :, j]
+    cols /= npat
+    del g, alpha, terms
+    # the queries come rotation by rotation; each table takes its k at once
+    queries = list(queries)
+    for pi, grad in enumerate(grads):
+        _scatter(grad, queries[pi::npat], cols)
 
 
 def _padded_rows(stack: np.ndarray, y0: int, y1: int, before: int, after: int):

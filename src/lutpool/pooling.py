@@ -147,6 +147,43 @@ def gmp_weights(xs: np.ndarray, tau: float, norm: str = "l2") -> np.ndarray:
     return u
 
 
+def _weights_adjoint(pool: PoolingSpec, alpha, s, xs=None) -> float:
+    """Adjoint of gmp or oap weights ``alpha`` = softmax(u) (k, N): dL/dalpha ``s`` -> dL/du.
+
+    ``s`` becomes dL/du in place.  For gmp, u = -dist / tau of the
+    ensemble ``xs`` (k, N, m), which becomes, in place, dL/dxs through
+    u; the return is dL/dlog tau = sum(s * dist) / tau, else 0.0.
+    Every operation is the one, in the order, of the out-of-place
+    formulas, so every gradient keeps its bits.
+    """
+    # dL/du of alpha = softmax(u) over orientations, (k, N):
+    # alpha * (c - sum(alpha * c)), c = dL/dalpha
+    s -= np.sum(alpha * s, axis=0, keepdims=True)
+    s *= alpha
+    if pool.kind != "gmp":
+        return 0.0
+    # in place: the deviations from the mean, their unit (l2) or sign
+    # (l1) vectors, t = d(dist) * unit with u_i = -dist_i / tau, and
+    # t - mean(t), the distance term of each rotation's gradient
+    tau = pool.tau
+    mean = np.mean(xs, axis=0)
+    dist = _distances(xs, mean, pool.norm)
+    xs -= mean
+    del mean
+    if pool.norm == "l2":
+        xs /= np.maximum(dist, 1e-300)[:, :, None]
+    else:
+        np.sign(xs, out=xs)
+    dist *= s                   # the bits of np.sum(s * dist) / tau, in dist's array
+    log_tau_grad = float(np.sum(dist) / tau)
+    del dist
+    xs *= (-s / tau)[:, :, None]
+    mean = xs.sum(axis=0)
+    mean /= len(xs)
+    xs -= mean
+    return log_tau_grad
+
+
 def oap_weights(patches: np.ndarray, coeff, query=None) -> np.ndarray:
     """Adaptive weights (k, N) for a batch of unrotated anchor patches.
 

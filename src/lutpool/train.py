@@ -11,22 +11,16 @@ The forward pass is the inference pipeline's own stage kernel,
 tape and without the final clamp/quantization: oriented queries read
 from the stage's cell and fraction planes through the corner fold that
 inference runs, block unrotation, fusion, optional residual baseline.
-Because a query is a fixed convex blend of corner entries, the map from
-entries to output is piecewise linear and the chain rule runs through
-the corner weights of the pass's queries; fusion weights are
-differentiated through the softmax (and, for the soft-median, through
-the distance terms, recomputed in the ensemble's own array, and the
-log-temperature).  A batch holding NaN, infinite or
-out-of-range pixels is rejected with ``ValueError`` before the kernel
-runs.
+A batch holding NaN, infinite or out-of-range pixels is rejected with
+``ValueError`` before the kernel runs.
 
-The tape keeps only the (k, N, m) ensemble.  The backward pass runs
-the chain rule down to each table's output gradients and hands them,
-with each query formed again from the batch
-(:func:`lutpool.pipeline._stage_queries`), to the read's adjoint,
-:func:`lutpool.lut._scatter`.  The output gradient's columns and Adam's
-two slices are per-thread buffers reused from step to step, so a warm
-step does not page-fault.
+The tape keeps only the (k, N, m) ensemble.  The backward pass forms
+the loss gradient and dL/dalpha and chains the adjoints that sit beside
+their forwards: the fusion weights'
+(:func:`lutpool.pooling._weights_adjoint`) and the stage's
+(:func:`lutpool.pipeline._stage_adjoint`), which ends in the table
+read's, in :mod:`lutpool.lut`.  Adam's two slices are per-thread
+buffers reused from step to step, so a warm step does not page-fault.
 
 Everything is float64 numpy with a seeded generator and fixed reduction
 order, so a (seed, config) pair reproduces training bit for bit.
@@ -41,14 +35,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .lut import (CoeffLut, RealLut, lattice_size, quantize, round_half_away,
-                  _check_pixels, _scatter, _scratch_array)
+                  _check_pixels, _scratch_array)
 # Kept as a module attribute although the step never calls it:
 # perfbench/tracing.py wraps ``train.corner_weights`` by name.
 from .lut import corner_weights  # noqa: F401
 from .metrics import psnr
-from .orientation import SQUARE_PATTERN, block_permutation
-from .pipeline import PipelineConfig, restore_image, stage_pass, _stage_queries
-from .pooling import PoolingSpec, softmax, _distances
+from .orientation import SQUARE_PATTERN
+from .pipeline import PipelineConfig, restore_image, stage_pass, _stage_adjoint
+from .pooling import PoolingSpec, softmax, _weights_adjoint
 
 
 class TrainingDivergedError(Exception):
@@ -366,92 +360,40 @@ def forward_backward(tp: TrainablePipeline, batch: Batch,
     batch holds NaN, infinite or out-of-range pixels, or targets that are
     not the pipeline's scale times its inputs.
 
-    The step holds only what its backward still reads.  The taped
-    (k, N, m) ensemble gives dL/dalpha (one ``einsum``) and is dropped;
-    for gmp it first becomes, in place, the deviations from the mean and
-    then the distance terms.  The regularizer term and the softmax
-    backward are formed in one reused (k, N) buffer, and the coefficient
-    table is scattered from the softmax backward's rows.  Only then is
-    each rotation's output gradient, alpha * dL/dpred (plus gmp's
-    distance term), written column by column into this thread's (m, k, N)
-    ``"scatter_cols"`` buffer: the block permutation is undone by the
-    destination column, and the whole buffer is divided by the pattern
-    count once.  Every operation is the one, in the order, of the
-    out-of-place formulas, so every gradient keeps its bits.
+    The taped (k, N, m) ensemble gives dL/dalpha (one ``einsum``) and,
+    but for gmp's distance terms, is dropped; the regularizer term is
+    added to it.  The fusion weights' adjoint,
+    :func:`lutpool.pooling._weights_adjoint`, and then the stage's,
+    :func:`lutpool.pipeline._stage_adjoint`, take it down to the
+    tables' gradients; the stage adjoint pops what it reads from the
+    dict it is handed, so nothing it drops stays referenced here.
     """
     tp.tau_grad[...] = 0.0
     losses, alpha, g, xs = _forward(tp, batch, cfg)   # g: dL/dpred, (N, m)
-    config = tp.config
-    pool = config.pooling
-
-    k, count, m = xs.shape
-    npat = len(config.patterns)
+    pool = tp.config.pooling
     # gmp's distance terms are formed in the ensemble's own array; the
     # other fusions drop it once dL/dalpha is formed
-    terms = xs if pool.kind == "gmp" else None
+    tape = {"dpred": g, "alpha": alpha, "xs": xs if pool.kind == "gmp" else None}
     s = np.einsum("nm,knm->kn", g, xs) if pool.kind != "average" else None  # dL/dalpha
     del xs
-
     if s is not None:
-        buf = np.empty_like(s)
         if cfg.reg_weight != 0.0:
             # dL/dalpha + reg_weight * (log(max(alpha, 1e-300)) + 1) / count
-            np.maximum(alpha, 1e-300, out=buf)
+            buf = np.maximum(alpha, 1e-300)
             np.log(buf, out=buf)
             buf += 1.0
             buf *= cfg.reg_weight
-            buf /= count
+            buf /= s.shape[1]
             s += buf
-        # dL/du of alpha = softmax(u) over orientations, (k, N):
-        # alpha * (c - sum(alpha * c)), c = dL/dalpha
-        np.multiply(alpha, s, out=buf)
-        s -= np.sum(buf, axis=0, keepdims=True)
-        s *= alpha
-        del buf
-
-    if pool.kind == "gmp":
-        # in place: the deviations from the mean, their unit (l2) or sign
-        # (l1) vectors, t = d(dist) * unit with u_i = -dist_i / tau, and
-        # t - mean(t), the distance term of each rotation's gradient
-        tau = pool.tau
-        mean = np.mean(terms, axis=0)
-        dist = _distances(terms, mean, pool.norm)
-        terms -= mean
-        del mean
+            del buf
+        log_tau_grad = _weights_adjoint(pool, alpha, s, tape["xs"])
         if tp.tau_trainable:
-            tp.tau_grad[0] = float(np.sum(s * dist) / tau)
-        if pool.norm == "l2":
-            terms /= np.maximum(dist, 1e-300)[:, :, None]
-        else:
-            np.sign(terms, out=terms)
-        del dist
-        terms *= (-s / tau)[:, :, None]
-        mean = terms.sum(axis=0)
-        mean /= k
-        terms -= mean
-        del mean
-    # every query of the pass, formed again from the batch
-    queries = _stage_queries(batch.inputs, config, coeff=pool.kind == "oap")
-    if pool.kind == "oap":                       # u: the coefficient table's logits
-        _scatter(tp.coeff.grad, [next(queries)], s[:, None])
-    del s
-
-    # each rotation's output gradient alpha * g (+ gmp's distance term),
-    # written to the column its block permutation sends it to
-    cols = _scratch_array("scatter_cols", np.float64, (m, k, count))
-    for ri, r in enumerate(config.orientations.rotations):
-        for j, dst in enumerate(block_permutation(m, r)):
-            col = cols[dst, ri]
-            np.multiply(alpha[ri], g[:, j], out=col)
-            if terms is not None:
-                col += terms[ri, :, j]
-    cols /= npat
-    del g, alpha, terms
-    # the queries come rotation by rotation; each table takes its k at once
-    queries = list(queries)
-    for pi, tl in enumerate(tp.luts):
-        _scatter(tl.grad, queries[pi::npat], cols)
-
+            tp.tau_grad[0] = log_tau_grad
+        if pool.kind == "oap":
+            tape["du"] = s
+    del g, alpha, s
+    _stage_adjoint(batch.inputs, tp.config, tape, [tl.grad for tl in tp.luts],
+                   tp.coeff.grad if pool.kind == "oap" else None)
     return losses
 
 
@@ -478,7 +420,10 @@ def evaluate_pairs(config: PipelineConfig, pairs, border: int = 0) -> float:
 
 
 def _check_pairs(pairs, split: str, rs: int, crop: int = 0) -> None:
-    """Reject bad pixels, non-2-D inputs, targets not rs times their input, crops past an input."""
+    """Reject an empty split, bad pixels, non-2-D inputs, targets not rs
+    times their input, crops past an input."""
+    if not len(pairs):
+        raise ValueError(f"the {split} split holds no pairs")
     for i, (inp, tgt) in enumerate(pairs):
         for name, image in (("input", inp), ("target", tgt)):
             _check_pixels(image, f"{split} pair {i}: {name}")
@@ -503,7 +448,7 @@ def train(tp: TrainablePipeline, train_pairs, val_pairs,
     once up front: a NaN, infinite or out-of-range pixel, a target
     that is not the pipeline's scale times its input, or a training
     input smaller than the crop raises ``ValueError`` naming the split
-    and the pair index.
+    and the pair index; an empty split raises it naming the split.
     """
     config = tp.config
     _check_pairs(train_pairs, "training", config.scale, cfg.crop)

@@ -114,6 +114,29 @@ def test_every_module_import_is_used_or_traced():
     assert unused == []
 
 
+def test_every_scratch_slot_is_named_in_one_module():
+    # a per-thread scratch buffer is overwritten by the next request for
+    # its slot, so each slot is a string literal that one module names
+    owners, bad = {}, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "_scratch_array":
+                continue
+            slot = node.args[0] if node.args else next(
+                (kw.value for kw in node.keywords if kw.arg == "slot"), None)
+            if isinstance(slot, ast.Constant) and isinstance(slot.value, str):
+                owners.setdefault(slot.value, set()).add(path.name)
+            else:
+                bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []
+    assert {slot: names for slot, names in owners.items() if len(names) > 1} == {}
+    assert owners["scatter_cols"] == {"pipeline.py"}
+
+
 def _checked_configs():
     """Random-table stand-ins for the denoise-s oap config and the sr-sdy-x2 config."""
     rng = np.random.default_rng(12)

@@ -855,6 +855,62 @@ class TestStreamedFusion:
         assert seen == [(4, 60, 1), (4, 60, 1)]
 
 
+class TestStageAdjoint:
+    """``_stage_adjoint`` is the adjoint of a stage pass under fixed fusion weights.
+
+    With average or oap weights fixed, a stage's output is affine in its
+    table entries E, so the gradients written from dL/dpred = g satisfy
+    sum_i <grad_i, dE_i> = <g, pred(E + dE) - pred(E)>.  For oap the
+    coefficient table's gradient is checked against the logits u the
+    pass read: a dL/du that sums to zero over orientations has
+    <dL/du, u> = <dL/du, log alpha>.
+    """
+
+    @pytest.mark.parametrize("patterns", [[SQUARE_PATTERN], [SQUARE_PATTERN, DIAGONAL_PATTERN]],
+                             ids=["S", "S+D"])
+    @pytest.mark.parametrize("turns", [(0, 1, 2, 3), (1, 3), (3,)])
+    @pytest.mark.parametrize("rs", [1, 2])
+    @pytest.mark.parametrize("kind", ["average", "oap"])
+    def test_dot_product(self, kind, rs, turns, patterns):
+        rng = np.random.default_rng([rs, len(turns), turns[0], len(patterns)])
+        k, m = len(turns), rs * rs
+        pooling = PoolingSpec()
+        if kind == "oap":
+            coeff = RealLut(5, 4, k, rng.standard_normal((lattice_size(5),) * 4 + (k,)))
+            pooling = PoolingSpec(kind="oap", coeff_lut=coeff)
+        scale = dict(task="sr", scale=2) if rs == 2 else dict(task="restore")
+        config = PipelineConfig(**scale, patterns=patterns, orientations=OrientationSet(turns),
+                                pooling=pooling, residual=True,
+                                stages=[[random_real_stage(rng, p.n, m) for p in patterns]])
+        stack = rng.uniform(0.0, 255.0, (2, 5, 6))
+        pred, alpha = stage_pass(stack, config, tape={})
+        g = rng.standard_normal(pred.shape)
+        du = rng.standard_normal(alpha.shape)
+        du -= du.mean(axis=0)
+        tape = {"dpred": g, "alpha": alpha}
+        grads = [np.full(table.entries.shape, np.nan) for table in config.stages[0]]
+        coeff_grad = None
+        if kind == "oap":
+            tape["du"] = du.copy()
+            coeff_grad = np.full(coeff.entries.shape, np.nan)
+        pipeline._stage_adjoint(stack, config, tape, grads, coeff_grad)
+        assert not tape                         # every taped array was dropped
+
+        deltas = [rng.normal(0.0, 20.0, grad.shape) for grad in grads]
+        moved = replace(config, stages=[[RealLut(t.q, t.n, t.m, t.entries + d)
+                                         for t, d in zip(config.stages[0], deltas)]])
+        terms = g * (stage_pass(stack, moved, tape={})[0] - pred)
+        lhs = sum(np.sum(grad * d) for grad, d in zip(grads, deltas))
+        assert abs(lhs - np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
+        if kind == "oap":
+            delta = rng.standard_normal(coeff_grad.shape)
+            moved = replace(config, pooling=replace(
+                pooling, coeff_lut=RealLut(5, 4, k, coeff.entries + delta)))
+            terms = du * (np.log(stage_pass(stack, moved)[1]) - np.log(alpha))
+            lhs = np.sum(coeff_grad * delta)
+            assert abs(lhs - np.sum(terms)) <= 1e-12 * np.sum(np.abs(terms))
+
+
 def resize_axis_per_call(arr, out_len, scale, axis):
     """The separable resampler with its geometry rebuilt on every call.
 

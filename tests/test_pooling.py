@@ -23,7 +23,7 @@ from lutpool import (
     query_batch,
     softmax,
 )
-from lutpool.pooling import _distances
+from lutpool.pooling import _distances, _weights_adjoint
 
 
 def gmp_distances(xs, norm="l2"):
@@ -377,6 +377,53 @@ class TestOapWeights:
         assert reads == []
         with pytest.raises(TypeError):
             oap_weights(np.zeros((1, 4)), signed)
+
+
+class TestWeightsAdjoint:
+    """``_weights_adjoint`` against central differences of L = sum(c * alpha).
+
+    With dL/dalpha = c handed in, the softmax logits' gradient it leaves
+    in ``s``, gmp's ensemble gradient it leaves in ``xs`` and the
+    log-temperature gradient it returns must each match the directional
+    derivative of L along a random direction.
+    """
+
+    @staticmethod
+    def central(loss, h=1e-5):
+        return (loss(h) - loss(-h)) / (2.0 * h)
+
+    @pytest.mark.parametrize("tau", [0.5, 3.0])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_gmp(self, norm, m, tau):
+        rng = np.random.default_rng([m, int(tau), norm == "l2"])
+        xs = rng.normal(0.0, 2.0, (4, 60, m))
+        c = rng.standard_normal((4, 60))
+        direction = rng.standard_normal(xs.shape)
+
+        def loss(xs, tau):
+            return float(np.sum(c * gmp_weights(xs, tau, norm)))
+
+        s, terms = c.copy(), xs.copy()
+        log_tau_grad = _weights_adjoint(PoolingSpec("gmp", tau=tau, norm=norm),
+                                        gmp_weights(xs, tau, norm), s, terms)
+        want = self.central(lambda h: loss(xs + h * direction, tau))
+        assert np.sum(terms * direction) == pytest.approx(want, rel=1e-7, abs=1e-9)
+        # the log-temperature's gradient, tau * dL/dtau
+        want = self.central(lambda h: loss(xs, tau * math.exp(h)))
+        assert log_tau_grad == pytest.approx(want, rel=1e-7, abs=1e-9)
+
+    def test_oap(self):
+        rng = np.random.default_rng(7)
+        logits = rng.standard_normal((4, 60))
+        c = rng.standard_normal(logits.shape)
+        direction = rng.standard_normal(logits.shape)
+        s = c.copy()
+        pool = PoolingSpec("oap", coeff_lut=constant_logit_real_coeff(np.zeros(4)))
+        assert _weights_adjoint(pool, softmax(logits, axis=0), s) == 0.0
+        want = self.central(
+            lambda h: float(np.sum(c * softmax(logits + h * direction, axis=0))))
+        assert np.sum(s * direction) == pytest.approx(want, rel=1e-7, abs=1e-9)
 
 
 class TestPoolingSpec:

@@ -936,6 +936,18 @@ class TestTrainingLoop:
             train(tp, train_pairs, val_pairs, self.run_config())
         np.testing.assert_array_equal(tp.luts[0].lut.entries, before)
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_empty_split_refused(self, monkeypatch, split):
+        """An empty split is refused before the first batch: no validation
+        score would beat the init's, and no training pair could be drawn."""
+        pairs = sr_pairs(6)
+        train_pairs, val_pairs = ([], pairs) if split == "training" else (pairs, [])
+        monkeypatch.setattr(importlib.import_module("lutpool.train"), "sample_batch",
+                            lambda *args: pytest.fail("sample_batch called"))
+        tp = TrainablePipeline.zero_init("sr", 2, q=4)
+        with pytest.raises(ValueError, match=f"the {split} split holds no pairs"):
+            train(tp, train_pairs, val_pairs, self.run_config())
+
     @pytest.mark.parametrize("crop", [8, 100000])
     def test_crop_checked_before_any_batch(self, monkeypatch, crop):
         """A crop larger than a training input is refused before a batch is allocated."""
