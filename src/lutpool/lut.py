@@ -13,9 +13,12 @@ fold gathers the ``2**n`` corner rows of a chunk of queries into a
 (2**n, rows * m) accumulator and folds axis 0..n-1 with one lerp per
 axis, each over contiguous memory.  :func:`_decompose_arrays` alone
 decides whether queries are integral, and marks them by float32
-fractions; :func:`_fold_corners` alone decides how many leading axes
-(:func:`_float32_axes`) of their fold run in float32, and removes
-their bias once from the blend.  Both give the bits of an
+fractions; :func:`_fold_corners` alone decides in which of three
+tiers each axis of their fold runs: the leading axes that
+:func:`_uint16_axes` allows in exact uint16 integers on 8-bit entries,
+before any corner widens to a float, then those up to
+:func:`_float32_axes` in float32, the rest in float64.  It removes
+their bias once from the blend.  Every tier gives the bits of an
 all-float64 fold with the bias removed from every corner.
 
 The gather comes in two kinds; the fold after it is shared.  A table's
@@ -160,13 +163,14 @@ def _decompose_arrays(values, q: int):
                                                  copy=False)
 
 
-def _flat_rows(cells, lattice: int) -> np.ndarray:
-    """Flat base row sum_d lattice**(n-1-d) * cells[d] of each query, int64.
+def _flat_rows(cells, lattice: int, dtype=np.int64) -> np.ndarray:
+    """Flat base row sum_d lattice**(n-1-d) * cells[d] of each query, in ``dtype``.
 
     ``cells`` is a sequence of n equally shaped cell arrays (axis 0
-    first); the sum is formed by Horner's rule, in place.
+    first); the sum is formed by Horner's rule, in place.  The caller
+    picks a ``dtype`` that holds ``lattice**n - 1``.
     """
-    rows = np.array(cells[0], dtype=np.int64)
+    rows = np.array(cells[0], dtype=dtype)
     for c in cells[1:]:
         rows *= lattice
         rows += c
@@ -186,11 +190,30 @@ def _float32_axes(table: np.ndarray, frac_dtype) -> int:
     ``table.shape[0]``.  Over unsigned entries of b bits, the lerp
     along axis d yields a multiple of ``2**-(q*(d+1))`` between 0 and
     ``2**b``, so axes 0..d fold exactly in float32 while
-    ``b + q*(d+1) <= 24``.  Zero for real tables and float64 fractions.
+    ``b + q*(d+1) <= 24``.  The count includes the axes that fold first
+    in uint16 (:func:`_uint16_axes`): their values reach the float axes
+    scaled by a power of two, which keeps the bits each lerp needs.
+    Zero for real tables and float64 fractions.
     """
     if np.dtype(frac_dtype) != np.float32 or table.dtype.kind != "u":
         return 0
     return min(table.ndim - 1, max(0, (24 - 8 * table.itemsize) // _table_q(table)))
+
+
+def _uint16_axes(table: np.ndarray, frac_dtype) -> int:
+    """Leading axes of the corner fold that uint16 integers hold exactly.
+
+    As in :func:`_float32_axes`, float32 fractions stand for integral
+    queries, so ``k = f * 2**q`` is an integer below ``2**q``.  Over
+    8-bit entries the integer lerp along axis d, ``lo * (2**q - k) +
+    hi * k``, is ``2**(q*(d+1))`` times the float lerp, an integer of at
+    most ``255 * 2**(q*(d+1))``, so axes 0..d fold exactly in uint16
+    while ``8 + q*(d+1) <= 16``: two axes at q4, one at q5 to q7.  Zero
+    for 16-bit and real tables and for float64 fractions.
+    """
+    if np.dtype(frac_dtype) != np.float32 or table.dtype != np.uint8:
+        return 0
+    return min(table.ndim - 1, 8 // _table_q(table))
 
 
 # Per-thread scratch arrays, reused across calls.  The corner fold owns
@@ -418,6 +441,34 @@ def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out):
     return idx, w
 
 
+def _fold_uint16(lo: np.ndarray, hi: np.ndarray, frac: np.ndarray, q: int,
+                 m: int) -> np.ndarray:
+    """Fold the leading axes of a chunk's 8-bit corners in exact uint16 integers.
+
+    ``lo`` and ``hi`` are the lower and upper halves of a chunk's corners
+    as :func:`_fold_corners` lays them out, widened to uint16, each
+    (2**(n-1), rows * m), and folded in place; ``frac`` holds the float32
+    fractions of the first a axes, (a, rows), with a at most
+    :func:`_uint16_axes`.  Each lerp is ``lo * (2**q - k) + hi * k`` with
+    ``k = f * 2**q``, the k codes repeated for the m entries of a row:
+    2**q times the float lerp.  Returns the leading (2**(n-a), rows * m)
+    of ``lo``, 2**(q*a) times the corners folded over axes 0..a-1.
+    """
+    k = np.empty(frac.shape + (m,), np.uint16)
+    for j in range(m):
+        np.multiply(frac, 1 << q, out=k[..., j], casting="unsafe")
+    acc = lo
+    for d, kd in enumerate(k.reshape(len(frac), -1)):
+        if d:
+            half = acc.shape[0] // 2
+            lo, hi = acc[:half], acc[half:]
+        lo *= (1 << q) - kd
+        hi *= kd
+        lo += hi
+        acc = lo
+    return acc
+
+
 def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
                   bias: float = 0.0, cells: np.ndarray | None = None) -> np.ndarray:
     """Multilinear blend of the 2**n corner entries of each query, (N, m) float64.
@@ -439,19 +490,24 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
     word per row where it fits, into scratch with ``mode="clip"`` (the
     default mode buffers its output), after a check that raises
     ``IndexError`` for a corner outside the table.
-    Everything after the gather is shared.  The gathered corners are
-    widened, unless float64, to a (2**n, rows * m) accumulator, and axis
-    0..n-1 is folded in place by one lerp per axis over the two
-    contiguous halves, each scaling contiguous memory by a contiguous
-    fraction vector (the axis' fractions, each repeated for the m
-    entries of its row).  The
-    leading axes that :func:`_float32_axes` proves exact fold in
-    float32 and the half-folded rest in float64 (with no such axis,
-    float32 fractions widen as they are repeated).  Integral queries on
-    unsigned entries with ``b + q*n <= 53`` are exact throughout, so
-    their bias is subtracted once from the blend; otherwise it is
-    subtracted from every gathered corner.  The repeated fractions and
-    the float64 rest live in per-thread scratch reused across calls.
+
+    Everything after the gather is shared, a (2**n, rows * m)
+    accumulator folded axis 0..n-1 by one lerp per axis over its two
+    contiguous halves, in three tiers.  The leading axes that
+    :func:`_uint16_axes` proves exact fold first, in uint16, on integer
+    k codes made per chunk (:func:`_fold_uint16`); the uint8 corners and
+    the k codes are gone before the rest widens.  The rest is widened,
+    unless float64, and each lerp scales contiguous memory by a
+    contiguous fraction vector (the axis' fractions, each repeated for
+    the m entries of its row): the axes up to :func:`_float32_axes` in
+    float32, the half-folded rest in float64 (with no float32 axis,
+    float32 fractions widen as they are repeated).  The integer axes
+    leave the blend scaled by 2**(q*a), exactly, so it is scaled back
+    once.  Integral queries on unsigned entries with ``b + q*n <= 53``
+    are exact throughout, so their bias is subtracted once from the
+    blend; otherwise it is subtracted from every widened corner (times
+    2**(q*a) after a integer axes).  The repeated fractions and the
+    float64 rest live in per-thread scratch reused across calls.
     """
     n, count = frac.shape
     m = table.shape[-1]
@@ -463,43 +519,54 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
             raise IndexError(f"corner row outside a table of {len(flat)} rows")
         if word is not None:
             flat = flat.view(word)      # one machine word per table row
+    q = _table_q(table)
+    ints = _uint16_axes(table, frac.dtype)
     narrow = _float32_axes(table, frac.dtype)
     corner_bias, blend_bias = bias, 0.0
-    if bias and narrow and 8 * table.itemsize + _table_q(table) * n <= 53:
+    if bias and narrow and 8 * table.itemsize + q * n <= 53:
         # integral queries on b-bit unsigned entries: every lerp is exact
-        # in float64 too, so the bias may leave the blend instead of each corner
+        # in float64 too, so the bias may leave the blend instead of each
+        # corner (always so when every axis is an integer axis, q*n <= 8)
         corner_bias, blend_bias = 0.0, bias
     out = np.empty((count, m), dtype=np.float64)
     step = max(1, _CHUNK_ROWS // m)
     for start in range(0, count, step):
         stop = min(start + step, count)
         if cells is not None:
-            gathered = np.take(cells, rows[start:stop], axis=0)
-            gathered = (gathered.reshape(stop - start, 1 << n, m) if word is None
-                        else gathered.view(word))
-            gathered = np.ascontiguousarray(gathered.swapaxes(0, 1)).view(table.dtype)
+            acc = np.take(cells, rows[start:stop], axis=0)
+            acc = (acc.reshape(stop - start, 1 << n, m) if word is None
+                   else acc.view(word))
+            acc = np.ascontiguousarray(acc.swapaxes(0, 1)).view(table.dtype)
         else:
             # np.take moves whole rows; fancy indexing is about 6x slower
             # on 2**16 rows
             idx = _scratch_array("fold_rows", np.int64, (1 << n, stop - start))
             np.add(offsets, rows[start:stop], out=idx)
-            gathered = _scratch_array("gather", flat.dtype, idx.shape + flat.shape[1:])
-            np.take(flat, idx, axis=0, out=gathered, mode="clip")
-            gathered = gathered.view(table.dtype)
-        acc = gathered.reshape(1 << n, -1).astype(np.float32 if narrow else np.float64,
-                                                  copy=False)
-        if corner_bias:
-            acc -= corner_bias
+            acc = _scratch_array("gather", flat.dtype, idx.shape + flat.shape[1:])
+            np.take(flat, idx, axis=0, out=acc, mode="clip")
+            acc = acc.view(table.dtype)
+        acc = acc.reshape(1 << n, -1)
         f = frac[:, start:stop]
-        if m > 1 or f.dtype != acc.dtype:
+        if ints:
+            # each half widened to uint16 apart: the uint8 corners go before
+            # the k codes are made, the upper half before the rest widens
+            half = acc.shape[0] // 2
+            acc, hi = acc[:half].astype(np.uint16), acc[half:].astype(np.uint16)
+            acc = _fold_uint16(acc, hi, f[:ints], q, m)
+            del hi
+            f = f[ints:]
+        acc = acc.astype(np.float32 if narrow > ints else np.float64, copy=False)
+        if corner_bias:
+            acc -= corner_bias * 2.0 ** (q * ints)
+        if len(f) and (m > 1 or f.dtype != acc.dtype):
             # each fraction repeated for the m entries of its row, in the
             # accumulator's dtype; m strided column writes beat np.repeat here
             fm = _scratch_array("frac", acc.dtype, f.shape + (m,))
             for j in range(m):
                 fm[:, :, j] = f
-            f = fm.reshape(n, -1)
-        for d in range(n):
-            if d == narrow and narrow:
+            f = fm.reshape(len(f), -1)
+        for d in range(ints, n):
+            if d == narrow > ints:
                 # the rest of the fold no longer fits float32: widen it
                 rest = _scratch_array("rest", np.float64, acc.shape)
                 rest[...] = acc
@@ -507,10 +574,12 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
             half = acc.shape[0] // 2
             lo, hi = acc[:half], acc[half:]
             hi -= lo
-            hi *= f[d]
+            hi *= f[d - ints]
             lo += hi
             acc = lo
         blend = acc[0].reshape(stop - start, m)
+        if ints:
+            blend *= 2.0 ** (-q * ints)
         if blend_bias:
             np.subtract(blend, blend_bias, out=out[start:stop])
         else:
@@ -587,11 +656,15 @@ def _read(lut, query) -> np.ndarray:
 
     The corner fold (:func:`_fold_corners`) reads the stored entries and
     removes the bias.  Base rows count the cells of the table's own cell
-    table (its ``_cells``) where it keeps one, lattice points otherwise.
+    table (its ``_cells``) where it keeps one, lattice points otherwise,
+    and are int32 where every row fits, which halves the row build's
+    traffic.
     """
     cells, fracs = query
     packed = lut._cells
-    rows = _flat_rows(cells, lut.lattice_points - (packed is not None)).reshape(-1)
+    radix = lut.lattice_points - (packed is not None)
+    rows = _flat_rows(cells, radix, np.int32 if radix ** len(cells) < 2 ** 31 else np.int64)
+    rows = rows.reshape(-1)
     frac = np.asarray(fracs).reshape(len(fracs), -1)
     return _fold_corners(lut.entries, rows, frac, lut.bias, packed)
 

@@ -40,7 +40,7 @@ import lutpool.lut as lut_module
 from lutpool.lut import (FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MAGIC,
                          _CELL_TABLE_BYTES, _CHUNK_ROWS, _decompose_arrays,
                          _flat_rows, _float32_axes, _fold_corners, _pack_cells,
-                         _pack_container, _read, _scatter, real_table)
+                         _pack_container, _read, _scatter, _uint16_axes, real_table)
 from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN
 
 
@@ -366,10 +366,11 @@ def top_fraction_patches(rng, q, n, count):
     """Integer patches at fraction (2**q - 1) / 2**q on every axis.
 
     Cells are drawn from the three lowest and the three highest of the
-    lattice, so both ends of the range (255 included) are read.
+    lattice (clipped to q7's two cells), so both ends of the range (255
+    included) are read.
     """
     top = 2 ** (8 - q) - 1
-    cells = rng.choice([0, 1, 2, top - 2, top - 1, top], (count, n))
+    cells = np.clip(rng.choice([0, 1, 2, top - 2, top - 1, top], (count, n)), 0, top)
     return (cells * 2 ** q + 2 ** q - 1).astype(np.float64)
 
 
@@ -548,6 +549,83 @@ class TestFloat32Bound:
             assert query_batch(lut, patches).tobytes() == want.tobytes()
             assert seen == [np.float32]
             monkeypatch.undo()
+
+
+def checkerboard_columns(q, n, m, signed):
+    """8-bit checkerboard table whose odd output columns hold the complement.
+
+    Every column takes the largest lerp steps; the complement makes the
+    m entries of a row differ, so a k code repeated for the wrong entry
+    shows.
+    """
+    board = checkerboard_lut(q, n, 8, signed).entries
+    columns = [board if j % 2 == 0 else 255 - board for j in range(m)]
+    return QuantizedLut(q, n, m, np.concatenate(columns, axis=-1), signed=signed)
+
+
+# (q, n, uint16 axes) of an 8-bit table: 8 + q*axes <= 16 < 8 + q*(axes+1),
+# or every axis of the table
+UINT16_SPLITS = [(4, 4, 2), (5, 4, 1), (7, 2, 1), (4, 2, 2), (4, 1, 1)]
+
+
+class TestUint16Bound:
+    """Fold axis d runs in exact uint16 integers while 8 + q*(d+1) <= 16."""
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("q, n, ints", UINT16_SPLITS)
+    def test_at_the_bound_bitwise(self, q, n, ints, signed, m):
+        # top fractions (k = 2**q - 1) on 0/255 entries make the largest
+        # integer lerps; random integer patches give each axis its own k
+        lut = checkerboard_columns(q, n, m, signed)
+        assert _uint16_axes(lut.entries, np.float32) == ints
+        rng = np.random.default_rng(q * n * m + signed)
+        patches = np.concatenate([top_fraction_patches(rng, q, n, 400),
+                                  integer_patches(rng, 400, n)])
+        want = window_oracle(lut, patches)
+        for got in both_gathers(lut, patches):        # cell table, lattice rows
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("q, n, ints", [s for s in UINT16_SPLITS if s[2] < s[1]])
+    def test_one_more_axis_wraps(self, monkeypatch, q, n, ints, signed):
+        # the bound is not slack: one more uint16 axis passes 2**16 and wraps
+        lut = checkerboard_columns(q, n, 1, signed)
+        patches = top_fraction_patches(np.random.default_rng(q + n), q, n, 400)
+        want = window_oracle(lut, patches)
+        np.testing.assert_array_equal(query_batch(lut, patches), want)
+        exact = lut_module._uint16_axes
+        monkeypatch.setattr(lut_module, "_uint16_axes",
+                            lambda table, dtype: exact(table, dtype) + 1)
+        for got in both_gathers(lut, patches):
+            assert not np.array_equal(got, want)
+
+    def test_rule(self):
+        for q, n, ints in UINT16_SPLITS + [(1, 8, 8), (2, 6, 4), (3, 4, 2), (6, 3, 1)]:
+            # the rule reads only the shape and dtype: a zero-stride view will do
+            entries = np.broadcast_to(np.uint8(0), (lattice_size(q),) * n + (1,))
+            assert _uint16_axes(entries, np.float32) == ints, (q, n)
+            assert _uint16_axes(entries, np.float64) == 0
+        # coefficient tables hold 8-bit weights too
+        coeff = CoeffLut(5, 4, 4, np.zeros((9,) * 4 + (4,), np.uint8))
+        assert _uint16_axes(coeff.entries, np.float32) == 1
+        # 16-bit and real tables never fold in uint16
+        rng = np.random.default_rng(9)
+        assert _uint16_axes(random_int_lut(rng, 4, 4, 1, 16).entries, np.float32) == 0
+        assert _uint16_axes(random_real_lut(rng, 4, 4, 1).entries, np.float32) == 0
+
+    @pytest.mark.parametrize("q, n, m", [(7, 7, 1), (6, 8, 2)])
+    def test_corner_bias_scaled(self, q, n, m):
+        # past b + q*n = 53 the bias leaves every corner, after the uint16
+        # axes, as bias * 2**(q*a): the bits of the float64-fraction fold
+        rng = np.random.default_rng(q * n)
+        lut = random_int_lut(rng, q, n, m, signed=True)
+        assert _uint16_axes(lut.entries, np.float32) == 1
+        cells, frac = _decompose_arrays(integer_patches(rng, 3000, n).T.copy(), q)
+        rows = _flat_rows(cells, lut.lattice_points)
+        got = _fold_corners(lut.entries, rows, frac, lut.bias)
+        want = _fold_corners(lut.entries, rows, frac.astype(np.float64), lut.bias)
+        assert got.tobytes() == want.tobytes()
 
 
 def packed_bytes(q, n, m, bit_depth):
