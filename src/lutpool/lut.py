@@ -8,15 +8,16 @@ blend the ``2**n`` surrounding corner entries multilinearly, reading the
 entries in their stored dtype.
 
 A query is a flat base row (the cell of its lower corner, flattened)
-and its in-cell fractions, laid out axis-major, (n, N).  The corner
-fold gathers the ``2**n`` corner rows of a chunk of queries into a
-(2**n, rows * m) accumulator and folds axis 0..n-1 with one lerp per
-axis, each over contiguous memory.  :func:`_decompose_arrays` alone
-decides whether queries are integral, and marks them by float32
-fractions; :func:`_fold_corners` alone decides in which of three
-tiers each axis of their fold runs: the leading axes that
-:func:`_uint16_axes` allows in exact uint16 integers on 8-bit entries,
-before any corner widens to a float, then those up to
+and its in-cell fractions, one array per axis: the rows of an (n, N)
+array, or views of a band's fraction plane where they lie, never
+restacked.  The corner fold gathers the ``2**n`` corner rows of a chunk
+of queries into a (2**n, rows * m) accumulator and folds axis 0..n-1
+with one lerp per axis, each over contiguous memory.
+:func:`_decompose_arrays` alone decides whether queries are integral,
+and marks them by float32 fractions; :func:`_fold_corners` alone
+decides in which of three tiers each axis of their fold runs: the
+leading axes that :func:`_uint16_axes` allows in exact uint16 integers
+on 8-bit entries, before any corner widens to a float, then those up to
 :func:`_float32_axes` in float32, the rest in float64.  It removes
 their bias once from the blend.  Every tier gives the bits of an
 all-float64 fold with the bias removed from every corner.
@@ -441,75 +442,140 @@ def corner_weights(rows: np.ndarray, frac: np.ndarray, lattice: int, out):
     return idx, w
 
 
-def _fold_uint16(lo: np.ndarray, hi: np.ndarray, frac: np.ndarray, q: int,
-                 m: int) -> np.ndarray:
+def _repeat_cols(cols: np.ndarray) -> np.ndarray:
+    """Copy column 0 of a C-contiguous (..., m) array into its other columns; the array flat.
+
+    One strided copy per column over the whole array: writing all m
+    columns from a query-shaped view runs short, buffered inner loops.
+    """
+    flat = cols.reshape(-1, cols.shape[-1])
+    for j in range(1, flat.shape[1]):
+        flat[:, j] = flat[:, 0]
+    return cols.reshape(-1)
+
+
+def _fold_uint16(corners: np.ndarray, frac, q: int, m: int) -> np.ndarray:
     """Fold the leading axes of a chunk's 8-bit corners in exact uint16 integers.
 
-    ``lo`` and ``hi`` are the lower and upper halves of a chunk's corners
-    as :func:`_fold_corners` lays them out, widened to uint16, each
-    (2**(n-1), rows * m), and folded in place; ``frac`` holds the float32
-    fractions of the first a axes, (a, rows), with a at most
-    :func:`_uint16_axes`.  Each lerp is ``lo * (2**q - k) + hi * k`` with
-    ``k = f * 2**q``, the k codes repeated for the m entries of a row:
-    2**q times the float lerp.  Returns the leading (2**(n-a), rows * m)
-    of ``lo``, 2**(q*a) times the corners folded over axes 0..a-1.
+    ``corners`` are a chunk's uint8 corners as :func:`_fold_corners`
+    lays them out, (2**n, rows * m), and are not written; ``frac`` holds
+    the float32 fractions of the first a axes, a equally shaped arrays of
+    the chunk's rows queries, with a at most :func:`_uint16_axes`.  Each
+    lerp is ``lo * (2**q - k) + hi * k`` with ``k = f * 2**q``: 2**q
+    times the float lerp.  An axis' k codes are made as its lerp is
+    reached, by one multiply into column 0 of a (rows, m) array that is
+    then copied into the other columns.  The first lerp widens as it
+    multiplies, the lower half at once and the upper half through a
+    buffer of half its corners, so the two widened halves are never held
+    together.  Returns (2**(n-a), rows * m) uint16, 2**(q*a) times the
+    corners folded over axes 0..a-1.
     """
-    k = np.empty(frac.shape + (m,), np.uint16)
-    for j in range(m):
-        np.multiply(frac, 1 << q, out=k[..., j], casting="unsafe")
-    acc = lo
-    for d, kd in enumerate(k.reshape(len(frac), -1)):
-        if d:
-            half = acc.shape[0] // 2
+    one = 1 << q
+    acc = None
+    for f in frac:
+        k = np.empty(f.shape + (m,), np.uint16)
+        np.multiply(f, one, out=k[..., 0], casting="unsafe")
+        k = _repeat_cols(k)
+        if acc is None:
+            half = len(corners) // 2
+            acc = np.multiply(corners[:half], one - k, dtype=np.uint16)
+            part = -(-half // 2)
+            buf = np.empty((part, corners.shape[1]), np.uint16)
+            for s in range(0, half, part):
+                piece = buf[:min(part, half - s)]
+                np.multiply(corners[half + s:half + s + len(piece)], k, out=piece,
+                            dtype=np.uint16)
+                acc[s:s + len(piece)] += piece
+            del buf, piece
+        else:
+            half = len(acc) // 2
             lo, hi = acc[:half], acc[half:]
-        lo *= (1 << q) - kd
-        hi *= kd
-        lo += hi
-        acc = lo
+            lo *= one - k
+            hi *= k
+            lo += hi
+            acc = lo
     return acc
 
 
-def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
+def _fraction_chunks(frac, count: int, step: int):
+    """Yield (start, stop, fractions) for the fold chunks of ``step`` queries.
+
+    ``frac`` is a sequence of n equally shaped fraction arrays of
+    ``count`` queries in C order.  A read of one chunk takes them whole.
+    Otherwise each is seen as rows of its last axis (a view where the
+    layout gives one, such as a band's fraction plane; a flat copy
+    otherwise, such as a stack of more than one padded image), and a
+    chunk within one row, or of whole rows, is a view of them; any other
+    chunk copies the rows it touches.
+    """
+    if count <= step:
+        if count:
+            yield 0, count, frac
+        return
+    width = frac[0].shape[-1]
+    grid = [f.reshape(-1, width) for f in frac]
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        r0, r1 = start // width, -(-stop // width)
+        at = slice(start - r0 * width, stop - r0 * width)
+        if r1 - r0 == 1:
+            yield start, stop, [g[r0, at] for g in grid]
+        elif at.start == 0 and stop % width == 0:
+            yield start, stop, [g[r0:r1] for g in grid]
+        else:
+            yield start, stop, [g[r0:r1].reshape(-1)[at] for g in grid]
+
+
+def _fold_corners(table: np.ndarray, rows: np.ndarray, frac,
                   bias: float = 0.0, cells: np.ndarray | None = None) -> np.ndarray:
     """Multilinear blend of the 2**n corner entries of each query, (N, m) float64.
 
     ``table`` is an entry array, shape ``(L,) * n + (m,)``, read in its
     stored dtype and never modified; ``bias`` is subtracted from the
-    blend.  rows: (N,) flat base rows; frac: (n, N) axis-major
-    fractions.  Float32 fractions mark integral queries (see
+    blend.  rows: (N,) flat base rows; frac: the fractions axis by axis,
+    any sequence of n equally shaped arrays of N queries in C order (an
+    (n, N) array, or a query's views into a band's fraction plane), read
+    where they lie.  Float32 fractions mark integral queries (see
     :func:`_decompose_arrays`).  ``cells`` passes the table's cell table
     (:func:`_pack_cells`); ``rows`` then count its ``L - 1`` cells per
     axis, otherwise the ``L`` lattice points.
 
-    Rows are processed in chunks of ``_CHUNK_ROWS // m`` queries.  Per
-    chunk the corner rows are gathered corner-major in
-    :func:`corner_weights`' corner order: from a cell table as one row
-    gather per query, turned corner-major by one contiguous copy (one
-    machine word per corner row where a row fits one); from the lattice
-    as one ``np.take`` of the 2**n corner rows of every query, a machine
-    word per row where it fits, into scratch with ``mode="clip"`` (the
-    default mode buffers its output), after a check that raises
-    ``IndexError`` for a corner outside the table.
+    Rows are processed in chunks of ``_CHUNK_ROWS // m`` queries, whose
+    fractions :func:`_fraction_chunks` cuts from ``frac``: a one-chunk
+    read, as every stage-table read of a band is, takes the arrays
+    whole, and a longer one views whole rows or parts of one row where
+    the chunks align with them.  Per chunk the corner rows are gathered
+    corner-major in :func:`corner_weights`' corner order: from a cell
+    table as one row gather per query, turned corner-major by one
+    contiguous copy (one machine word per corner row where a row fits
+    one); from the lattice as one ``np.take`` of the 2**n corner rows of
+    every query, a machine word per row where it fits, into scratch with
+    ``mode="clip"`` (the default mode buffers its output), after a check
+    that raises ``IndexError`` for a corner outside the table.
 
     Everything after the gather is shared, a (2**n, rows * m)
     accumulator folded axis 0..n-1 by one lerp per axis over its two
     contiguous halves, in three tiers.  The leading axes that
     :func:`_uint16_axes` proves exact fold first, in uint16, on integer
-    k codes made per chunk (:func:`_fold_uint16`); the uint8 corners and
-    the k codes are gone before the rest widens.  The rest is widened,
-    unless float64, and each lerp scales contiguous memory by a
-    contiguous fraction vector (the axis' fractions, each repeated for
-    the m entries of its row): the axes up to :func:`_float32_axes` in
-    float32, the half-folded rest in float64 (with no float32 axis,
-    float32 fractions widen as they are repeated).  The integer axes
-    leave the blend scaled by 2**(q*a), exactly, so it is scaled back
-    once.  Integral queries on unsigned entries with ``b + q*n <= 53``
-    are exact throughout, so their bias is subtracted once from the
-    blend; otherwise it is subtracted from every widened corner (times
-    2**(q*a) after a integer axes).  The repeated fractions and the
-    float64 rest live in per-thread scratch reused across calls.
+    k codes made per chunk and axis (:func:`_fold_uint16`); the uint8
+    corners and the k codes are gone before the rest widens.  The rest
+    is widened, unless float64, and each lerp scales its upper half by
+    the axis' fractions: the axes up to :func:`_float32_axes` in
+    float32, the half-folded rest in float64.  At m = 1, where the
+    fractions already have the accumulator's dtype, the upper half is
+    seen in the query's shape and scaled by the fractions as they lie;
+    otherwise they are first repeated for the m entries of each row into
+    contiguous scratch, one column written from the fractions and
+    copied into the others (with no float32 axis, float32 fractions
+    widen as they are written).  The integer axes leave the blend scaled
+    by 2**(q*a), exactly, so it is scaled back once.  Integral queries
+    on unsigned entries with ``b + q*n <= 53`` are exact throughout, so
+    their bias is subtracted once from the blend; otherwise it is
+    subtracted from every widened corner (times 2**(q*a) after a integer
+    axes).  The repeated fractions and the float64 rest live in
+    per-thread scratch reused across calls.
     """
-    n, count = frac.shape
+    n, count = len(frac), len(rows)
     m = table.shape[-1]
     word = _ROW_WORDS.get(m * table.itemsize)
     if cells is None:
@@ -520,8 +586,8 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
         if word is not None:
             flat = flat.view(word)      # one machine word per table row
     q = _table_q(table)
-    ints = _uint16_axes(table, frac.dtype)
-    narrow = _float32_axes(table, frac.dtype)
+    ints = _uint16_axes(table, frac[0].dtype)
+    narrow = _float32_axes(table, frac[0].dtype)
     corner_bias, blend_bias = bias, 0.0
     if bias and narrow and 8 * table.itemsize + q * n <= 53:
         # integral queries on b-bit unsigned entries: every lerp is exact
@@ -529,9 +595,7 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
         # corner (always so when every axis is an integer axis, q*n <= 8)
         corner_bias, blend_bias = 0.0, bias
     out = np.empty((count, m), dtype=np.float64)
-    step = max(1, _CHUNK_ROWS // m)
-    for start in range(0, count, step):
-        stop = min(start + step, count)
+    for start, stop, f in _fraction_chunks(frac, count, max(1, _CHUNK_ROWS // m)):
         if cells is not None:
             acc = np.take(cells, rows[start:stop], axis=0)
             acc = (acc.reshape(stop - start, 1 << n, m) if word is None
@@ -546,25 +610,19 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
             np.take(flat, idx, axis=0, out=acc, mode="clip")
             acc = acc.view(table.dtype)
         acc = acc.reshape(1 << n, -1)
-        f = frac[:, start:stop]
         if ints:
-            # each half widened to uint16 apart: the uint8 corners go before
-            # the k codes are made, the upper half before the rest widens
-            half = acc.shape[0] // 2
-            acc, hi = acc[:half].astype(np.uint16), acc[half:].astype(np.uint16)
-            acc = _fold_uint16(acc, hi, f[:ints], q, m)
-            del hi
+            acc = _fold_uint16(acc, f[:ints], q, m)
             f = f[ints:]
         acc = acc.astype(np.float32 if narrow > ints else np.float64, copy=False)
         if corner_bias:
             acc -= corner_bias * 2.0 ** (q * ints)
-        if len(f) and (m > 1 or f.dtype != acc.dtype):
+        if len(f) and (m > 1 or f[0].dtype != acc.dtype):
             # each fraction repeated for the m entries of its row, in the
-            # accumulator's dtype; m strided column writes beat np.repeat here
-            fm = _scratch_array("frac", acc.dtype, f.shape + (m,))
-            for j in range(m):
-                fm[:, :, j] = f
-            f = fm.reshape(len(f), -1)
+            # accumulator's dtype: one column from the fractions, copied on
+            fm = _scratch_array("frac", acc.dtype, (len(f), stop - start, m))
+            for fd, cols in zip(f, fm):
+                cols.reshape(fd.shape + (m,))[..., 0] = fd
+            f = _repeat_cols(fm).reshape(len(f), -1)
         for d in range(ints, n):
             if d == narrow > ints:
                 # the rest of the fold no longer fits float32: widen it
@@ -574,8 +632,11 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac: np.ndarray,
             half = acc.shape[0] // 2
             lo, hi = acc[:half], acc[half:]
             hi -= lo
-            hi *= f[d - ints]
-            lo += hi
+            # an m = 1 fold scales the corners by the fractions as they lie
+            fd = f[d - ints]
+            hi = hi.reshape((half,) + fd.shape)
+            hi *= fd
+            lo += hi.reshape(lo.shape)
             acc = lo
         blend = acc[0].reshape(stop - start, m)
         if ints:
@@ -655,18 +716,17 @@ def _read(lut, query) -> np.ndarray:
     patch batch.
 
     The corner fold (:func:`_fold_corners`) reads the stored entries and
-    removes the bias.  Base rows count the cells of the table's own cell
-    table (its ``_cells``) where it keeps one, lattice points otherwise,
-    and are int32 where every row fits, which halves the row build's
-    traffic.
+    removes the bias; it takes ``fracs`` as they are, so a stage's views
+    are never stacked into an (n, N) copy.  Base rows count the cells of
+    the table's own cell table (its ``_cells``) where it keeps one,
+    lattice points otherwise, and are int32 where every row fits, which
+    halves the row build's traffic.
     """
     cells, fracs = query
     packed = lut._cells
     radix = lut.lattice_points - (packed is not None)
     rows = _flat_rows(cells, radix, np.int32 if radix ** len(cells) < 2 ** 31 else np.int64)
-    rows = rows.reshape(-1)
-    frac = np.asarray(fracs).reshape(len(fracs), -1)
-    return _fold_corners(lut.entries, rows, frac, lut.bias, packed)
+    return _fold_corners(lut.entries, rows.reshape(-1), fracs, lut.bias, packed)
 
 
 def _check_pixels(values, what: str) -> None:

@@ -53,19 +53,23 @@ def read_pnm(path) -> np.ndarray:
             raise PnmError(f"only maxval 255 is supported, got {maxval}")
         channels = 3 if magic == b"P6" else 1
         need = width * height * channels
-        # check the claim against a regular file before reading: read(need)
-        # would allocate whatever the header asks for
+        # check the claim against a regular file before reading: the result
+        # is allocated at whatever size the header asks for
         st = os.fstat(fh.fileno())
-        left = st.st_size - fh.tell()
-        if stat.S_ISREG(st.st_mode) and left < need:
-            raise PnmError(f"payload holds {left} bytes, header needs {need}")
-        data = fh.read(need)
-        if len(data) != need:
-            raise PnmError(f"payload holds {len(data)} bytes, header needs {need}")
-    arr = np.frombuffer(data, dtype=np.uint8)
-    if channels == 1:
-        return arr.reshape(height, width).copy()
-    return arr.reshape(height, width, 3).copy()
+        if stat.S_ISREG(st.st_mode) and st.st_size - fh.tell() < need:
+            raise PnmError(f"payload holds {st.st_size - fh.tell()} bytes, header needs {need}")
+        # read straight into the result: the payload is held once
+        arr = np.empty(need, dtype=np.uint8)
+        got = 0
+        with memoryview(arr) as view:
+            while got < need:
+                chunk = fh.readinto(view[got:])
+                if not chunk:
+                    break
+                got += chunk
+        if got != need:
+            raise PnmError(f"payload holds {got} bytes, header needs {need}")
+    return arr.reshape((height, width) if channels == 1 else (height, width, 3))
 
 
 def write_pnm(path, image) -> None:
@@ -82,4 +86,4 @@ def write_pnm(path, image) -> None:
     h, w = arr.shape[:2]
     with open(path, "wb") as fh:
         fh.write(magic + b"\n%d %d\n255\n" % (w, h))
-        fh.write(np.ascontiguousarray(arr).tobytes())
+        fh.write(np.ascontiguousarray(arr).data)     # the buffer itself, not a copy

@@ -325,10 +325,8 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     (k, N), N = B * (y1 - y0) * w; ``alpha`` holds the rows' precomputed
     oap weights (k, N), ``counters`` add up the queries.  :func:`_run_real`
     runs this once per band of whole rows of at most ``_BAND_VALUES``
-    values, N * rs * rs.  An untaped average or oap pass whose first
-    rotation is not 0 returns column-major blocks when rs > 1 (those of
-    the unrotating column permutation); a reduction over them sums in
-    another order than over C-ordered ones.
+    values, N * rs * rs.  The blocks are C-ordered whatever the
+    rotations.
 
     The queries, and the order they are read in, are those of
     :func:`_stage_queries`: the coefficient table's first when the stage
@@ -401,7 +399,8 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
             if ri:
                 pred += x
             else:
-                pred = x
+                # a permuted rotation is column-major: pred is kept C-ordered
+                pred = np.ascontiguousarray(x)
                 pred += 0.0
         del x
     del queries                 # and with it the planes

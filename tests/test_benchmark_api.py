@@ -135,6 +135,9 @@ def test_every_scratch_slot_is_named_in_one_module():
     assert bad == []
     assert {slot: names for slot, names in owners.items() if len(names) > 1} == {}
     assert owners["scatter_cols"] == {"pipeline.py"}
+    # the read, its adjoint and the stage pass keep to these slots
+    assert {slot for slot, names in owners.items() if names & {"lut.py", "pipeline.py"}} == {
+        "fold_rows", "gather", "frac", "rest", "scatter_cols"}
 
 
 def _checked_configs():

@@ -145,6 +145,15 @@ class TestRestore:
         assert run("restore", "--input", str(src), "--out", str(tmp_path / "o.pgm"),
                    "--lut", str(lut)) == 2
 
+    def test_truncated_input_image(self, tmp_path):
+        lut = tmp_path / "ident.lut"
+        run("bake", "--rule", "identity", "--q", "4", "--out", str(lut))
+        src = tmp_path / "short.pgm"
+        src.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
+        assert run("restore", "--input", str(src), "--out", str(tmp_path / "o.pgm"),
+                   "--lut", str(lut)) == 2
+        assert not (tmp_path / "o.pgm").exists()
+
     def test_corrupt_table(self, tmp_path):
         bad = tmp_path / "bad.lut"
         bad.write_bytes(bytes(64))

@@ -1,5 +1,7 @@
 """Synthetic corpus, degradations, manifests, and netpbm i/o."""
 
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -207,6 +209,53 @@ class TestNetpbm:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_each_call_holds_the_payload_once(self, tmp_path):
+        # read_pnm reads into its result and write_pnm writes the array's
+        # own buffer: with a read followed by a copy and a tobytes() copy
+        # they peaked at 2.0x and 1.0x the payload
+        img = np.random.default_rng(9).integers(0, 256, (1024, 1024)).astype(np.uint8)
+        path = tmp_path / "big.pgm"
+        write_pnm(path, img)
+        peaks = []
+        for call in (lambda: write_pnm(path, img), lambda: read_pnm(path)):
+            tracemalloc.start()
+            try:
+                got = call()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(got, img)
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert peaks[0] <= 0.1 * img.nbytes and peaks[1] <= 1.1 * img.nbytes, peaks
+
+    def test_stream_read_in_pieces_or_short(self, tmp_path):
+        # a FIFO has no size to check up front: the payload is read until
+        # it is whole, and one that ends early raises
+        img = np.random.default_rng(10).integers(0, 256, (300, 200)).astype(np.uint8)
+        header = b"P5\n200 300\n255\n"
+        for payload, whole in ((img.tobytes(), True), (img.tobytes()[:-7], False)):
+            fifo = tmp_path / f"stream{whole}.pgm"
+            os.mkfifo(fifo)
+
+            def feed():
+                with open(fifo, "wb") as fh:
+                    fh.write(header)
+                    for start in range(0, len(payload), 4096):
+                        fh.write(payload[start:start + 4096])
+                        fh.flush()
+
+            writer = threading.Thread(target=feed)
+            writer.start()
+            try:
+                if whole:
+                    np.testing.assert_array_equal(read_pnm(fifo), img)
+                else:
+                    with pytest.raises(PnmError, match="payload holds 59993 bytes"):
+                        read_pnm(fifo)
+            finally:
+                writer.join(timeout=60)
+            assert not writer.is_alive()
 
     def test_header_field_length_capped(self, tmp_path):
         # a 1 MB field is refused after 16 bytes, not grown byte by byte

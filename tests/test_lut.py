@@ -41,6 +41,7 @@ from lutpool.lut import (FLAG_REAL, FLAG_SIGNED, FORMAT_VERSION, HEADER_SIZE, MA
                          _CELL_TABLE_BYTES, _CHUNK_ROWS, _decompose_arrays,
                          _flat_rows, _float32_axes, _fold_corners, _pack_cells,
                          _pack_container, _read, _scatter, _uint16_axes, real_table)
+from lutpool import pipeline
 from lutpool.orientation import DIAGONAL_PATTERN, SQUARE_PATTERN
 
 
@@ -626,6 +627,100 @@ class TestUint16Bound:
         got = _fold_corners(lut.entries, rows, frac, lut.bias)
         want = _fold_corners(lut.entries, rows, frac.astype(np.float64), lut.bias)
         assert got.tobytes() == want.tobytes()
+
+
+def stage_query(table, stack, pattern=SQUARE_PATTERN):
+    """``table``'s first stage query on a (B, h, w) stack, and the patches it reads.
+
+    The query is the pipeline's own, views into the band's cell and
+    fraction planes; the patches, (B * h * w, n) pixel values, are taken
+    from the edge-padded stack at the pattern's offsets.
+    """
+    query = next(pipeline._stage_queries(stack, PipelineConfig(patterns=[pattern],
+                                                                 stages=[table])))
+    pad = pattern.reach
+    padded = np.pad(stack, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+    _, h, w = stack.shape
+    patches = [padded[:, pad + dr:pad + dr + h, pad + dc:pad + dc + w].reshape(-1)
+               for dr, dc in pattern.rotated(0)]
+    return query, np.stack(patches, axis=-1)
+
+
+def integer_stack(shape, seed):
+    return np.random.default_rng(seed).integers(0, 256, shape).astype(np.uint8)
+
+
+def quarter_stack(shape, seed):
+    return np.random.default_rng(seed).integers(0, 1021, shape) / 4.0
+
+
+# (table, stack) makers of the reads the view fold is checked on, by name:
+# stage reads of one chunk, reads of several chunks cut along whole rows,
+# within one row or across rows, stacks of more than one image, and
+# quarter-step inputs (float64 fractions)
+VIEW_READS = {
+    "s-q4-m1-one-chunk": (lambda rng: random_int_lut(rng, 4, 4, 1),
+                          lambda: integer_stack((1, 128, 128), 1)),
+    "signed-q4-m4-one-chunk": (lambda rng: random_int_lut(rng, 4, 4, 4, signed=True),
+                               lambda: integer_stack((1, 64, 64), 2)),
+    "coeff-q5-m4-whole-rows": (lambda rng: CoeffLut(5, 4, 4, rng.integers(0, 256, (9,) * 4 + (4,))),
+                               lambda: integer_stack((1, 128, 128), 3)),
+    "coeff-q5-m4-across-rows": (lambda rng: CoeffLut(5, 4, 4, rng.integers(0, 256, (9,) * 4 + (4,))),
+                                lambda: integer_stack((1, 160, 100), 4)),
+    "x2-one-row-past-a-chunk": (lambda rng: random_int_lut(rng, 4, 4, 4, signed=True),
+                                lambda: integer_stack((1, 1, 5000), 5)),
+    "stack-of-3-several-chunks": (lambda rng: random_int_lut(rng, 4, 4, 4, signed=True),
+                                  lambda: integer_stack((3, 40, 50), 6)),
+    "stack-of-2-one-chunk": (lambda rng: random_int_lut(rng, 4, 4, 1),
+                             lambda: integer_stack((2, 30, 40), 7)),
+    "float64-m1": (lambda rng: random_int_lut(rng, 4, 4, 1, signed=True),
+                   lambda: quarter_stack((1, 64, 80), 8)),
+    "float64-m4-several-chunks": (lambda rng: random_int_lut(rng, 5, 4, 4),
+                                  lambda: quarter_stack((1, 50, 120), 9)),
+}
+
+
+class TestFractionViews:
+    """The fold reads a stage query's fraction views where they lie, with the bits of a stacked read."""
+
+    @pytest.mark.parametrize("gather", ["cells", "lattice"])
+    @pytest.mark.parametrize("name", sorted(VIEW_READS))
+    def test_views_read_like_stacked_fractions(self, monkeypatch, name, gather):
+        if gather == "lattice":                 # no cell table is kept
+            monkeypatch.setattr(lut_module, "_CELL_TABLE_BYTES", 0)
+        make_table, make_stack = VIEW_READS[name]
+        table = make_table(np.random.default_rng(len(name)))
+        assert (table._cells is None) == (gather == "lattice")
+        (cells, fracs), patches = stage_query(table, make_stack())
+        assert all(f.base is fracs[0].base for f in fracs)   # views of one plane
+        stacked = np.asarray(fracs).reshape(len(fracs), -1)
+        got = _read(table, (cells, fracs))
+        assert got.tobytes() == _read(table, (cells, stacked)).tobytes()
+        np.testing.assert_array_equal(got, window_oracle(table, patches))
+
+    def test_chunks_view_the_plane_where_rows_align(self):
+        plane = np.zeros((3, 170, 5010), np.float32)
+        step = 4096
+
+        def views(shape):
+            b, h, w = shape
+            frac = [plane[:b, d:d + h, d:d + w] for d in range(2)]
+            return [(start, stop, [np.shares_memory(f, plane) for f in chunk])
+                    for start, stop, chunk in lut_module._fraction_chunks(frac, b * h * w, step)]
+
+        # one chunk: the arrays whole
+        assert views((1, 64, 64)) == [(0, 4096, [True, True])]
+        # whole rows, and parts of one row
+        for shape in ((1, 128, 128), (1, 1, 5000)):
+            chunks = views(shape)
+            assert len(chunks) > 1 and all(all(shared) for _, _, shared in chunks)
+        # a chunk across rows copies the rows it touches; one in a row does not
+        chunks = views((1, 2, 3000))
+        assert [(start, stop, all(shared)) for start, stop, shared in chunks] == [
+            (0, 4096, False), (4096, 6000, True)]
+        assert not any(any(shared) for _, _, shared in views((1, 160, 100)))
+        # a stack of padded images has no row view: the fractions are copied
+        assert not any(any(shared) for _, _, shared in views((3, 40, 50)))
 
 
 def packed_bytes(q, n, m, bit_depth):
