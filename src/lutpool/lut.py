@@ -148,13 +148,22 @@ def _decompose_arrays(values, q: int):
     and fraction (v mod 2**q) / 2**q.  255 therefore falls in the top
     cell ``2**(8-q) - 1`` with fraction ``(2**q - 1) / 2**q``.  Cells
     come back as uint8 (at most 127), fractions as float32 (exact for
-    integers) when every value is an integer, else float64.  Callers
+    integers) when every value is an integer, else float64.  Integer
+    dtypes take ``v >> q`` and ``v & (2**q - 1)`` scaled by ``2**-q`` in
+    float32, the same bits without the float64 temporaries.  Callers
     check the range: :func:`query_batch` here, the pipeline once per
     image and the training step once per batch.  Works on any shape:
     the pipeline decomposes a band's padded rows into two planes.
     """
     values = np.asarray(values)
-    integral = values.dtype.kind in "ui" or bool(np.all(values == np.floor(values)))
+    if values.dtype.kind in "ui":
+        cells = np.empty(values.shape, np.uint8)
+        np.right_shift(values, q, out=cells, casting="unsafe")
+        frac = np.empty(values.shape, np.float32)
+        np.bitwise_and(values, (1 << q) - 1, out=frac, casting="unsafe")
+        frac *= np.float32(2.0 ** -q)
+        return cells, frac
+    integral = bool(np.all(values == np.floor(values)))
     # 2**q is a power of two, so the scaling below is exact in float64
     # and the fractions stay exact dyadic rationals.
     scaled = np.asarray(values, dtype=np.float64) / float(2 ** q)
@@ -454,21 +463,25 @@ def _repeat_cols(cols: np.ndarray) -> np.ndarray:
     return cols.reshape(-1)
 
 
-def _fold_uint16(corners: np.ndarray, frac, q: int, m: int) -> np.ndarray:
+def _fold_uint16(halves: list, frac, q: int, m: int) -> np.ndarray:
     """Fold the leading axes of a chunk's 8-bit corners in exact uint16 integers.
 
-    ``corners`` are a chunk's uint8 corners as :func:`_fold_corners`
-    lays them out, (2**n, rows * m), and are not written; ``frac`` holds
-    the float32 fractions of the first a axes, a equally shaped arrays of
-    the chunk's rows queries, with a at most :func:`_uint16_axes`.  Each
-    lerp is ``lo * (2**q - k) + hi * k`` with ``k = f * 2**q``: 2**q
-    times the float lerp.  An axis' k codes are made as its lerp is
-    reached, by one multiply into column 0 of a (rows, m) array that is
-    then copied into the other columns.  The first lerp widens as it
-    multiplies, the lower half at once and the upper half through a
-    buffer of half its corners, so the two widened halves are never held
-    together.  Returns (2**(n-a), rows * m) uint16, 2**(q*a) times the
-    corners folded over axes 0..a-1.
+    ``halves`` is a list of the chunk's uint8 corners as
+    :func:`_fold_corners` lays them out, cut along fold axis 0: the
+    lower and the upper half, each (2**(n-1), rows * m), never written.
+    The list is emptied, so the lower half is freed as soon as its
+    product exists when the list held the only reference, and the upper
+    half once it is added.  ``frac`` holds the float32 fractions of the
+    first a axes, a equally shaped arrays of the chunk's rows queries,
+    with a at most :func:`_uint16_axes`.  Each lerp is ``lo * (2**q - k)
+    + hi * k`` with ``k = f * 2**q``: 2**q times the float lerp.  An
+    axis' k codes are made as its lerp is reached, by one multiply into
+    column 0 of a (rows, m) array that is then copied into the other
+    columns.  The first lerp widens as it multiplies, the lower half at
+    once and the upper half through a buffer of half its corners, so the
+    two widened halves are never held together.  Returns (2**(n-a),
+    rows * m) uint16, 2**(q*a) times the corners folded over axes
+    0..a-1.
     """
     one = 1 << q
     acc = None
@@ -477,16 +490,16 @@ def _fold_uint16(corners: np.ndarray, frac, q: int, m: int) -> np.ndarray:
         np.multiply(f, one, out=k[..., 0], casting="unsafe")
         k = _repeat_cols(k)
         if acc is None:
-            half = len(corners) // 2
-            acc = np.multiply(corners[:half], one - k, dtype=np.uint16)
+            upper = halves.pop()
+            acc = np.multiply(halves.pop(), one - k, dtype=np.uint16)
+            half = len(upper)
             part = -(-half // 2)
-            buf = np.empty((part, corners.shape[1]), np.uint16)
+            buf = np.empty((part, upper.shape[1]), np.uint16)
             for s in range(0, half, part):
                 piece = buf[:min(part, half - s)]
-                np.multiply(corners[half + s:half + s + len(piece)], k, out=piece,
-                            dtype=np.uint16)
+                np.multiply(upper[s:s + len(piece)], k, out=piece, dtype=np.uint16)
                 acc[s:s + len(piece)] += piece
-            del buf, piece
+            del buf, piece, upper
         else:
             half = len(acc) // 2
             lo, hi = acc[:half], acc[half:]
@@ -546,12 +559,17 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac,
     whole, and a longer one views whole rows or parts of one row where
     the chunks align with them.  Per chunk the corner rows are gathered
     corner-major in :func:`corner_weights`' corner order: from a cell
-    table as one row gather per query, turned corner-major by one
-    contiguous copy (one machine word per corner row where a row fits
-    one); from the lattice as one ``np.take`` of the 2**n corner rows of
-    every query, a machine word per row where it fits, into scratch with
+    table as one row gather per query, turned corner-major by contiguous
+    copies (one machine word per corner row where a row fits one); from
+    the lattice as one ``np.take`` of the 2**n corner rows of every
+    query, a machine word per row where it fits, into scratch with
     ``mode="clip"`` (the default mode buffers its output), after a check
-    that raises ``IndexError`` for a corner outside the table.
+    that raises ``IndexError`` for a corner outside the table.  A fold
+    with uint16 axes takes the lower and the upper half along axis 0 as
+    two arrays, one copy each from a cell table, and frees the lower
+    half as soon as its product exists, so a chunk never holds all 2**n
+    uint8 corners beside the uint16 product; any other fold takes all
+    2**n corners as one.
 
     Everything after the gather is shared, a (2**n, rows * m)
     accumulator folded axis 0..n-1 by one lerp per axis over its two
@@ -588,6 +606,10 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac,
     q = _table_q(table)
     ints = _uint16_axes(table, frac[0].dtype)
     narrow = _float32_axes(table, frac[0].dtype)
+    # corner ranges of the gathered chunk: a uint16 fold takes its lower
+    # and upper half along axis 0 apart, every other fold all 2**n corners
+    mid = 1 << (n - 1)
+    cuts = ((0, mid), (mid, 2 * mid)) if ints else ((0, 2 * mid),)
     corner_bias, blend_bias = bias, 0.0
     if bias and narrow and 8 * table.itemsize + q * n <= 53:
         # integral queries on b-bit unsigned entries: every lerp is exact
@@ -600,7 +622,9 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac,
             acc = np.take(cells, rows[start:stop], axis=0)
             acc = (acc.reshape(stop - start, 1 << n, m) if word is None
                    else acc.view(word))
-            acc = np.ascontiguousarray(acc.swapaxes(0, 1)).view(table.dtype)
+            # corner-major, for a uint16 fold as its two halves apart
+            acc = [np.ascontiguousarray(acc[:, c0:c1].swapaxes(0, 1))
+                   .view(table.dtype).reshape(c1 - c0, -1) for c0, c1 in cuts]
         else:
             # np.take moves whole rows; fancy indexing is about 6x slower
             # on 2**16 rows
@@ -608,11 +632,13 @@ def _fold_corners(table: np.ndarray, rows: np.ndarray, frac,
             np.add(offsets, rows[start:stop], out=idx)
             acc = _scratch_array("gather", flat.dtype, idx.shape + flat.shape[1:])
             np.take(flat, idx, axis=0, out=acc, mode="clip")
-            acc = acc.view(table.dtype)
-        acc = acc.reshape(1 << n, -1)
+            acc = acc.view(table.dtype).reshape(1 << n, -1)
+            acc = [acc[c0:c1] for c0, c1 in cuts]
         if ints:
             acc = _fold_uint16(acc, f[:ints], q, m)
             f = f[ints:]
+        else:
+            acc = acc[0]
         acc = acc.astype(np.float32 if narrow > ints else np.float64, copy=False)
         if corner_bias:
             acc -= corner_bias * 2.0 ** (q * ints)

@@ -286,9 +286,12 @@ def _stage_queries(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     table's q, at the (rotated) pattern offset.  The rows are edge-padded
     by :func:`_padded_rows` by the widest pattern reach, exactly as in
     the whole stack's padding, and decomposed once per distinct q into
-    two planes, uint8 lattice cells and in-cell fractions.  Each query's
-    views are made as it is reached; the planes live until the generator
-    and every view are dropped.
+    two planes, uint8 lattice cells and in-cell fractions, when the first
+    query of that q is reached: the coefficient table's planes first,
+    dropped once its query is read unless a stage table shares its q,
+    then the planes of every stage q together, after which the padded
+    rows are dropped.  Each query's views are made as it is reached; the
+    planes live until the generator and every view are dropped.
     """
     _, h, w = stack.shape
     if y1 is None:
@@ -297,9 +300,8 @@ def _stage_queries(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     stage_luts = config.stages[t]
     pad = max(p.reach for p in (*config.patterns, config.coeff_pattern))
     padded = _padded_rows(stack, y0, y1, pad, pad)
-    qs = {table.q for table in stage_luts} | ({pool.coeff_lut.q} if coeff else set())
-    planes = {q: _decompose_arrays(padded, q) for q in qs}
-    del padded
+    stage_qs = {table.q for table in stage_luts}
+    planes = {}
 
     def views(table, offsets):
         cells, fracs = planes[table.q]
@@ -308,7 +310,14 @@ def _stage_queries(stack: np.ndarray, config: PipelineConfig, t: int = 0,
         return [cells[v] for v in at], [fracs[v] for v in at]
 
     if coeff:
+        q = pool.coeff_lut.q
+        planes[q] = _decompose_arrays(padded, q)
         yield views(pool.coeff_lut, config.coeff_pattern.offsets)
+        if q not in stage_qs:
+            del planes[q]
+    for q in stage_qs - planes.keys():
+        planes[q] = _decompose_arrays(padded, q)
+    del padded
     for r in config.orientations.rotations:
         for pattern, table in zip(config.patterns, stage_luts):
             yield views(table, pattern.rotated(r))
@@ -339,8 +348,12 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
     unrotated rotation is weighed and summed into the result as soon as
     it is complete, in :func:`~lutpool.pooling.combine`'s order and with
     its bits; gmp, and every taped pass, fill the (k, N, rs*rs) ensemble
-    and fuse it after the planes are dropped.  Last, the residual
-    baseline of the rows is added.
+    and fuse it after the planes are dropped.  They sum each rotation's
+    outputs in its ensemble slot and unrotate the slot once the
+    rotation's reads are done, through a copy that lives only then, so
+    no per-rotation sum or unrotated copy is held beside the ensemble
+    while a table is read.  Last, the residual baseline of the rows is
+    added.
 
     Training passes a dict as ``tape`` over the whole stack; every table,
     the oap coefficient table included, is read as inference reads it.
@@ -374,7 +387,8 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
         xs = np.empty((k, count, m))
     for ri, r in enumerate(rotations):
         # the rotation's pattern outputs / npat, summed onto +0.0 in the
-        # first one's array, each dropped once it is added
+        # first one's array when streamed, else in the ensemble slot; each
+        # is dropped once it is added
         for pi, table in enumerate(stage_luts):
             out = _read(table, next(queries))
             if counters is not None:
@@ -383,16 +397,24 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
             if pi:
                 acc += out
             else:
-                acc = out
+                if stream:
+                    acc = out
+                else:
+                    acc = xs[ri]
+                    acc[...] = out
                 acc += 0.0
             del out
         # unrotate the sum's blocks, a column permutation that commutes
         # with the sum: column perm[j] goes to column j
-        x = acc[:, block_permutation(m, r)] if m > 1 and r != 0 else acc
-        del acc
+        perm = block_permutation(m, r) if m > 1 and r != 0 else None
         if not stream:
-            xs[ri] = x
+            if perm is not None:
+                # through a copy that lives while no table is read
+                acc[...] = acc[:, perm]
+            del acc
         else:
+            x = acc if perm is None else acc[:, perm]
+            del acc
             # combine's order and bits: pred = w_0 x_0, += 0.0, then
             # += w_r x_r, each product formed in the rotation's own array
             x *= weights[ri][:, None]
@@ -402,7 +424,7 @@ def stage_pass(stack: np.ndarray, config: PipelineConfig, t: int = 0,
                 # a permuted rotation is column-major: pred is kept C-ordered
                 pred = np.ascontiguousarray(x)
                 pred += 0.0
-        del x
+            del x
     del queries                 # and with it the planes
 
     if not stream:

@@ -7,7 +7,9 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -46,7 +48,9 @@ from lutpool import (
 from lutpool import pipeline
 import lutpool.lut as lut_module
 from lutpool.lut import _read
+from lutpool.orientation import block_permutation
 from lutpool.pipeline import _run_real, stage_pass
+from lutpool.pooling import average_weights, combine, gmp_weights, oap_weights
 from tests.test_pooling import constant_entry_coeff
 
 
@@ -878,6 +882,148 @@ class TestStreamedFusion:
         assert seen == [(4, 60, 1), (4, 60, 1)]
 
 
+def ensemble_reference(stack, config):
+    """A stage pass restated with each rotation summed apart and unrotated by a copy.
+
+    Each rotation's pattern outputs / npat are summed onto +0.0 in an
+    array of their own, whose column permutation is copied into the
+    (k, N, m) ensemble, which ``combine`` fuses under the pass's weights.
+    Returns (blocks, weights, ensemble).
+    """
+    pool, rotations, tables = config.pooling, config.orientations.rotations, config.stages[0]
+    rs = config.stage_scale(0)
+    m, count = rs * rs, stack.size
+    queries = pipeline._stage_queries(stack, config, coeff=pool.kind == "oap")
+    if pool.kind == "oap":
+        weights = oap_weights(next(queries), pool.coeff_lut, query=pipeline._read)
+    xs = np.empty((len(rotations), count, m))
+    for ri, r in enumerate(rotations):
+        acc = None
+        for table in tables:
+            out = pipeline._read(table, next(queries)) / len(tables)
+            acc = out + 0.0 if acc is None else acc + out
+        xs[ri] = acc[:, block_permutation(m, r)]
+    if pool.kind == "average":
+        weights = average_weights(len(rotations), count)
+    elif pool.kind == "gmp":
+        weights = gmp_weights(xs, pool.tau, pool.norm)
+    pred = combine(xs, weights)
+    if rs == 1:
+        pred += stack.reshape(count, 1)
+    else:
+        pipeline._add_upsample(pred, stack, 0, stack.shape[1], rs)
+    return pred, weights, xs
+
+
+@lru_cache(maxsize=None)
+def slot_tables(rs, npat):
+    """Tables of an ``rs``-fold stage, one per pattern of S, D, Y (q4, signed when rs > 1)."""
+    patterns = [SQUARE_PATTERN, DIAGONAL_PATTERN, WYE_PATTERN][:npat]
+    return patterns, sdy_tables(np.random.default_rng([rs, npat]), rs * rs, rs > 1, patterns)
+
+
+class TestEnsembleSlot:
+    """Gmp and taped passes sum each rotation in its ensemble slot, with the bits of a per-rotation sum."""
+
+    @pytest.mark.parametrize("taped", [False, True])
+    @pytest.mark.parametrize("npat", [1, 3])
+    @pytest.mark.parametrize("rs", [1, 2, 3])
+    @pytest.mark.parametrize("turns", [(0, 1, 2, 3), (1, 3), (3,)])
+    @pytest.mark.parametrize("kind", ["average", "gmp", "oap"])
+    def test_slot_sum_bitwise(self, kind, turns, rs, npat, taped):
+        rng = np.random.default_rng([rs, npat, len(turns)])
+        k = len(turns)
+        pooling = {"average": PoolingSpec(), "gmp": PoolingSpec(kind="gmp", tau=8.0)}.get(kind)
+        if kind == "oap":
+            coeff = CoeffLut(5, 4, k, rng.integers(0, 256, (lattice_size(5),) * 4 + (k,)))
+            pooling = PoolingSpec(kind="oap", coeff_lut=coeff)
+        patterns, tables = slot_tables(rs, npat)
+        # m = 9 at q4 n4 is past the cell-table cap: the lattice gather
+        assert (tables[0]._cells is None) == (rs == 3)
+        scale = dict(task="sr", scale=rs) if rs > 1 else dict(task="restore")
+        config = PipelineConfig(**scale, patterns=patterns, orientations=OrientationSet(turns),
+                                pooling=pooling, residual=True, stages=[tables])
+        stack = rng.integers(0, 256, (2, 5, 6)).astype(np.float64)
+        want, want_weights, want_xs = ensemble_reference(stack, config)
+        tape = {} if taped else None
+        got, weights = stage_pass(stack, config, tape=tape)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        assert np.asarray(weights).tobytes() == np.asarray(want_weights).tobytes()
+        if taped:
+            assert tape["xs"].tobytes() == want_xs.tobytes()
+
+    @pytest.mark.parametrize("npat", [1, 3])
+    @pytest.mark.parametrize("rs", [1, 2])
+    def test_sums_start_at_positive_zero(self, monkeypatch, rs, npat):
+        # a table read that yields -0.0 is summed onto +0.0, as a sum in
+        # an array of its own was
+        patterns, tables = slot_tables(rs, npat)
+        read = pipeline._read
+
+        def signed_zeros(table, query):
+            out = read(table, query)
+            out[::2] = -0.0
+            return out
+
+        monkeypatch.setattr(pipeline, "_read", signed_zeros)
+        scale = dict(task="sr", scale=rs) if rs > 1 else dict(task="restore")
+        config = PipelineConfig(**scale, patterns=patterns, stages=[tables],
+                                pooling=PoolingSpec(kind="gmp", tau=8.0))
+        stack = np.random.default_rng(rs).integers(0, 256, (1, 6, 7)).astype(np.float64)
+        *_, want_xs = ensemble_reference(stack, config)
+        zeros = want_xs[want_xs == 0.0]
+        assert zeros.size and not np.signbit(zeros).any()
+        tape = {}
+        stage_pass(stack, config, tape=tape)
+        assert tape["xs"].tobytes() == want_xs.tobytes()
+
+
+class TestStageQueries:
+    """Each spacing's planes are made when its first query is read."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        made = []
+        decompose = pipeline._decompose_arrays
+        monkeypatch.setattr(pipeline, "_decompose_arrays",
+                            lambda values, q: made.append(q) or decompose(values, q))
+        return made
+
+    def test_coefficient_planes_go_before_the_stage_planes_come(self, monkeypatch):
+        rng = np.random.default_rng(66)
+        coeff = CoeffLut(5, 4, 4, rng.integers(0, 256, (lattice_size(5),) * 4 + (4,)))
+        config = PipelineConfig(task="restore", pooling=PoolingSpec(kind="oap", coeff_lut=coeff),
+                                stages=[sdy_tables(rng, 1, False, [SQUARE_PATTERN])])
+        made = self.spied(monkeypatch)
+        stack = rng.integers(0, 256, (1, 9, 11)).astype(np.uint8)
+        queries = pipeline._stage_queries(stack, config, coeff=True)
+        cells, fracs = next(queries)
+        assert made == [5]
+        plane = weakref.ref(fracs[0].base)
+        del cells, fracs
+        next(queries)
+        assert made == [5, 4] and plane() is None
+        assert len(list(queries)) == 3 and made == [5, 4]
+
+    def test_each_spacing_is_decomposed_once(self, monkeypatch):
+        # a coefficient table that shares the stage's q keeps its planes;
+        # mixed-q stage tables are all decomposed before the first read
+        rng = np.random.default_rng(67)
+        sd = [SQUARE_PATTERN, DIAGONAL_PATTERN]
+        coeff = CoeffLut(4, 4, 4, rng.integers(0, 256, (lattice_size(4),) * 4 + (4,)))
+        tables = sdy_tables(rng, 1, False, sd[:1]) + sdy_tables(rng, 1, False, sd[:1], q=5)
+        config = PipelineConfig(task="restore", patterns=sd, stages=[tables],
+                                pooling=PoolingSpec(kind="oap", coeff_lut=coeff))
+        stack = rng.integers(0, 256, (1, 9, 11)).astype(np.uint8)
+        made = self.spied(monkeypatch)
+        queries = pipeline._stage_queries(stack, config, coeff=True)
+        next(queries)
+        assert made == [4]
+        next(queries)
+        assert sorted(made) == [4, 5]
+        assert len(list(queries)) == 7 and sorted(made) == [4, 5]
+
+
 class TestStageAdjoint:
     """``_stage_adjoint`` is the adjoint of a stage pass under fixed fusion weights.
 
@@ -1089,19 +1235,25 @@ class TestPeakMemorySlope:
     def test_x2_band_peak_is_one_fold_chunk(self):
         # bands of 2**14 anchors, 4 values each, peaked 6.52e6 B beyond the
         # output; bands of 2**14 values peaked about 2.26e6 B (bound 3.2e6)
-        # with every corner widened to float32, and about 1.69e6 B with the
-        # leading fold axes in uint16
+        # with every corner widened to float32, about 1.69e6 B (bound
+        # 2.0e6) with the leading fold axes in uint16 and 1.54e6 B with
+        # each read's fractions folded where they lie; with half of a
+        # chunk's corners held and each rotation summed in its ensemble
+        # slot it is about 1.31e6 B
         peak = self.warm_peak(self.configs()["sdy-x2"])
-        assert peak < 2.0e6, peak
+        assert peak < 1.45e6, peak
 
     def test_oap_band_holds_no_ensemble(self):
         # S/q4 oap, one band: the (4, 2**14, 1) ensemble made the peak
         # 3.19e6 B; summed as each rotation is read, it was about 2.67e6 B
-        # (bound 2.9e6) with every corner widened to float32, and is about
-        # 2.08e6 B (bound 2.4e6) with the leading fold axes in uint16, and
-        # is about 1.73e6 B with each read's fractions folded where they lie
+        # (bound 2.9e6) with every corner widened to float32, and about
+        # 2.08e6 B (bound 2.4e6, then 2.0e6) with the leading fold axes in
+        # uint16, and 1.73e6 B with each read's fractions folded where they
+        # lie; with the coefficient planes dropped before the stage planes
+        # are made, integer planes decomposed without float64 temporaries
+        # and half of a chunk's corners held, it is about 1.55e6 B
         peak = self.warm_peak(self.configs()["oap"])
-        assert peak < 2.0e6, peak
+        assert peak < 1.65e6, peak
 
     def test_read_on_views_peaks_as_on_stacked_fractions(self):
         # one warm S/q4 read of a 2**14-anchor band: stacking the fraction

@@ -698,8 +698,13 @@ class TestStepBuffers:
 
     def test_warm_oap_step_peak(self):
         # 8.54 MB when the tape, gather, products and Adam slices were fresh
+        # (bound 4e6); 1,070,920 B since the ensemble is dropped before any
+        # rotation gradient exists.  Pinned there: the taped pass may not
+        # grow.  The slack covers numpy's cache of small shape arrays,
+        # which tracemalloc counts and which moves by a few hundred bytes
+        # with the order of a pass's array operations.
         peak, _ = self.warm_step(adam=True)
-        assert peak <= 4e6, peak
+        assert peak <= 1.0712e6, peak
 
     def test_warm_oap_forward_backward_peak(self):
         # 2.24e6 B while the output gradient divided by the pattern count
